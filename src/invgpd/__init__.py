@@ -11,7 +11,6 @@ checkable by exhaustive finite search.
 
 from .budget import Budget, DEFAULT_BUDGET
 from .core import (
-    Cleavage,
     Functor,
     FunctorReport,
     Groupoid,
@@ -22,7 +21,6 @@ from .core import (
     discrete,
     empty_groupoid,
     find_isomorphism,
-    find_split_cleavage,
     full_subgroupoid,
     identity_functor,
     interval,

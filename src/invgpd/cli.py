@@ -32,9 +32,9 @@ import sys
 from importlib import resources
 
 from . import docformat
-from .budget import Budget
+from .budget import Budget, ensure_budget
 from .core import classify_functor
-from .equivariant import EquivariantFunctor, validate_equivariant
+from .equivariant import EquivariantFunctor
 from .errors import (
     BaseTooSmall,
     BudgetExceeded,
@@ -45,7 +45,7 @@ from .errors import (
     NotAFibration,
     NotTrivialCofibration,
 )
-from .homotopy import is_homotopy_equivalence_projective, path_object
+from .homotopy import path_object
 from .lifting import (
     LiftingProblem,
     StructureTag,
@@ -67,8 +67,6 @@ from .universe import (
     check_funext_counterexample,
     check_univalence,
     default_closure_samples,
-    equivalence_space,
-    projective_univalence_witness,
     universe_closure_checks,
 )
 
@@ -246,7 +244,7 @@ def cmd_path(args, rep: Reporter) -> None:
     )
 
 
-def cmd_universe(args, rep: Reporter, seed: int) -> None:
+def cmd_universe(args, rep: Reporter) -> None:
     bundle = build_universe(base_elements(args.base), rep.budget)
     rep.add(
         f"universe --base {args.base}",
@@ -264,7 +262,7 @@ def cmd_universe(args, rep: Reporter, seed: int) -> None:
         rep.add(f"univalence ({tag.value})", rpt.verdict, witness=rpt.witness)
     if args.closure:
         samples = default_closure_samples(bundle)
-        samples += seeded_closure_samples(bundle, seed)
+        samples += seeded_closure_samples(bundle, args.seed)
         crep = universe_closure_checks(bundle, samples, rep.budget)
         fails = [e for e in crep.entries if e["verdict"] == "FAIL"]
         overflow = [e for e in crep.entries if e["verdict"] == "OVERFLOW"]
@@ -364,9 +362,7 @@ def cmd_reproduce(args, rep: Reporter) -> None:
     ok = rpt.verdict == "FAILS"
     witness = dict(rpt.witness)
     if ok:
-        space = equivalence_space(bundle)
-        wid = projective_univalence_witness(bundle, space)
-        A, B, rho = space.decode(wid)
+        A, B, rho = witness["source_type"], witness["target_type"], witness["equivalence"]
         ok = A == B and rho != bundle.U.base.ident(A)
         witness["fixed_equivalence_is_identity"] = not ok
     rep.add("projective-univalence-failure", "PASS" if ok else "FAIL", witness=witness)
@@ -390,6 +386,19 @@ def cmd_reproduce(args, rep: Reporter) -> None:
         witness=checks,
     )
 
+
+COMMANDS = {
+    "validate": cmd_validate,
+    "classify": cmd_classify,
+    "lift": cmd_lift,
+    "pi": cmd_pi,
+    "path": cmd_path,
+    "universe": cmd_universe,
+    "decompose": cmd_decompose,
+    "factorize": cmd_factorize,
+    "funext-check": cmd_funext,
+    "reproduce-paper": cmd_reproduce,
+}
 
 GLOBAL_DEFAULTS = {
     "budget": None,
@@ -469,29 +478,9 @@ def main(argv=None) -> int:
     for key, val in GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, val)
-    budget = Budget(args.budget) if args.budget else Budget()
-    rep = Reporter(args.format, budget)
+    rep = Reporter(args.format, ensure_budget(args.budget))
     try:
-        if args.command == "validate":
-            cmd_validate(args, rep)
-        elif args.command == "classify":
-            cmd_classify(args, rep)
-        elif args.command == "lift":
-            cmd_lift(args, rep)
-        elif args.command == "pi":
-            cmd_pi(args, rep)
-        elif args.command == "path":
-            cmd_path(args, rep)
-        elif args.command == "universe":
-            cmd_universe(args, rep, args.seed)
-        elif args.command == "decompose":
-            cmd_decompose(args, rep)
-        elif args.command == "factorize":
-            cmd_factorize(args, rep)
-        elif args.command == "funext-check":
-            cmd_funext(args, rep)
-        elif args.command == "reproduce-paper":
-            cmd_reproduce(args, rep)
+        COMMANDS[args.command](args, rep)
     except (BudgetExceeded, IterationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -117,32 +117,6 @@ class Functor:
 
 
 @dataclass
-class Cleavage:
-    """A chosen system of lifts for an isofibration.
-
-    ``lifts[(h, x)]`` is the chosen lift of the codomain isomorphism ``h``
-    at the fiber object ``x``; a split cleavage also satisfies
-    ``lifts[(id, x)] = id_x`` and closure under composition.
-    """
-
-    functor: Functor
-    lifts: dict[tuple[str, str], str]
-
-    def is_split(self) -> bool:
-        F, G, H = self.functor, self.functor.dom, self.functor.cod
-        for (h, x), m in self.lifts.items():
-            if H.is_identity(h) and m != G.ident(x):
-                return False
-        for (h1, x), m1 in self.lifts.items():
-            for h2 in H.out_morphisms(H.tgt(h1)):
-                m2 = self.lifts.get((h2, G.tgt(m1)))
-                want = self.lifts.get((H.comp(h2, h1), x))
-                if m2 is None or want is None or want != G.comp(m2, m1):
-                    return False
-        return True
-
-
-@dataclass
 class FunctorReport:
     """Decidable predicate flags for a functor (see ``classify_functor``)."""
 
@@ -159,10 +133,6 @@ class FunctorReport:
 
 
 # -- construction helpers ---------------------------------------------------
-
-
-def build_groupoid(objects, morphisms, identity, compose, inverse) -> Groupoid:
-    return Groupoid(tuple(objects), dict(morphisms), dict(identity), dict(compose), dict(inverse))
 
 
 def discrete(objects) -> Groupoid:
@@ -409,118 +379,6 @@ def classify_functor(F: Functor) -> FunctorReport:
         isofibration=isofib,
         discrete_fibration=isofib and discrete_fib,
     )
-
-
-def is_trivial_cofibration_gpd(F: Functor) -> bool:
-    """Injective-on-objects equivalence of groupoids."""
-    rep = classify_functor(F)
-    return rep.injective_on_objects and rep.equivalence
-
-
-def is_trivial_fibration_gpd(F: Functor) -> bool:
-    """Surjective-on-objects, fully faithful functor."""
-    rep = classify_functor(F)
-    surj = set(F.obj_map.values()) == set(F.cod.objects)
-    return surj and rep.full and rep.faithful
-
-
-def find_split_cleavage(F: Functor, budget: Budget | int | None = None) -> Cleavage | None:
-    """Search for a split cleavage of ``F``.
-
-    Backtracks over choice functions (codomain iso, fiber object) -> lift,
-    propagating the split laws; candidates are tried in ID order so the
-    result is deterministic. Returns ``None`` when no split cleavage exists
-    (in particular when ``F`` is not an isofibration).
-    """
-    require_valid_functor(F)
-    budget = ensure_budget(budget)
-    G, H = F.dom, F.cod
-
-    pairs = []
-    for h in H.mor_ids():
-        y = H.src(h)
-        for x in G.objects:
-            if F.obj_map[x] == y:
-                pairs.append((h, x))
-    pairs.sort()
-
-    candidates: dict[tuple[str, str], list[str]] = {}
-    for (h, x) in pairs:
-        ls = lifts_of(F, h, x)
-        if not ls:
-            return None  # not an isofibration
-        candidates[(h, x)] = ls
-
-    lifts: dict[tuple[str, str], str] = {}
-
-    def set_lift(key, value, trail) -> bool:
-        if key in lifts:
-            return lifts[key] == value
-        h, x = key
-        if G.src(value) != x or F.mor_map[value] != h:
-            return False
-        lifts[key] = value
-        trail.append(key)
-        # split closure against everything already chosen
-        stack = [key]
-        while stack:
-            (h1, x1) = stack.pop()
-            m1 = lifts[(h1, x1)]
-            for (h2, x2), m2 in list(lifts.items()):
-                budget.spend()
-                if x2 == G.tgt(m1) and H.src(h2) == H.tgt(h1):
-                    comp_key = (H.comp(h2, h1), x1)
-                    comp_val = G.comp(m2, m1)
-                    if comp_key in lifts:
-                        if lifts[comp_key] != comp_val:
-                            return False
-                    else:
-                        if G.src(comp_val) != comp_key[1] or F.mor_map[comp_val] != comp_key[0]:
-                            return False
-                        lifts[comp_key] = comp_val
-                        trail.append(comp_key)
-                        stack.append(comp_key)
-                if x1 == G.tgt(m2) and H.src(h1) == H.tgt(h2):
-                    comp_key = (H.comp(h1, h2), x2)
-                    comp_val = G.comp(m1, m2)
-                    if comp_key in lifts:
-                        if lifts[comp_key] != comp_val:
-                            return False
-                    else:
-                        if G.src(comp_val) != comp_key[1] or F.mor_map[comp_val] != comp_key[0]:
-                            return False
-                        lifts[comp_key] = comp_val
-                        trail.append(comp_key)
-                        stack.append(comp_key)
-        return True
-
-    # identities are forced by splitness
-    base_trail: list = []
-    for (h, x) in pairs:
-        if H.is_identity(h):
-            if not set_lift((h, x), G.ident(x), base_trail):
-                return None
-
-    def solve(i: int) -> bool:
-        while i < len(pairs) and pairs[i] in lifts:
-            i += 1
-        if i == len(pairs):
-            return True
-        key = pairs[i]
-        for value in candidates[key]:
-            budget.spend()
-            trail: list = []
-            if set_lift(key, value, trail) and solve(i + 1):
-                return True
-            for k in trail:
-                del lifts[k]
-        return False
-
-    if not solve(0):
-        return None
-    cleavage = Cleavage(F, dict(lifts))
-    assert cleavage.is_split()
-    return cleavage
 
 
 # -- finite (co)limits --------------------------------------------------------

@@ -5,6 +5,7 @@ A document is UTF-8 text made of sections::
     groupoid I
       objects 0 1
       morphism phi : 0 -> 1
+      # identity x = m        an identity not named id(x)
       # compose g . f = h     sparse entries, completed by the loader
       # inverse m = w         explicit inverses (defaults are created)
 
@@ -26,8 +27,10 @@ A document is UTF-8 text made of sections::
       top id_icheck
       bottom nabla_to_point
 
-Identities are created automatically as ``id(x)``, inverses of declared
-morphisms as ``inv(m)`` unless an explicit ``inverse`` line names one.
+Identities are created automatically as ``id(x)`` unless an explicit
+``identity`` line names one (which ``dumps`` writes only for identities
+not named ``id(x)``), inverses of declared morphisms as ``inv(m)``
+unless an explicit ``inverse`` line names one.
 Sparse composition tables are completed by the identity and inverse laws
 plus singleton hom-sets; remaining composable pairs are an error
 ("ambiguous composition"). Loading never rejects a structurally total
@@ -91,6 +94,7 @@ class _GroupoidDraft:
         self.name = name
         self.objects: list[str] = []
         self.morphisms: dict[str, tuple[str, str]] = {}
+        self.identity: dict[str, str] = {}
         self.compose: dict[tuple[str, str], str] = {}
         self.inverse: dict[str, str] = {}
 
@@ -102,11 +106,16 @@ class _GroupoidDraft:
                 raise MalformedDocument(
                     f"groupoid {self.name}: morphism {m} references unknown object"
                 )
+        for x in self.identity:
+            if x not in objects:
+                raise MalformedDocument(
+                    f"groupoid {self.name}: identity entry for unknown object {x}"
+                )
         identity = {}
         for x in objects:
-            mid = f"id({x})"
+            mid = self.identity.get(x, f"id({x})")
             if mid in morphisms and morphisms[mid] != (x, x):
-                raise MalformedDocument(f"groupoid {self.name}: {mid} is reserved")
+                raise MalformedDocument(f"groupoid {self.name}: {mid} is not a loop at {x}")
             morphisms.setdefault(mid, (x, x))
             identity[x] = mid
         inverse = dict(self.inverse)
@@ -260,6 +269,10 @@ def loads(text: str) -> Document:
                     if toks[2] != "." or toks[4] != "=":
                         raise MalformedDocument(f"line {lineno}: bad compose line")
                     draft.compose[(toks[1], toks[3])] = toks[5]
+                elif head == "identity":
+                    if toks[2] != "=":
+                        raise MalformedDocument(f"line {lineno}: bad identity line")
+                    draft.identity[toks[1]] = toks[3]
                 elif head == "inverse":
                     if toks[2] != "=":
                         raise MalformedDocument(f"line {lineno}: bad inverse line")
@@ -349,37 +362,34 @@ def load(path: str) -> Document:
         return loads(fh.read())
 
 
+def _groupoid_lines(name: str, G: Groupoid) -> list[str]:
+    lines = [f"groupoid {name}", "  objects " + " ".join(G.objects)]
+    for m in G.mor_ids():
+        s, t = G.morphisms[m]
+        lines.append(f"  morphism {m} : {s} -> {t}")
+    for x in G.objects:
+        if G.ident(x) != f"id({x})":
+            lines.append(f"  identity {x} = {G.ident(x)}")
+    for (g, f), h in sorted(G.compose.items()):
+        lines.append(f"  compose {g} . {f} = {h}")
+    for m in G.mor_ids():
+        lines.append(f"  inverse {m} = {G.inv(m)}")
+    lines.append("")
+    return lines
+
+
 def dumps(doc: Document) -> str:
     """Serialize a document; load(dumps(d)) reproduces the structures."""
     lines: list[str] = []
     for name, G in doc.groupoids.items():
-        lines.append(f"groupoid {name}")
-        lines.append("  objects " + " ".join(G.objects))
-        for m in G.mor_ids():
-            s, t = G.morphisms[m]
-            lines.append(f"  morphism {m} : {s} -> {t}")
-        for (g, f), h in sorted(G.compose.items()):
-            lines.append(f"  compose {g} . {f} = {h}")
-        for m in G.mor_ids():
-            lines.append(f"  inverse {m} = {G.inv(m)}")
-        lines.append("")
+        lines += _groupoid_lines(name, G)
     for name, X in doc.involutives.items():
         base_name = next(
             (n for n, G in doc.groupoids.items() if G is X.base or G == X.base), None
         )
         if base_name is None:
             base_name = f"{name}.base"
-            G = X.base
-            lines.append(f"groupoid {base_name}")
-            lines.append("  objects " + " ".join(G.objects))
-            for m in G.mor_ids():
-                s, t = G.morphisms[m]
-                lines.append(f"  morphism {m} : {s} -> {t}")
-            for (g, f), h in sorted(G.compose.items()):
-                lines.append(f"  compose {g} . {f} = {h}")
-            for m in G.mor_ids():
-                lines.append(f"  inverse {m} = {G.inv(m)}")
-            lines.append("")
+            lines += _groupoid_lines(base_name, X.base)
         lines.append(f"involutive {name}")
         lines.append(f"  base {base_name}")
         for x in X.base.objects:

@@ -30,7 +30,6 @@ from .core import (
     binary_product,
     compose_functors,
     coproduct,
-    discrete,
     empty_groupoid,
     identity_functor,
     interval,
@@ -119,10 +118,6 @@ def eq_identity(X: InvolutiveGroupoid) -> EquivariantFunctor:
 
 def eq_compose(g: EquivariantFunctor, f: EquivariantFunctor) -> EquivariantFunctor:
     return EquivariantFunctor(f.dom, g.cod, compose_functors(g.map, f.map))
-
-
-def eq_equal(f: EquivariantFunctor, g: EquivariantFunctor) -> bool:
-    return f.map.obj_map == g.map.obj_map and f.map.mor_map == g.map.mor_map
 
 
 # -- the three standard functors --------------------------------------------
@@ -235,7 +230,7 @@ def nabla() -> InvolutiveGroupoid:
 
 
 class ShapeRegistry:
-    """Named standard shapes and generating maps, as used on the CLI."""
+    """Named standard shapes, the generating maps and the fold SI -> S1."""
 
     def __init__(self):
         self.zero = trivial_action(empty_groupoid())
@@ -264,6 +259,14 @@ class ShapeRegistry:
             {"id(0)": "id(0)", "id(1)": "id(1)", "phi": "phi", "inv(phi)": "inv(phi)"},
         )
         iprime = EquivariantFunctor(self.icheck, self.nabla, ip_map)
+        # the swapped interval folded onto the swapped pair: a levelwise
+        # trivial fibration with no fixed points on either side
+        fold_map = Functor(
+            self.SI.base, self.S1.base,
+            {"l:0": "l:*", "l:1": "l:*", "r:0": "r:*", "r:1": "r:*"},
+            {m: ("l:id(*)" if m.startswith("l:") else "r:id(*)") for m in self.SI.base.morphisms},
+        )
+        fold = EquivariantFunctor(self.SI, self.S1, fold_map)
 
         self.shapes = {
             "0!": self.zero,
@@ -274,7 +277,7 @@ class ShapeRegistry:
             "S1": self.S1,
             "SI": self.SI,
         }
-        self.maps = {"u": u, "i": i, "Si": si, "iprime": iprime}
+        self.maps = {"u": u, "i": i, "Si": si, "iprime": iprime, "fold": fold}
 
     def shape(self, name: str) -> InvolutiveGroupoid:
         return self.shapes[name]

@@ -23,6 +23,7 @@ from .core import (
     Functor,
     Groupoid,
     classify_functor,
+    codiscrete,
     full_subgroupoid,
 )
 from .equivariant import (
@@ -50,23 +51,7 @@ def partitions(n: int):
     yield from rec(n, n)
 
 
-def codiscrete_component(objs) -> dict:
-    morphisms, compose, inverse, identity = {}, {}, {}, {}
-    def mid(x, y):
-        return f"id({x})" if x == y else f"iso({x},{y})"
-    for x in objs:
-        for y in objs:
-            morphisms[mid(x, y)] = (x, y)
-    for x in objs:
-        identity[x] = mid(x, x)
-        for y in objs:
-            inverse[mid(x, y)] = mid(y, x)
-            for z in objs:
-                compose[(mid(y, z), mid(x, y))] = mid(x, z)
-    return {"morphisms": morphisms, "identity": identity, "compose": compose, "inverse": inverse}
-
-
-def z2_component(objs) -> dict:
+def z2_component(objs) -> Groupoid:
     """A connected component whose vertex groups have two elements."""
     morphisms, compose, inverse, identity = {}, {}, {}, {}
     def mid(x, y, e):
@@ -84,18 +69,18 @@ def z2_component(objs) -> dict:
                 for e1 in (0, 1):
                     for e2 in (0, 1):
                         compose[(mid(y, z, e2), mid(x, y, e1))] = mid(x, z, (e1 + e2) % 2)
-    return {"morphisms": morphisms, "identity": identity, "compose": compose, "inverse": inverse}
+    return Groupoid(tuple(objs), morphisms, identity, compose, inverse)
 
 
 def assemble(objs, parts) -> Groupoid:
     """Disjoint union of components; parts = list of (objects, kind)."""
     morphisms, compose, inverse, identity = {}, {}, {}, {}
     for block, kind in parts:
-        data = codiscrete_component(block) if kind == "cod" else z2_component(block)
-        morphisms.update(data["morphisms"])
-        compose.update(data["compose"])
-        inverse.update(data["inverse"])
-        identity.update(data["identity"])
+        C = codiscrete(block) if kind == "cod" else z2_component(block)
+        morphisms.update(C.morphisms)
+        compose.update(C.compose)
+        inverse.update(C.inverse)
+        identity.update(C.identity)
     return Groupoid(tuple(objs), morphisms, identity, compose, inverse)
 
 

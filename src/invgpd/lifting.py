@@ -24,14 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .budget import Budget, ensure_budget
-from .core import (
-    Functor,
-    classify_functor,
-    compose_functors,
-    is_trivial_cofibration_gpd,
-)
+from .core import classify_functor, compose_functors
 from .equivariant import (
-    CellInfo,
     EquivariantFunctor,
     InvolutiveGroupoid,
     REGISTRY,
@@ -199,40 +193,31 @@ def _normalize_maps(maps) -> list[tuple[str, EquivariantFunctor]]:
 def has_rlp(p, generators, budget: Budget | int | None = None) -> OrthogonalityReport:
     """Does p have the right lifting property against every generator?"""
     p = as_equivariant(p)
-    budget = ensure_budget(budget)
-    checked = 0
-    for name, gen in _normalize_maps(generators):
-        for g, h in iter_squares(gen, p, budget):
-            checked += 1
-            prob = LiftingProblem(gen, p, g, h)
-            if solve_lifting(prob, budget) is None:
-                return OrthogonalityReport(
-                    ok=False,
-                    squares_checked=checked,
-                    witness={
-                        "generator": name,
-                        "top": functor_as_dict(g),
-                        "bottom": functor_as_dict(h),
-                    },
-                )
-    return OrthogonalityReport(ok=True, squares_checked=checked)
+    pairs = [(name, gen, p) for name, gen in _normalize_maps(generators)]
+    return _orthogonality(pairs, "generator", budget)
 
 
 def has_llp(i, tests, budget: Budget | int | None = None) -> OrthogonalityReport:
     """Does i have the left lifting property against every test map?"""
     i = as_equivariant(i)
+    pairs = [(name, i, p) for name, p in _normalize_maps(tests)]
+    return _orthogonality(pairs, "test", budget)
+
+
+def _orthogonality(pairs, key: str, budget: Budget | int | None) -> OrthogonalityReport:
+    """Solve every commuting square of each named (left, right) pair in
+    order; the witness names the failing pair under ``key``."""
     budget = ensure_budget(budget)
     checked = 0
-    for name, p in _normalize_maps(tests):
-        for g, h in iter_squares(i, p, budget):
+    for name, left, right in pairs:
+        for g, h in iter_squares(left, right, budget):
             checked += 1
-            prob = LiftingProblem(i, p, g, h)
-            if solve_lifting(prob, budget) is None:
+            if solve_lifting(LiftingProblem(left, right, g, h), budget) is None:
                 return OrthogonalityReport(
                     ok=False,
                     squares_checked=checked,
                     witness={
-                        "test": name,
+                        key: name,
                         "top": functor_as_dict(g),
                         "bottom": functor_as_dict(h),
                     },
@@ -272,17 +257,11 @@ def sample_trivial_fibrations() -> list[tuple[str, EquivariantFunctor]]:
     """A fixed family of projective trivial fibrations used as LLP evidence."""
     ic = REGISTRY.shape("Icheck")
     nb = REGISTRY.shape("nabla")
-    s1, si = REGISTRY.shape("S1"), REGISTRY.shape("SI")
-    fold = Functor(
-        si.base, s1.base,
-        {"l:0": "l:*", "l:1": "l:*", "r:0": "r:*", "r:1": "r:*"},
-        {m: (f"l:id(*)" if m.startswith("l:") else "r:id(*)") for m in si.base.morphisms},
-    )
     prod, pr1, _ = equivariant_product(ic, ic)
     return [
         ("Icheck->1!", terminal_map(ic)),
         ("nabla->1!", terminal_map(nb)),
-        ("SI->S1", EquivariantFunctor(si, s1, fold)),
+        ("SI->S1", REGISTRY.map("fold")),
         ("IcheckxIcheck->Icheck", pr1),
     ]
 

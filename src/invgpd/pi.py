@@ -20,6 +20,7 @@ can be tested literally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .budget import Budget, ensure_budget
 from .core import (
@@ -28,6 +29,7 @@ from .core import (
     classify_functor,
     compose_functors,
     interval,
+    lifts_of,
     pullback,
     split_pair,
 )
@@ -106,6 +108,23 @@ def interval_functor(B: Groupoid, u: str) -> Functor:
     )
 
 
+def _transport_key(PBu: Groupoid, on_obj, on_mor) -> tuple:
+    """Key of the transport over the pullback ``PBu`` of the walking
+    isomorphism whose value at each object (x, e) is ``on_obj(x, e)`` and
+    at each morphism (h, w) is ``on_mor(h, w)``."""
+    v_obj = {o: on_obj(*split_pair(o)) for o in PBu.objects}
+    v_mor = {m: on_mor(*split_pair(m)) for m in PBu.morphisms}
+    return _dict_key(v_obj, v_mor)
+
+
+def _stitch(GA: Groupoid, GC: Groupoid, v1: Functor, v2: Functor, h: str, lift: str) -> str:
+    """The composite transport's value at (h, phi): v1 along ``lift`` (a
+    lift of the first base morphism at src h), then v2 along the rest of h."""
+    first = v1.mor_map[f"({lift},phi)"]
+    rest = v2.mor_map[f"({GA.comp(h, GA.inv(lift))},phi)"]
+    return GC.comp(rest, first)
+
+
 def _restrict(v: Functor, fib: Groupoid, end: str) -> tuple:
     """Key of the section obtained by restricting a transport to one end."""
     idm = f"id({end})"
@@ -166,8 +185,8 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
             assert src_id is not None and tgt_id is not None, "transport ends are sections"
             mor_table[mid] = (src_id, tgt_id)
 
-    def find_transport(u: str, v_obj: dict, v_mor: dict, what: str) -> str:
-        mid = transport_ids[u].get(_dict_key(v_obj, v_mor))
+    def find_transport(u: str, on_obj, on_mor, what: str) -> str:
+        mid = transport_ids[u].get(_transport_key(pullbacks[u], on_obj, on_mor))
         if mid is None:
             raise AssertionError(f"{what} is not among the transports at {u}")
         return mid
@@ -175,49 +194,40 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
     # identities: the section itself, read as a transport over the identity
     identity: dict[str, str] = {}
     for oid, info in objects_info.items():
-        y, s = info.base_point, info.section
-        u = GB.ident(y)
-        v_obj, v_mor = {}, {}
-        for o in pullbacks[u].objects:
-            x, _ = split_pair(o)
-            v_obj[o] = s.obj_map[x]
-        for m in pullbacks[u].morphisms:
-            h, _ = split_pair(m)
-            v_mor[m] = s.mor_map[h]
-        identity[oid] = find_transport(u, v_obj, v_mor, f"identity of {oid}")
+        s = info.section
+        identity[oid] = find_transport(
+            GB.ident(info.base_point),
+            lambda x, e: s.obj_map[x],
+            lambda h, w: s.mor_map[h],
+            f"identity of {oid}",
+        )
 
     def least_lift(u: str, x: str) -> str:
-        for m in GA.mor_ids():
-            if GA.src(m) == x and g.on_mor(m) == u:
-                return m
-        raise NotAFibration(f"no lift of {u} at {x}")
+        ls = lifts_of(g.map, u, x)
+        if not ls:
+            raise NotAFibration(f"no lift of {u} at {x}")
+        return ls[0]
 
-    def compose_transports(u1: str, v1: Functor, u2: str, v2: Functor,
-                           lift_choice=None) -> tuple[str, dict, dict]:
-        """The transport of (u2, v2)∘(u1, v1) over u2∘u1."""
-        u = GB.comp(u2, u1)
-        PBu = pullbacks[u]
-        v_obj, v_mor = {}, {}
-        for o in PBu.objects:
-            x, e = split_pair(o)
-            v_obj[o] = v1.obj_map[f"({x},0)"] if e == "0" else v2.obj_map[f"({x},1)"]
-        for m in PBu.morphisms:
-            h, w = split_pair(m)
+    def composite_rules(u1: str, v1: Functor, v2: Functor):
+        """Per-pair rules of the transport of (u2, v2)∘(u1, v1) over u2∘u1."""
+
+        @cache
+        def along_phi(h: str) -> str:
+            return _stitch(GA, GC, v1, v2, h, least_lift(u1, GA.src(h)))
+
+        def on_obj(x: str, e: str) -> str:
+            return v1.obj_map[f"({x},0)"] if e == "0" else v2.obj_map[f"({x},1)"]
+
+        def on_mor(h: str, w: str) -> str:
             if w == "id(0)":
-                v_mor[m] = v1.mor_map[f"({h},id(0))"]
-            elif w == "id(1)":
-                v_mor[m] = v2.mor_map[f"({h},id(1))"]
-            elif w == "phi":
-                x = GA.src(h)
-                lift = lift_choice(u1, x) if lift_choice else least_lift(u1, x)
-                first = v1.mor_map[f"({lift},phi)"]
-                rest = v2.mor_map[f"({GA.comp(h, GA.inv(lift))},phi)"]
-                v_mor[m] = GC.comp(rest, first)
-        for m in PBu.morphisms:
-            h, w = split_pair(m)
-            if w == "inv(phi)":
-                v_mor[m] = GC.inv(v_mor[f"({GA.inv(h)},phi)"])
-        return u, v_obj, v_mor
+                return v1.mor_map[f"({h},id(0))"]
+            if w == "id(1)":
+                return v2.mor_map[f"({h},id(1))"]
+            if w == "phi":
+                return along_phi(h)
+            return GC.inv(along_phi(GA.inv(h)))
+
+        return on_obj, on_mor
 
     compose: dict[tuple[str, str], str] = {}
     mids = sorted(mor_table)
@@ -228,30 +238,22 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
                 continue
             budget.spend()
             u2, v2 = morphisms_info[m2].base_morphism, morphisms_info[m2].transport
-            u, v_obj, v_mor = compose_transports(u1, v1, u2, v2)
-            compose[(m2, m1)] = find_transport(u, v_obj, v_mor, f"composite {m2}∘{m1}")
+            compose[(m2, m1)] = find_transport(
+                GB.comp(u2, u1), *composite_rules(u1, v1, v2), f"composite {m2}∘{m1}"
+            )
 
     # inverses: flip the interval coordinate
+    flip = {"0": "1", "1": "0", "id(0)": "id(1)", "id(1)": "id(0)",
+            "phi": "inv(phi)", "inv(phi)": "phi"}
     inverse: dict[str, str] = {}
     for mid in mids:
-        u = morphisms_info[mid].base_morphism
         v = morphisms_info[mid].transport
-        ui = GB.inv(u)
-        v_obj, v_mor = {}, {}
-        for o in pullbacks[ui].objects:
-            x, e = split_pair(o)
-            v_obj[o] = v.obj_map[f"({x},{'1' if e == '0' else '0'})"]
-        for m in pullbacks[ui].morphisms:
-            h, w = split_pair(m)
-            if w == "id(0)":
-                v_mor[m] = v.mor_map[f"({h},id(1))"]
-            elif w == "id(1)":
-                v_mor[m] = v.mor_map[f"({h},id(0))"]
-            elif w == "phi":
-                v_mor[m] = v.mor_map[f"({h},inv(phi))"]
-            else:
-                v_mor[m] = v.mor_map[f"({h},phi)"]
-        inverse[mid] = find_transport(ui, v_obj, v_mor, f"inverse of {mid}")
+        inverse[mid] = find_transport(
+            GB.inv(morphisms_info[mid].base_morphism),
+            lambda x, e: v.obj_map[f"({x},{flip[e]})"],
+            lambda h, w: v.mor_map[f"({h},{flip[w]})"],
+            f"inverse of {mid}",
+        )
 
     dom = Groupoid(tuple(objects_info), dict(mor_table), identity, compose, inverse)
 
@@ -269,17 +271,13 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
         inv_obj[oid] = target
     inv_mor: dict[str, str] = {}
     for mid in mids:
-        u = morphisms_info[mid].base_morphism
         v = morphisms_info[mid].transport
-        u2 = beta.mor_map[u]
-        v_obj, v_mor = {}, {}
-        for o in pullbacks[u2].objects:
-            x, e = split_pair(o)
-            v_obj[o] = gamma.obj_map[v.obj_map[f"({alpha.obj_map[x]},{e})"]]
-        for m in pullbacks[u2].morphisms:
-            h, w = split_pair(m)
-            v_mor[m] = gamma.mor_map[v.mor_map[f"({alpha.mor_map[h]},{w})"]]
-        inv_mor[mid] = find_transport(u2, v_obj, v_mor, f"involution image of {mid}")
+        inv_mor[mid] = find_transport(
+            beta.mor_map[morphisms_info[mid].base_morphism],
+            lambda x, e: gamma.obj_map[v.obj_map[f"({alpha.obj_map[x]},{e})"]],
+            lambda h, w: gamma.mor_map[v.mor_map[f"({alpha.mor_map[h]},{w})"]],
+            f"involution image of {mid}",
+        )
     dom_pi = InvolutiveGroupoid(dom, Functor(dom, dom, inv_obj, inv_mor))
 
     projection = EquivariantFunctor(
@@ -305,11 +303,8 @@ def lift_independent(bundle: PiBundle, budget: Budget | int | None = None) -> bo
     """Recompute every composite with every available lift; True if all agree."""
     budget = ensure_budget(budget)
     g = bundle.g
-    GA, GB = g.dom.base, g.cod.base
+    GA, GB, GC = g.dom.base, g.cod.base, bundle.f.dom.base
     dom = bundle.dom_pi.base
-
-    def all_lifts(u, x):
-        return [m for m in GA.mor_ids() if GA.src(m) == x and g.on_mor(m) == u]
 
     for (m2, m1), res in dom.compose.items():
         u1 = bundle.morphisms_info[m1].base_morphism
@@ -323,11 +318,9 @@ def lift_independent(bundle: PiBundle, budget: Budget | int | None = None) -> bo
             if w != "phi":
                 continue
             x = GA.src(h)
-            for lift in all_lifts(u1, x):
+            for lift in lifts_of(g.map, u1, x):
                 budget.spend()
-                first = v1.mor_map[f"({lift},phi)"]
-                rest = v2.mor_map[f"({GA.comp(h, GA.inv(lift))},phi)"]
-                if bundle.f.dom.base.comp(rest, first) != want.mor_map[o]:
+                if _stitch(GA, GC, v1, v2, h, lift) != want.mor_map[o]:
                     return False
     return True
 
@@ -380,23 +373,15 @@ def adjunction_forward(bundle: PiBundle, h: EquivariantFunctor,
     mor_map: dict[str, str] = {}
     for u in D.mor_ids():
         bu = h.on_mor(u)
-        PBu = bundle.pullbacks[bu]
         x, x2 = D.src(u), D.tgt(u)
-        w_obj, w_mor = {}, {}
-        for o in PBu.objects:
-            z, e = split_pair(o)
-            w_obj[o] = v.map.obj_map[f"({z},{x if e == '0' else x2})"]
-        for m in PBu.morphisms:
-            t, w = split_pair(m)
-            if w == "id(0)":
-                w_mor[m] = v.map.mor_map[f"({t},{D.ident(x)})"]
-            elif w == "id(1)":
-                w_mor[m] = v.map.mor_map[f"({t},{D.ident(x2)})"]
-            elif w == "phi":
-                w_mor[m] = v.map.mor_map[f"({t},{u})"]
-            else:
-                w_mor[m] = v.map.mor_map[f"({t},{D.inv(u)})"]
-        mid = transport_lookup.get((bu, _dict_key(w_obj, w_mor)))
+        ends = {"0": x, "1": x2}
+        along = {"id(0)": D.ident(x), "id(1)": D.ident(x2), "phi": u, "inv(phi)": D.inv(u)}
+        key = _transport_key(
+            bundle.pullbacks[bu],
+            lambda z, e: v.map.obj_map[f"({z},{ends[e]})"],
+            lambda t, w: v.map.mor_map[f"({t},{along[w]})"],
+        )
+        mid = transport_lookup.get((bu, key))
         assert mid is not None, "transposed morphism is a transport"
         mor_map[u] = mid
     k = EquivariantFunctor(h.dom, bundle.dom_pi, Functor(D, bundle.dom_pi.base, obj_map, mor_map))

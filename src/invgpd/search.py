@@ -173,11 +173,5 @@ def iter_functors(
     undo_obj(seed_trail)
 
 
-def first_functor(dom: Groupoid, cod: Groupoid, **kw) -> Functor | None:
-    for F in iter_functors(dom, cod, **kw):
-        return F
-    return None
-
-
 def count_functors(dom: Groupoid, cod: Groupoid, **kw) -> int:
     return sum(1 for _ in iter_functors(dom, cod, **kw))

@@ -34,8 +34,8 @@ from .core import (
     Groupoid,
     classify_functor,
     compose_functors,
+    lifts_of,
     pair_id,
-    split_pair,
 )
 from .equivariant import (
     EquivariantFunctor,
@@ -44,16 +44,13 @@ from .equivariant import (
     eq_compose,
     eq_pairing,
     eq_identity,
-    equivariant_product,
     equivariant_pullback,
     terminal_map,
     validate_equivariant,
-    validate_involutive,
 )
 from .errors import BaseTooSmall, NotSmall
 from .homotopy import (
     PathFactorization,
-    full_fixed_isomorphism,
     is_homotopy_equivalence_projective,
     path_object,
 )
@@ -66,7 +63,6 @@ from .lifting import (
     is_fibrant,
 )
 from .pi import PiBundle, pi_of
-from .search import iter_functors
 
 
 def _set_id(elems) -> str:
@@ -239,16 +235,20 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
 # -- small fibrations -----------------------------------------------------------
 
 
+def _fiber_sizes(f: EquivariantFunctor) -> dict[str, int]:
+    """The number of objects over each codomain object."""
+    sizes = dict.fromkeys(f.cod.base.objects, 0)
+    for x in f.dom.base.objects:
+        sizes[f.on_obj(x)] += 1
+    return sizes
+
+
 def is_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle) -> bool:
     """Underlying discrete fibration whose fiber object-sets inject into V."""
     rep = classify_functor(f.map)
     if not rep.discrete_fibration:
         return False
-    cap = len(bundle.base)
-    for y in f.cod.base.objects:
-        if sum(1 for x in f.dom.base.objects if f.on_obj(x) == y) > cap:
-            return False
-    return True
+    return max(_fiber_sizes(f).values(), default=0) <= len(bundle.base)
 
 
 @dataclass
@@ -279,7 +279,7 @@ def classify_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle,
     rename = {y: {x: V[i] for i, x in enumerate(fiber_objs[y])} for y in GB.objects}
 
     def unique_lift(u: str, x: str) -> str:
-        ls = [m for m in GC.mor_ids() if GC.src(m) == x and f.on_mor(m) == u]
+        ls = lifts_of(f.map, u, x)
         assert len(ls) == 1
         return ls[0]
 
@@ -456,14 +456,7 @@ def funext_instance() -> tuple[EquivariantFunctor, EquivariantFunctor]:
     """g: the swapped pair over the point; f: the swapped interval folded
     onto the swapped pair (a levelwise trivial fibration with no fixed
     points on either side)."""
-    s1, si = REGISTRY.shape("S1"), REGISTRY.shape("SI")
-    g = terminal_map(s1)
-    fold = Functor(
-        si.base, s1.base,
-        {"l:0": "l:*", "l:1": "l:*", "r:0": "r:*", "r:1": "r:*"},
-        {m: ("l:id(*)" if m.startswith("l:") else "r:id(*)") for m in si.base.morphisms},
-    )
-    return g, EquivariantFunctor(si, s1, fold)
+    return terminal_map(REGISTRY.shape("S1")), REGISTRY.map("fold")
 
 
 def check_funext_counterexample(budget: Budget | int | None = None) -> FunextReport:
@@ -511,10 +504,7 @@ class ClosureReport:
 def _closure_verdict(f: EquivariantFunctor, bundle: UniverseBundle) -> tuple[str, dict]:
     rep = classify_functor(f.map)
     cap = len(bundle.base)
-    sizes = {
-        y: sum(1 for x in f.dom.base.objects if f.on_obj(x) == y)
-        for y in f.cod.base.objects
-    }
+    sizes = _fiber_sizes(f)
     too_big = {y: n for y, n in sizes.items() if n > cap}
     if not rep.discrete_fibration:
         return "FAIL", {"discrete_fibration": False}
@@ -563,9 +553,6 @@ def universe_closure_checks(bundle: UniverseBundle,
                 continue
             if not classify_functor(g.map).isofibration:
                 continue
-            cap = len(bundle.base)
-            # predictable size guard: |sections over y| can reach the
-            # product of the fiber sizes of f over the fiber of g
             pi = pi_of(g, f, budget)
             v, w = _closure_verdict(pi.projection, bundle)
             entries.append({"kind": "pi", "inputs": [n2, n1], "verdict": v, "witness": w})

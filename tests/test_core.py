@@ -12,7 +12,6 @@ from invgpd.core import (
     discrete,
     empty_groupoid,
     find_isomorphism,
-    find_split_cleavage,
     identity_functor,
     interval,
     pairing,
@@ -91,28 +90,6 @@ def test_empty_functor_flags():
     rep = classify_functor(F)
     assert rep.faithful and rep.full and rep.injective_on_objects
     assert not rep.essentially_surjective
-
-
-def test_split_cleavage_of_interval_over_point():
-    c = find_split_cleavage(bang(interval()))
-    assert c is not None and c.is_split()
-    assert c.lifts[("id(*)", "0")] == "id(0)"
-    assert c.lifts[("id(*)", "1")] == "id(1)"
-
-
-def test_split_cleavage_of_discrete_fibration_is_unique_choice():
-    # codiscrete 2 over itself twice: a discrete fibration has forced lifts
-    G = codiscrete(("a", "b"))
-    c = find_split_cleavage(identity_functor(G))
-    assert c is not None
-    for (h, x), m in c.lifts.items():
-        assert m == h
-
-
-def test_no_cleavage_for_non_isofibration():
-    I = interval()
-    F = Functor(unit(), I, {"*": "0"}, {"id(*)": "id(0)"})
-    assert find_split_cleavage(F) is None
 
 
 def test_product_with_unit_and_counts():

@@ -10,6 +10,7 @@ from invgpd import docformat
 from invgpd.cli import bundled_document, main
 from invgpd.core import validate_groupoid
 from invgpd.errors import MalformedDocument
+from invgpd.generators import plain_catalog
 
 INVALID_DOC = """
 groupoid broken
@@ -82,23 +83,28 @@ def test_sparse_composition_completion():
 
 
 def test_document_roundtrip():
-    doc = bundled_document()
-    text = docformat.dumps(doc)
-    doc2 = docformat.loads(text)
-    assert set(doc2.groupoids) == set(doc.groupoids)
-    assert set(doc2.involutives) == set(doc.involutives)
-    assert set(doc2.functors) == set(doc.functors)
-    assert set(doc2.squares) == set(doc.squares)
-    for name, G in doc.groupoids.items():
-        H = doc2.groupoids[name]
-        assert G.objects == H.objects
-        assert G.morphisms == H.morphisms
-        assert G.compose == H.compose
-        assert G.inverse == H.inverse
-    for name, X in doc.involutives.items():
-        Y = doc2.involutives[name]
-        assert X.involution.obj_map == Y.involution.obj_map
-        assert X.involution.mor_map == Y.involution.mor_map
+    # the catalog's vertex-group components name identities m(x,x,0), not id(x)
+    catalog = docformat.Document(groupoids={
+        f"G{k}": G for k, G in enumerate(plain_catalog(3, vertex_z2=True))
+    })
+    for doc in (bundled_document(), catalog):
+        text = docformat.dumps(doc)
+        doc2 = docformat.loads(text)
+        assert set(doc2.groupoids) == set(doc.groupoids)
+        assert set(doc2.involutives) == set(doc.involutives)
+        assert set(doc2.functors) == set(doc.functors)
+        assert set(doc2.squares) == set(doc.squares)
+        for name, G in doc.groupoids.items():
+            H = doc2.groupoids[name]
+            assert G.objects == H.objects
+            assert G.morphisms == H.morphisms
+            assert G.identity == H.identity
+            assert G.compose == H.compose
+            assert G.inverse == H.inverse
+        for name, X in doc.involutives.items():
+            Y = doc2.involutives[name]
+            assert X.involution.obj_map == Y.involution.obj_map
+            assert X.involution.mor_map == Y.involution.mor_map
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -133,8 +139,9 @@ def test_cli_malformed_input_exit_2():
 
 
 def test_cli_budget_exceeded_exit_3():
-    code, _ = run_cli("universe", "--base", "3", "--budget", "10")
-    assert code == 3
+    for budget in ("10", "0"):
+        code, _ = run_cli("universe", "--base", "3", "--budget", budget)
+        assert code == 3, budget
 
 
 def test_cli_reproduce_paper_passes():

@@ -20,7 +20,6 @@ from invgpd.homotopy import (
     full_fixed_isomorphism,
     is_homotopy_equivalence_projective,
     path_object,
-    strict_fixed_isomorphism,
 )
 from invgpd.lifting import (
     StructureTag,
