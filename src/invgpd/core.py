@@ -12,6 +12,11 @@ Conventions
   on the composable pairs ``tgt(f) == src(g)``.
 * All iteration orders are sorted by ID, so searches are deterministic and
   "least witness" always means lexicographically least.
+* Products and pullbacks name each pair ``(a,b)`` with :func:`pair_id`.
+  Pair IDs are labels only: nothing parses them back, the projections
+  ``pr1``/``pr2`` decode them. Names containing ``,`` or parentheses can
+  make two pairs share an ID; the construction then raises
+  ``MalformedDocument``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .budget import Budget, ensure_budget
-from .errors import CodomainMismatch, MalformedFunctor
+from .errors import CodomainMismatch, MalformedDocument, MalformedFunctor
 
 
 @dataclass
@@ -388,6 +393,15 @@ def pair_id(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def _require_distinct_ids(what: str, n_ids: int, n_pairs: int) -> None:
+    """Pair IDs are labels: two component pairs must not share one."""
+    if n_ids != n_pairs:
+        raise MalformedDocument(
+            f"{what}: {n_pairs - n_ids} pair ID(s) name more than one pair "
+            "(an object or morphism name contains ',' or parentheses)"
+        )
+
+
 def binary_product(G: Groupoid, H: Groupoid) -> tuple[Groupoid, Functor, Functor]:
     objects = tuple(pair_id(x, y) for x in G.objects for y in H.objects)
     morphisms = {}
@@ -398,6 +412,8 @@ def binary_product(G: Groupoid, H: Groupoid) -> tuple[Groupoid, Functor, Functor
                 pair_id(G.tgt(m), H.tgt(n)),
             )
     identity = {pair_id(x, y): pair_id(G.ident(x), H.ident(y)) for x in G.objects for y in H.objects}
+    _require_distinct_ids("product", len(identity), len(objects))
+    _require_distinct_ids("product", len(morphisms), G.n_morphisms * H.n_morphisms)
     compose = {}
     for (g1, f1), h1 in G.compose.items():
         for (g2, f2), h2 in H.compose.items():
@@ -444,55 +460,39 @@ def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
     obj_match: dict[str, list[str]] = {}
     for y in B.objects:
         obj_match.setdefault(g.obj_map[y], []).append(y)
-    objects = tuple(
-        pair_id(x, y) for x in A.objects for y in obj_match.get(f.obj_map[x], ())
-    )
+    obj_pairs = {
+        pair_id(x, y): (x, y) for x in A.objects for y in obj_match.get(f.obj_map[x], ())
+    }
+    _require_distinct_ids("pullback", len(obj_pairs),
+                          sum(len(obj_match.get(f.obj_map[x], ())) for x in A.objects))
     mor_match: dict[str, list[str]] = {}
     for n in B.mor_ids():
         mor_match.setdefault(g.mor_map[n], []).append(n)
-    morphisms = {}
-    for m in A.mor_ids():
-        for n in mor_match.get(f.mor_map[m], ()):
-            morphisms[pair_id(m, n)] = (
-                pair_id(A.src(m), B.src(n)),
-                pair_id(A.tgt(m), B.tgt(n)),
-            )
-    identity = {
-        o: pair_id(A.identity[x], B.identity[y])
-        for o in objects
-        for x, y in [split_pair(o)]
+    mids = A.mor_ids()
+    mor_pairs = {
+        pair_id(m, n): (m, n) for m in mids for n in mor_match.get(f.mor_map[m], ())
     }
-    by_tgt: dict[str, list[str]] = {}
-    for p in morphisms:
-        by_tgt.setdefault(morphisms[p][1], []).append(p)
+    _require_distinct_ids("pullback", len(mor_pairs),
+                          sum(len(mor_match.get(f.mor_map[m], ())) for m in mids))
+    morphisms = {
+        p: (pair_id(A.src(m), B.src(n)), pair_id(A.tgt(m), B.tgt(n)))
+        for p, (m, n) in mor_pairs.items()
+    }
+    identity = {o: pair_id(A.identity[x], B.identity[y]) for o, (x, y) in obj_pairs.items()}
+    by_tgt: dict[str, list[tuple[str, str, str]]] = {}
+    for p, (m, n) in mor_pairs.items():
+        by_tgt.setdefault(morphisms[p][1], []).append((p, m, n))
     compose = {}
-    for p1 in morphisms:
-        m1, n1 = split_pair(p1)
-        for p2 in by_tgt.get(morphisms[p1][0], ()):
-            m2, n2 = split_pair(p2)
+    for p1, (m1, n1) in mor_pairs.items():
+        for p2, m2, n2 in by_tgt.get(morphisms[p1][0], ()):
             compose[(p1, p2)] = pair_id(A.comp(m1, m2), B.comp(n1, n2))
-    inverse = {p: pair_id(A.inv(m), B.inv(n)) for p in morphisms for m, n in [split_pair(p)]}
-    P = Groupoid(objects, morphisms, identity, compose, inverse)
-    pr1 = Functor(P, A, {o: split_pair(o)[0] for o in objects},
-                  {p: split_pair(p)[0] for p in morphisms})
-    pr2 = Functor(P, B, {o: split_pair(o)[1] for o in objects},
-                  {p: split_pair(p)[1] for p in morphisms})
+    inverse = {p: pair_id(A.inv(m), B.inv(n)) for p, (m, n) in mor_pairs.items()}
+    P = Groupoid(tuple(obj_pairs), morphisms, identity, compose, inverse)
+    pr1 = Functor(P, A, {o: x for o, (x, _) in obj_pairs.items()},
+                  {p: m for p, (m, _) in mor_pairs.items()})
+    pr2 = Functor(P, B, {o: y for o, (_, y) in obj_pairs.items()},
+                  {p: n for p, (_, n) in mor_pairs.items()})
     return P, pr1, pr2
-
-
-def split_pair(pid: str) -> tuple[str, str]:
-    """Invert :func:`pair_id` (IDs may themselves contain balanced pairs)."""
-    assert pid.startswith("(") and pid.endswith(")")
-    body = pid[1:-1]
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:i], body[i + 1:]
-    raise ValueError(f"not a pair id: {pid}")
 
 
 def find_isomorphism(G: Groupoid, H: Groupoid, budget: Budget | int | None = None,

@@ -36,7 +36,6 @@ from .core import (
     pair_id,
     pairing,
     pullback,
-    split_pair,
     unit,
     validate_functor,
     validate_groupoid,
@@ -303,8 +302,8 @@ def equivariant_product(X: InvolutiveGroupoid, Y: InvolutiveGroupoid):
     P, pr1, pr2 = binary_product(X.base, Y.base)
     inv = Functor(
         P, P,
-        {o: pair_id(X.eta_obj(a), Y.eta_obj(b)) for o in P.objects for a, b in [split_pair(o)]},
-        {m: pair_id(X.eta_mor(a), Y.eta_mor(b)) for m in P.morphisms for a, b in [split_pair(m)]},
+        {o: pair_id(X.eta_obj(pr1.obj_map[o]), Y.eta_obj(pr2.obj_map[o])) for o in P.objects},
+        {m: pair_id(X.eta_mor(pr1.mor_map[m]), Y.eta_mor(pr2.mor_map[m])) for m in P.morphisms},
     )
     IP = InvolutiveGroupoid(P, inv)
     return IP, EquivariantFunctor(IP, X, pr1), EquivariantFunctor(IP, Y, pr2)
@@ -333,8 +332,10 @@ def equivariant_pullback(f: EquivariantFunctor, g: EquivariantFunctor):
     P, pr1, pr2 = pullback(f.map, g.map)
     inv = Functor(
         P, P,
-        {o: pair_id(f.dom.eta_obj(a), g.dom.eta_obj(b)) for o in P.objects for a, b in [split_pair(o)]},
-        {m: pair_id(f.dom.eta_mor(a), g.dom.eta_mor(b)) for m in P.morphisms for a, b in [split_pair(m)]},
+        {o: pair_id(f.dom.eta_obj(pr1.obj_map[o]), g.dom.eta_obj(pr2.obj_map[o]))
+         for o in P.objects},
+        {m: pair_id(f.dom.eta_mor(pr1.mor_map[m]), g.dom.eta_mor(pr2.mor_map[m]))
+         for m in P.morphisms},
     )
     IP = InvolutiveGroupoid(P, inv)
     return IP, EquivariantFunctor(IP, f.dom, pr1), EquivariantFunctor(IP, g.dom, pr2)

@@ -31,7 +31,6 @@ from .core import (
     interval,
     lifts_of,
     pullback,
-    split_pair,
 )
 from .equivariant import (
     EquivariantFunctor,
@@ -65,7 +64,8 @@ class PiBundle:
     objects_info: dict[str, PiObject]
     morphisms_info: dict[str, PiMorphism]
     fibers: dict[str, Groupoid]
-    pullbacks: dict[str, Groupoid]  # base morphism u -> the pullback g*u
+    # base morphism u -> the pullback g*u with its projections to A and to I
+    pullbacks: dict[str, tuple[Groupoid, Functor, Functor]]
 
     def object_id(self, y: str, section_obj: dict, section_mor: dict) -> str | None:
         """Find the object with the given base point and section data."""
@@ -108,12 +108,13 @@ def interval_functor(B: Groupoid, u: str) -> Functor:
     )
 
 
-def _transport_key(PBu: Groupoid, on_obj, on_mor) -> tuple:
-    """Key of the transport over the pullback ``PBu`` of the walking
-    isomorphism whose value at each object (x, e) is ``on_obj(x, e)`` and
-    at each morphism (h, w) is ``on_mor(h, w)``."""
-    v_obj = {o: on_obj(*split_pair(o)) for o in PBu.objects}
-    v_mor = {m: on_mor(*split_pair(m)) for m in PBu.morphisms}
+def _transport_key(pb: tuple[Groupoid, Functor, Functor], on_obj, on_mor) -> tuple:
+    """Key of the transport over the pullback ``pb = (PBu, prA, prI)`` of
+    the walking isomorphism whose value at each object (x, e) is
+    ``on_obj(x, e)`` and at each morphism (h, w) is ``on_mor(h, w)``."""
+    PBu, prA, prI = pb
+    v_obj = {o: on_obj(prA.obj_map[o], prI.obj_map[o]) for o in PBu.objects}
+    v_mor = {m: on_mor(prA.mor_map[m], prI.mor_map[m]) for m in PBu.morphisms}
     return _dict_key(v_obj, v_mor)
 
 
@@ -167,13 +168,13 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
             section_ids[y][_functor_key(s)] = oid
 
     # transports over each base morphism
-    pullbacks: dict[str, Groupoid] = {}
+    pullbacks: dict[str, tuple[Groupoid, Functor, Functor]] = {}
     transport_ids: dict[str, dict[tuple, str]] = {}
     morphisms_info: dict[str, PiMorphism] = {}
     mor_table: dict[str, tuple[str, str]] = {}
     for u in GB.mor_ids():
-        PBu, prA, _ = pullback(g.map, interval_functor(GB, u))
-        pullbacks[u] = PBu
+        PBu, prA, prI = pullback(g.map, interval_functor(GB, u))
+        pullbacks[u] = (PBu, prA, prI)
         found = list(iter_functors(PBu, GC, post=(f.map, prA), budget=budget))
         transport_ids[u] = {}
         for k, v in enumerate(found):
@@ -313,10 +314,11 @@ def lift_independent(bundle: PiBundle, budget: Budget | int | None = None) -> bo
         v2 = bundle.morphisms_info[m2].transport
         u = GB.comp(u2, u1)
         want = bundle.morphisms_info[res].transport
-        for o in bundle.pullbacks[u].morphisms:
-            h, w = split_pair(o)
-            if w != "phi":
+        PBu, prA, prI = bundle.pullbacks[u]
+        for o in PBu.morphisms:
+            if prI.mor_map[o] != "phi":
                 continue
+            h = prA.mor_map[o]
             x = GA.src(h)
             for lift in lifts_of(g.map, u1, x):
                 budget.spend()
@@ -396,18 +398,16 @@ def adjunction_backward(bundle: PiBundle, h: EquivariantFunctor,
     if k.cod.base != bundle.dom_pi.base:
         raise MalformedSliceMorphism("k must land in the dependent product")
     check_slice_over(k, h, bundle.projection)
-    P, prA, _ = pullback_along(g, h)
-    D = h.dom.base
+    P, prA, prD = pullback_along(g, h)
 
     obj_map: dict[str, str] = {}
     for o in P.base.objects:
-        z, x = split_pair(o)
-        s = bundle.objects_info[k.on_obj(x)].section
-        obj_map[o] = s.obj_map[z]
+        s = bundle.objects_info[k.on_obj(prD.on_obj(o))].section
+        obj_map[o] = s.obj_map[prA.on_obj(o)]
     mor_map: dict[str, str] = {}
     for m in P.base.morphisms:
-        t, u = split_pair(m)
-        tr = bundle.morphisms_info[k.on_mor(u)].transport
+        t = prA.on_mor(m)
+        tr = bundle.morphisms_info[k.on_mor(prD.on_mor(m))].transport
         mor_map[m] = tr.mor_map[f"({t},phi)"]
     v = EquivariantFunctor(P, f.dom, Functor(P.base, f.dom.base, obj_map, mor_map))
     check_slice_over(v, prA, f)

@@ -163,14 +163,20 @@ def iter_functors(
 
     seed_trail: list[str] = []
     feasible = True
-    if obj_seed:
-        for x, c in obj_seed.items():
-            if not set_obj(x, c, seed_trail):
-                feasible = False
-                break
-    if feasible:
-        yield from solve_obj(0)
-    undo_obj(seed_trail)
+    # set_obj, solve_obj and solve_mor call themselves through their closure
+    # cells, a reference cycle that would keep dom and cod alive until the
+    # next full GC pass; clearing the cells lets reference counting free them.
+    try:
+        if obj_seed:
+            for x, c in obj_seed.items():
+                if not set_obj(x, c, seed_trail):
+                    feasible = False
+                    break
+        if feasible:
+            yield from solve_obj(0)
+        undo_obj(seed_trail)
+    finally:
+        set_obj = solve_obj = solve_mor = None
 
 
 def count_functors(dom: Groupoid, cod: Groupoid, **kw) -> int:

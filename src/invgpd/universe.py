@@ -156,11 +156,13 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
         oid: u_mid(oid, oid, {a: a for a in sorted(data[0])})
         for oid, data in u_objects.items()
     }
+    by_src: dict[str, list[str]] = {}
+    for mid, (s, _) in morphisms.items():
+        by_src.setdefault(s, []).append(mid)
     compose = {}
     for m1, (s1, t1) in morphisms.items():
-        for m2, (s2, t2) in morphisms.items():
-            if s2 != t1:
-                continue
+        for m2 in by_src[t1]:
+            t2 = morphisms[m2][1]
             budget.spend()
             rho = {k: u_morphisms[m2][v] for k, v in u_morphisms[m1].items()}
             compose[(m2, m1)] = u_mid(s1, t2, rho)
@@ -180,25 +182,26 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
     for oid, (A0, _, _) in u_objects.items():
         for a in sorted(A0):
             ut_objects[f"{oid}@{a}"] = (oid, a)
+    ut_rank = {po: k for k, po in enumerate(ut_objects)}
     ut_morphisms: dict[str, tuple[str, str]] = {}
     ut_decode: dict[str, str] = {}  # pointed morphism -> underlying U morphism
     for po1, (o1, a) in ut_objects.items():
-        for po2, (o2, b) in ut_objects.items():
-            for mid, (s, t) in morphisms.items():
-                if s != o1 or t != o2:
-                    continue
-                if u_morphisms[mid][a] != b:
-                    continue
-                budget.spend()
-                pmid = f"{mid}@{a}"
-                ut_morphisms[pmid] = (po1, po2)
-                ut_decode[pmid] = mid
+        # one pointed morphism per U-morphism rho out of o1, landing at
+        # tgt@rho0[a]; a stable sort by target keeps the table's order
+        out = [(f"{morphisms[mid][1]}@{u_morphisms[mid][a]}", mid) for mid in by_src[o1]]
+        out.sort(key=lambda e: ut_rank[e[0]])
+        for po2, mid in out:
+            budget.spend()
+            pmid = f"{mid}@{a}"
+            ut_morphisms[pmid] = (po1, po2)
+            ut_decode[pmid] = mid
     ut_identity = {po: f"{identity[o]}@{a}" for po, (o, a) in ut_objects.items()}
+    ut_by_src: dict[str, list[str]] = {}
+    for pm, (s, _) in ut_morphisms.items():
+        ut_by_src.setdefault(s, []).append(pm)
     ut_compose = {}
     for p1, (s1, t1) in ut_morphisms.items():
-        for p2, (s2, t2) in ut_morphisms.items():
-            if s2 != t1:
-                continue
+        for p2 in ut_by_src[t1]:
             c = compose[(ut_decode[p2], ut_decode[p1])]
             ut_compose[(p2, p1)] = f"{c}@{ut_objects[s1][1]}"
     ut_inverse = {

@@ -1,5 +1,9 @@
 """Groupoid and functor layer: validation, predicates, finite (co)limits."""
 
+import gc
+import weakref
+from itertools import islice
+
 import pytest
 
 from invgpd.core import (
@@ -8,19 +12,22 @@ from invgpd.core import (
     binary_product,
     classify_functor,
     codiscrete,
+    compose_functors,
     coproduct,
     discrete,
     empty_groupoid,
     find_isomorphism,
     identity_functor,
     interval,
+    pair_id,
     pairing,
     pullback,
     unit,
     validate_functor,
     validate_groupoid,
 )
-from invgpd.errors import CodomainMismatch, MalformedFunctor
+from invgpd.errors import CodomainMismatch, MalformedDocument, MalformedFunctor
+from invgpd.generators import plain_catalog
 from invgpd.search import count_functors, iter_functors
 
 
@@ -126,6 +133,34 @@ def test_pullback_codomain_mismatch():
         pullback(bang(interval()), identity_functor(interval()))
 
 
+def test_pullback_contract_on_catalog_cospans():
+    """Pair IDs are labels the projections decode; the square commutes."""
+    catalog = plain_catalog(2, vertex_z2=True)
+    for C in catalog:
+        maps = [list(islice(iter_functors(A, C), 2)) for A in catalog]
+        for fs in maps:
+            for gs in maps:
+                for f in fs:
+                    for g in gs:
+                        P, pr1, pr2 = pullback(f, g)
+                        for o in P.objects:
+                            assert pair_id(pr1.obj_map[o], pr2.obj_map[o]) == o
+                        for p in P.morphisms:
+                            assert pair_id(pr1.mor_map[p], pr2.mor_map[p]) == p
+                        fp, gp = compose_functors(f, pr1), compose_functors(g, pr2)
+                        assert fp.obj_map == gp.obj_map and fp.mor_map == gp.mor_map
+                        assert validate_groupoid(P) == []
+
+
+def test_colliding_pair_ids_are_malformed():
+    # (a,b,c) names both (a, "b,c") and ("a,b", c)
+    A, B = discrete(("a", "a,b")), discrete(("b,c", "c"))
+    with pytest.raises(MalformedDocument):
+        binary_product(A, B)
+    with pytest.raises(MalformedDocument):
+        pullback(bang(A), bang(B))
+
+
 def test_pullback_universal_property_unique_mediator():
     # cones over the cospan I -> 1 <- I from small test groupoids
     I = interval()
@@ -160,6 +195,26 @@ def test_functor_search_respects_budget():
     big2 = codiscrete(tuple(f"b{i}" for i in range(4)))
     with pytest.raises(BudgetExceeded):
         count_functors(big1, big2, budget=50)
+
+
+def test_functor_search_releases_groupoids_without_gc():
+    """A finished or abandoned search leaves nothing for the cycle collector."""
+    gc.disable()
+    try:
+        cod = codiscrete(("a", "b", "c"))
+        ref = weakref.ref(cod)
+        for _ in iter_functors(interval(), cod):
+            pass
+        del cod, _
+        assert ref() is None
+        cod = codiscrete(("a", "b", "c"))
+        ref = weakref.ref(cod)
+        it = iter_functors(interval(), cod)
+        next(it)
+        del it, cod
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_equivalence_flag_matches_homotopy_inverse_oracle():

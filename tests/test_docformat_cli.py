@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,51 @@ groupoid amb
   morphism a : x -> x
   morphism b : x -> x
 """
+
+# an object and a morphism whose names contain the pair-ID separator
+COMMA_DOC = """
+groupoid G
+  objects a,b
+  morphism t : a,b -> a,b
+  inverse t = t
+  compose t . t = id(a,b)
+
+groupoid P
+  objects *
+
+involutive G!
+  base G
+
+involutive P!
+  base P
+
+functor f : G! -> P!
+  object a,b -> *
+  morphism t -> id(*)
+"""
+
+# pair IDs collide: (a,b,c) names both (a, "b,c") and ("a,b", c)
+COLLIDING_DOC = """
+groupoid G
+  objects a b,c a,b c
+
+groupoid P
+  objects *
+
+involutive G!
+  base G
+
+involutive P!
+  base P
+
+functor t : G! -> P!
+  object a -> *
+  object b,c -> *
+  object a,b -> *
+  object c -> *
+"""
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 SPARSE_DOC = """
 # a two-element vertex group given sparsely
@@ -189,6 +235,33 @@ def test_cli_user_file_resolution(tmp_path):
     assert code == 0
     rec = json.loads(out)[0]
     assert rec["witness"]["discrete_fibration"] is True
+
+
+def test_cli_names_with_pair_id_separators(tmp_path, capsys):
+    comma = tmp_path / "comma.gpd"
+    comma.write_text(COMMA_DOC, encoding="utf-8")
+    assert main(["path", "--f", "f", "--file", str(comma), "--format", "json"]) == 0
+    witness = json.loads(capsys.readouterr().out)[0]["witness"]
+    assert (witness["objects"], witness["morphisms"]) == (2, 8)
+    colliding = tmp_path / "colliding.gpd"
+    colliding.write_text(COLLIDING_DOC, encoding="utf-8")
+    assert main(["path", "--f", "t", "--file", str(colliding)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_reports_match_benchmark_reference(capsys):
+    """The byte-stable reports, budget_used included, equal the committed
+    benchmark references."""
+    runs = {
+        "reproduce-b2.json": ["reproduce-paper", "--base", "2", "--format", "json"],
+        "universe-b3.seed0.json": ["universe", "--base", "3", "--closure",
+                                   "--seed", "0", "--format", "json"],
+    }
+    for name, argv in runs.items():
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == (REFERENCE / name).read_text(encoding="utf-8"), name
 
 
 def test_cli_in_process_decompose_and_factorize():

@@ -135,17 +135,17 @@ def test_adjunction_naturality_in_h():
     w = ws[0]
     P, prA, prD = pullback_along(g, h)
     P2, prA2, prD2 = pullback_along(g, h2)
-    from invgpd.core import compose_functors, pair_id, split_pair
+    from invgpd.core import compose_functors, pair_id
     for v in enumerate_slice_homs(prA, f):
         k = adjunction_forward(bundle, h, v)
         # naturality: transpose(v ∘ (id x w)) = transpose(v) ∘ w
         vw_obj = {}
         vw_mor = {}
         for o in P2.base.objects:
-            z, x = split_pair(o)
+            z, x = prA2.on_obj(o), prD2.on_obj(o)
             vw_obj[o] = v.map.obj_map[pair_id(z, w.on_obj(x))]
         for m in P2.base.morphisms:
-            t, u = split_pair(m)
+            t, u = prA2.on_mor(m), prD2.on_mor(m)
             vw_mor[m] = v.map.mor_map[pair_id(t, w.on_mor(u))]
         vw = EquivariantFunctor(P2, f.dom, Functor(P2.base, f.dom.base, vw_obj, vw_mor))
         k2 = adjunction_forward(bundle, h2, vw)

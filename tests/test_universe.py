@@ -62,6 +62,45 @@ def test_universe_over_two_elements():
     assert b.u_morphism_id(A, A, {"a": "b", "b": "a"}) is not None
 
 
+def test_universe_tables_match_their_definition():
+    """U's compose table and Utilde's morphism and compose tables equal the
+    brute-force definitions, key order included."""
+    b = build_universe(("a", "b"))
+    GU, GUt = b.U.base, b.Utilde.base
+    compose = {}
+    for m1, (s1, t1) in GU.morphisms.items():
+        for m2, (s2, t2) in GU.morphisms.items():
+            if s2 == t1:
+                rho = {k: b.u_morphisms[m2][v] for k, v in b.u_morphisms[m1].items()}
+                compose[(m2, m1)] = b.u_morphism_id(s1, t2, rho)
+    assert list(GU.compose.items()) == list(compose.items())
+    # one pointed morphism rho@a: o1@a -> o2@c per U-morphism rho: o1 -> o2
+    # with rho0[a] == c
+    morphisms, decode = {}, {}
+    for po1, (o1, a) in b.ut_objects.items():
+        for po2, (o2, c) in b.ut_objects.items():
+            for mid, st in GU.morphisms.items():
+                if st == (o1, o2) and b.u_morphisms[mid][a] == c:
+                    morphisms[f"{mid}@{a}"] = (po1, po2)
+                    decode[f"{mid}@{a}"] = mid
+    ut_compose = {}
+    for p1, (s1, t1) in morphisms.items():
+        for p2, (s2, _) in morphisms.items():
+            if s2 == t1:
+                c = GU.compose[(decode[p2], decode[p1])]
+                ut_compose[(p2, p1)] = f"{c}@{b.ut_objects[s1][1]}"
+    assert list(GUt.morphisms.items()) == list(morphisms.items())
+    assert list(GUt.compose.items()) == list(ut_compose.items())
+    assert b.p.map.mor_map == decode
+
+
+def test_universe_over_three_elements():
+    b = build_universe(("a", "b", "c"))
+    assert (b.U.base.n_objects, b.U.base.n_morphisms) == (34, 946)
+    assert (b.Utilde.base.n_objects, b.Utilde.base.n_morphisms) == (63, 2025)
+    assert classify_functor(b.p.map).discrete_fibration
+
+
 def test_involution_laws_and_p_equivariance():
     b = build_universe(("a", "b"))
     for X in (b.U, b.Utilde):
