@@ -9,7 +9,8 @@ pure functions of their inputs.
 Conventions
 -----------
 * ``compose[(g, f)]`` is the composite ``g after f``; it is defined exactly
-  on the composable pairs ``tgt(f) == src(g)``.
+  on the composable pairs ``tgt(f) == src(g)``. The functor search relies
+  on this: a lookup in ``compose`` is its composability test.
 * All iteration orders are sorted by ID, so searches are deterministic and
   "least witness" always means lexicographically least.
 * Products and pullbacks name each pair ``(a,b)`` with :func:`pair_id`.
@@ -82,11 +83,6 @@ class Groupoid:
     def mor_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.morphisms))
 
-    def out_morphisms(self, x: str):
-        for m in self.mor_ids():
-            if self.src(m) == x:
-                yield m
-
     @property
     def n_objects(self) -> int:
         return len(self.objects)
@@ -113,9 +109,6 @@ class Functor:
 
     def on_mor(self, m: str) -> str:
         return self.mor_map[m]
-
-    def image_objects(self) -> set[str]:
-        return set(self.obj_map.values())
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Functor({self.dom!r} -> {self.cod!r})"

@@ -33,8 +33,12 @@ not named ``id(x)``), inverses of declared morphisms as ``inv(m)``
 unless an explicit ``inverse`` line names one.
 Sparse composition tables are completed by the identity and inverse laws
 plus singleton hom-sets; remaining composable pairs are an error
-("ambiguous composition"). Loading never rejects a structurally total
-but law-breaking groupoid: ``validate`` reports those as diagnostics.
+("ambiguous composition"). A compose line on a pair that is not
+composable (``tgt(f) != src(g)``) is a structural error like a line
+naming an unknown morphism, and is rejected: the composition table must
+be defined exactly on the composable pairs, which the functor search
+relies on. Loading never rejects a structurally total but law-breaking
+groupoid: ``validate`` reports those as diagnostics.
 """
 
 from __future__ import annotations
@@ -146,6 +150,10 @@ class _GroupoidDraft:
                     raise MalformedDocument(
                         f"groupoid {self.name}: compose entry references unknown morphism {m}"
                     )
+            if morphisms[f][1] != morphisms[g][0]:
+                raise MalformedDocument(
+                    f"groupoid {self.name}: compose entry {g} . {f} is not a composable pair"
+                )
         for g, (gs, gt) in morphisms.items():
             for f, (fs, ft) in morphisms.items():
                 if ft != gs or (g, f) in compose:

@@ -66,7 +66,8 @@ def path_object(f: EquivariantFunctor) -> PathFactorization:
     objects = tuple(sorted(po(m) for m in objs))
 
     morphisms: dict[str, tuple[str, str]] = {}
-    data: dict[str, tuple[str, str, str]] = {}
+    data: dict[str, tuple[str, str, str, str]] = {}  # (phi, sigma, tau, phi of the target)
+    by_src: dict[str, list[str]] = {}                  # phi -> morphisms out of po(phi)
     for phi in objs:
         x, y = GA.morphisms[phi]
         for sigma in GA.mor_ids():
@@ -78,20 +79,16 @@ def path_object(f: EquivariantFunctor) -> PathFactorization:
                 phi2 = GA.comp(GA.comp(tau, phi), GA.inv(sigma))
                 mid = pm(phi, sigma, tau)
                 morphisms[mid] = (po(phi), po(phi2))
-                data[mid] = (phi, sigma, tau)
+                data[mid] = (phi, sigma, tau, phi2)
+                by_src.setdefault(phi, []).append(mid)
 
     identity = {po(phi): pm(phi, GA.ident(GA.src(phi)), GA.ident(GA.tgt(phi))) for phi in objs}
     compose = {}
-    for m1, (phi1, s1, t1) in data.items():
-        tgt1 = morphisms[m1][1]
-        for m2, (phi2, s2, t2) in data.items():
-            if po(phi2) != tgt1:
-                continue
+    for m1, (phi1, s1, t1, phi2) in data.items():
+        for m2 in by_src.get(phi2, ()):
+            _, s2, t2, _ = data[m2]
             compose[(m2, m1)] = pm(phi1, GA.comp(s2, s1), GA.comp(t2, t1))
-    inverse = {}
-    for m1, (phi, s, t) in data.items():
-        phi2 = GA.comp(GA.comp(t, phi), GA.inv(s))
-        inverse[m1] = pm(phi2, GA.inv(s), GA.inv(t))
+    inverse = {m1: pm(phi2, GA.inv(s), GA.inv(t)) for m1, (_, s, t, phi2) in data.items()}
     P = Groupoid(objects, morphisms, identity, compose, inverse)
     inv = Functor(
         P, P,

@@ -46,6 +46,9 @@ def iter_functors(
     used_obj: set[str] = set()
     used_mor: set[str] = set()
 
+    dom_mor, dom_comp, dom_inv = dom.morphisms, dom.compose, dom.inverse
+    cod_mor, cod_comp, cod_inv = cod.morphisms, cod.compose, cod.inverse
+
     obj_order = list(dom.objects)
     mor_order = [m for m in dom.mor_ids() if not dom.is_identity(m)]
 
@@ -77,8 +80,8 @@ def iter_functors(
         budget.spend()
         if m in mmap:
             return mmap[m] == n
-        s, t = dom.morphisms[m]
-        if cod.morphisms.get(n) != (omap[s], omap[t]):
+        s, t = dom_mor[m]
+        if cod_mor.get(n) != (omap[s], omap[t]):
             return False
         if q is not None and q.mor_map[n] != r.mor_map[m]:
             return False
@@ -102,18 +105,19 @@ def iter_functors(
             budget.spend()
             m = queue.pop()
             n = mmap[m]
-            if not set_mor(dom.inv(m), cod.inv(n), trail, queue):
+            if not set_mor(dom_inv[m], cod_inv[n], trail, queue):
                 return False
             if ed is not None and not set_mor(ed.mor_map[m], ec.mor_map[n], trail, queue):
                 return False
-            for k in list(mmap):
-                v = mmap[k]
-                if dom.tgt(k) == dom.src(m):
-                    if not set_mor(dom.comp(m, k), cod.comp(n, v), trail, queue):
-                        return False
-                if dom.tgt(m) == dom.src(k):
-                    if not set_mor(dom.comp(k, m), cod.comp(v, n), trail, queue):
-                        return False
+            # compose is defined exactly on the composable pairs, so a
+            # lookup both tests composability and finds the composite
+            for k, v in list(mmap.items()):
+                mk = dom_comp.get((m, k))
+                if mk is not None and not set_mor(mk, cod_comp[(n, v)], trail, queue):
+                    return False
+                km = dom_comp.get((k, m))
+                if km is not None and not set_mor(km, cod_comp[(v, n)], trail, queue):
+                    return False
         return True
 
     def seed_morphism_stage(trail: list[str]) -> bool:
@@ -134,7 +138,7 @@ def iter_functors(
             yield Functor(dom, cod, dict(omap), dict(mmap))
             return
         m = mor_order[i]
-        s, t = dom.morphisms[m]
+        s, t = dom_mor[m]
         for n in cod.hom(omap[s], omap[t]):
             budget.spend()
             if q is not None and q.mor_map[n] != r.mor_map[m]:

@@ -130,6 +130,7 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
 
     u_morphisms: dict[str, dict] = {}
     morphisms: dict[str, tuple[str, str]] = {}
+    mid_of: dict[tuple[str, str, tuple], str] = {}  # (src, tgt, image of sorted A0) -> id
     for src, (A0, A1, phi) in u_objects.items():
         for tgt, (B0, B1, psi) in u_objects.items():
             if len(A0) != len(B0) or len(A1) != len(B1):
@@ -140,6 +141,7 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
                 mid = f"<{src}->{tgt}:{_bij_id(rho0)}>"
                 u_morphisms[mid] = rho0
                 morphisms[mid] = (src, tgt)
+                mid_of[(src, tgt, image)] = mid
 
     def derived_rho1(mid: str) -> dict:
         src, tgt = morphisms[mid]
@@ -161,11 +163,12 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
         by_src.setdefault(s, []).append(mid)
     compose = {}
     for m1, (s1, t1) in morphisms.items():
+        rho1 = u_morphisms[m1]
         for m2 in by_src[t1]:
             t2 = morphisms[m2][1]
             budget.spend()
-            rho = {k: u_morphisms[m2][v] for k, v in u_morphisms[m1].items()}
-            compose[(m2, m1)] = u_mid(s1, t2, rho)
+            rho2 = u_morphisms[m2]
+            compose[(m2, m1)] = mid_of[(s1, t2, tuple(rho2[v] for v in rho1.values()))]
     inverse = {
         mid: u_mid(t, s, {v: k for k, v in u_morphisms[mid].items()})
         for mid, (s, t) in morphisms.items()

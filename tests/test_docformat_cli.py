@@ -70,6 +70,28 @@ functor t : G! -> P!
   object c -> *
 """
 
+# a compose line on a pair that is not composable: f . f with f : a -> b
+NON_COMPOSABLE_DOC = """
+groupoid G
+  objects a b
+  morphism f : a -> b
+  compose f . f = f
+
+groupoid P
+  objects *
+
+involutive G!
+  base G
+
+involutive P!
+  base P
+
+functor t : G! -> P!
+  object a -> *
+  object b -> *
+  morphism f -> id(*)
+"""
+
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 SPARSE_DOC = """
@@ -248,6 +270,18 @@ def test_cli_names_with_pair_id_separators(tmp_path, capsys):
     assert main(["path", "--f", "t", "--file", str(colliding)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_non_composable_compose_line_is_malformed(tmp_path, capsys):
+    bad = tmp_path / "non_composable.gpd"
+    bad.write_text(NON_COMPOSABLE_DOC, encoding="utf-8")
+    for argv in (["path", "--f", "t", "--file", str(bad)],
+                 ["classify", "t", "--structure", "injective", "--file", str(bad)],
+                 ["validate", str(bad)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
 
 
 def test_cli_reports_match_benchmark_reference(capsys):

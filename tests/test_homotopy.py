@@ -13,7 +13,12 @@ from invgpd.equivariant import (
     validate_equivariant,
     validate_involutive,
 )
-from invgpd.generators import random_involutive, random_stable_equivalent_subgroupoid
+from invgpd.generators import (
+    equivariant_functors,
+    involutive_catalog,
+    random_involutive,
+    random_stable_equivalent_subgroupoid,
+)
 from invgpd.homotopy import (
     find_homotopy_inverse,
     find_right_homotopy,
@@ -29,7 +34,41 @@ from invgpd.lifting import (
     is_fibrant,
     is_trivial_cofibration,
 )
-from invgpd.universe import funext_instance
+from invgpd.universe import build_universe, funext_instance
+
+
+def all_pairs_compose(f):
+    """E's compose table by its definition: every ordered pair of path
+    morphisms pm(phi, sigma, tau) whose first target is the second's source."""
+    GA = f.dom.base
+    objs = [m for m in GA.mor_ids() if f.cod.base.is_identity(f.on_mor(m))]
+    data = {}
+    for phi in objs:
+        x, y = GA.morphisms[phi]
+        for sigma in GA.mor_ids():
+            for tau in GA.mor_ids():
+                if GA.src(sigma) == x and GA.src(tau) == y and f.on_mor(sigma) == f.on_mor(tau):
+                    phi2 = GA.comp(GA.comp(tau, phi), GA.inv(sigma))
+                    data[f"pm({phi},{sigma},{tau})"] = (phi, sigma, tau, phi2)
+    compose = {}
+    for m1, (phi1, s1, t1, target) in data.items():
+        for m2, (phi2, s2, t2, _) in data.items():
+            if phi2 == target:
+                compose[(m2, m1)] = f"pm({phi1},{GA.comp(s2, s1)},{GA.comp(t2, t1)})"
+    return compose
+
+
+def test_path_object_compose_matches_all_pairs_definition():
+    U = build_universe(("a", "b")).U
+    E = path_object(terminal_map(U)).path.base
+    assert (E.n_objects, E.n_morphisms) == (25, 385)
+    assert list(E.compose.items()) == list(all_pairs_compose(terminal_map(U)).items())
+    catalog = involutive_catalog(2, vertex_z2=True)
+    maps = [g for X in catalog for Y in catalog for g in equivariant_functors(X, Y)]
+    maps += [terminal_map(X) for X in involutive_catalog()]
+    for f in maps:
+        P = path_object(f).path.base
+        assert list(P.compose.items()) == list(all_pairs_compose(f).items())
 
 
 def test_path_object_of_discrete_over_point():
