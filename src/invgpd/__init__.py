@@ -51,6 +51,7 @@ from .errors import (
     BudgetExceeded,
     CodomainMismatch,
     InvalidAttachment,
+    InvariantViolated,
     InvgpdError,
     IterationCapExceeded,
     MalformedDocument,

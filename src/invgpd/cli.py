@@ -67,6 +67,7 @@ from .universe import (
     check_funext_counterexample,
     check_univalence,
     default_closure_samples,
+    equivalence_space,
     universe_closure_checks,
 )
 
@@ -358,7 +359,8 @@ def cmd_reproduce(args, rep: Reporter) -> None:
     cmd_funext(args, rep)
 
     bundle = build_universe(base_elements(args.base), rep.budget)
-    rpt = check_univalence(bundle, StructureTag.PROJECTIVE, rep.budget)
+    space = equivalence_space(bundle)
+    rpt = check_univalence(bundle, StructureTag.PROJECTIVE, rep.budget, space)
     ok = rpt.verdict == "FAILS"
     witness = dict(rpt.witness)
     if ok:
@@ -367,7 +369,7 @@ def cmd_reproduce(args, rep: Reporter) -> None:
         witness["fixed_equivalence_is_identity"] = not ok
     rep.add("projective-univalence-failure", "PASS" if ok else "FAIL", witness=witness)
 
-    rpt2 = check_univalence(bundle, StructureTag.INJECTIVE, rep.budget)
+    rpt2 = check_univalence(bundle, StructureTag.INJECTIVE, rep.budget, space)
     rep.add(
         "injective-univalence",
         "PASS" if rpt2.verdict == "HOLDS" else "FAIL",

@@ -306,8 +306,9 @@ def validate_functor(F: Functor) -> list[str]:
     for x in F.dom.objects:
         if F.mor_map[F.dom.ident(x)] != F.cod.ident(F.obj_map[x]):
             problems.append(f"identity of {x} not preserved")
+    cod_comp, mor_map = F.cod.compose, F.mor_map
     for (g, f), h in F.dom.compose.items():
-        if F.cod.compose[(F.mor_map[g], F.mor_map[f])] != F.mor_map[h]:
+        if cod_comp[(mor_map[g], mor_map[f])] != mor_map[h]:
             problems.append(f"composition not preserved at ({g}, {f})")
     return problems
 
@@ -467,18 +468,19 @@ def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
     }
     _require_distinct_ids("pullback", len(mor_pairs),
                           sum(len(mor_match.get(f.mor_map[m], ())) for m in mids))
-    morphisms = {
-        p: (pair_id(A.src(m), B.src(n)), pair_id(A.tgt(m), B.tgt(n)))
-        for p, (m, n) in mor_pairs.items()
-    }
-    identity = {o: pair_id(A.identity[x], B.identity[y]) for o, (x, y) in obj_pairs.items()}
+    A_mor, B_mor, A_comp, B_comp = A.morphisms, B.morphisms, A.compose, B.compose
+    morphisms: dict[str, tuple[str, str]] = {}
     by_tgt: dict[str, list[tuple[str, str, str]]] = {}
     for p, (m, n) in mor_pairs.items():
-        by_tgt.setdefault(morphisms[p][1], []).append((p, m, n))
+        (sm, tm), (sn, tn) = A_mor[m], B_mor[n]
+        t = pair_id(tm, tn)
+        morphisms[p] = (pair_id(sm, sn), t)
+        by_tgt.setdefault(t, []).append((p, m, n))
+    identity = {o: pair_id(A.identity[x], B.identity[y]) for o, (x, y) in obj_pairs.items()}
     compose = {}
     for p1, (m1, n1) in mor_pairs.items():
         for p2, m2, n2 in by_tgt.get(morphisms[p1][0], ()):
-            compose[(p1, p2)] = pair_id(A.comp(m1, m2), B.comp(n1, n2))
+            compose[(p1, p2)] = pair_id(A_comp[(m1, m2)], B_comp[(n1, n2)])
     inverse = {p: pair_id(A.inv(m), B.inv(n)) for p, (m, n) in mor_pairs.items()}
     P = Groupoid(tuple(obj_pairs), morphisms, identity, compose, inverse)
     pr1 = Functor(P, A, {o: x for o, (x, _) in obj_pairs.items()},

@@ -59,3 +59,9 @@ class BaseTooSmall(InvgpdError):
 
 class MalformedDocument(InvgpdError):
     """A text document that fails to parse or resolve."""
+
+
+class InvariantViolated(InvgpdError):
+    """A construction broke one of its own invariants: a defect of the
+    library, not of the input. Raised, not asserted, so it fires under
+    ``python -O`` too."""

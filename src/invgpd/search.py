@@ -14,6 +14,19 @@ morphisms) and every derived consequence (identities, inverses,
 composites, equivariance partners) is propagated immediately, so results
 come out in a stable lexicographic order and "first found" is a
 well-defined least witness.
+
+Budget: one unit per object or morphism assignment tried (including one
+that only confirms an existing image), per candidate morphism and per
+queued morphism that ``propagate`` processes. Two stretches never yield,
+so they count their units in a local int and charge them once, when they
+end: ``seed_morphism_stage`` (identities and ``mor_seed``) and
+``propagate``. ``solve_obj`` likewise counts the candidates that fail the
+``post`` object check and charges them before the next candidate it tries
+and at the end of its loop, never across a ``yield``. Because a bulk
+``Budget.spend(n)`` stops at the same unit as ``n`` single spends, and
+nothing is yielded in between, the functors yielded before
+``BudgetExceeded`` and the final ``budget.used`` are exactly those of
+charging every unit as it is spent.
 """
 
 from __future__ import annotations
@@ -48,6 +61,9 @@ def iter_functors(
 
     dom_mor, dom_comp, dom_inv = dom.morphisms, dom.compose, dom.inverse
     cod_mor, cod_comp, cod_inv = cod.morphisms, cod.compose, cod.inverse
+    dom_ident, cod_ident = dom.identity, cod.identity
+    q_mor, r_mor = (q.mor_map, r.mor_map) if q is not None else (None, None)
+    ed_mor, ec_mor = (ed.mor_map, ec.mor_map) if ed is not None else (None, None)
 
     obj_order = list(dom.objects)
     mor_order = [m for m in dom.mor_ids() if not dom.is_identity(m)]
@@ -76,14 +92,12 @@ def iter_functors(
                 used_obj.discard(omap[x])
             del omap[x]
 
-    def set_mor(m: str, n: str, trail: list[str], queue: list[str]) -> bool:
-        budget.spend()
-        if m in mmap:
-            return mmap[m] == n
+    def assign_mor(m: str, n: str, trail: list[str], queue: list[str]) -> bool:
+        """Map the unmapped ``m`` to ``n`` if the constraints allow it."""
         s, t = dom_mor[m]
         if cod_mor.get(n) != (omap[s], omap[t]):
             return False
-        if q is not None and q.mor_map[n] != r.mor_map[m]:
+        if q is not None and q_mor[n] != r_mor[m]:
             return False
         if bijective:
             if n in used_mor:
@@ -94,41 +108,88 @@ def iter_functors(
         queue.append(m)
         return True
 
+    def set_mor(m: str, n: str, trail: list[str], queue: list[str]) -> bool:
+        budget.spend()
+        if m in mmap:
+            return mmap[m] == n
+        return assign_mor(m, n, trail, queue)
+
     def undo_mor(trail: list[str]) -> None:
         for m in trail:
             if bijective:
                 used_mor.discard(mmap[m])
             del mmap[m]
 
+    # propagate and seed_morphism_stage never yield: they count one unit per
+    # queued morphism and per assignment tried, as set_mor would spend, and
+    # charge the count once (see the module docstring)
     def propagate(queue: list[str], trail: list[str]) -> bool:
-        while queue:
-            budget.spend()
-            m = queue.pop()
-            n = mmap[m]
-            if not set_mor(dom_inv[m], cod_inv[n], trail, queue):
-                return False
-            if ed is not None and not set_mor(ed.mor_map[m], ec.mor_map[n], trail, queue):
-                return False
-            # compose is defined exactly on the composable pairs, so a
-            # lookup both tests composability and finds the composite
-            for k, v in list(mmap.items()):
-                mk = dom_comp.get((m, k))
-                if mk is not None and not set_mor(mk, cod_comp[(n, v)], trail, queue):
+        units = 0
+        try:
+            while queue:
+                m = queue.pop()
+                n = mmap[m]
+                units += 2
+                x, y = dom_inv[m], cod_inv[n]
+                w = mmap.get(x)
+                if w is None:
+                    if not assign_mor(x, y, trail, queue):
+                        return False
+                elif w != y:
                     return False
-                km = dom_comp.get((k, m))
-                if km is not None and not set_mor(km, cod_comp[(v, n)], trail, queue):
-                    return False
-        return True
+                if ed is not None:
+                    units += 1
+                    x, y = ed_mor[m], ec_mor[n]
+                    w = mmap.get(x)
+                    if w is None:
+                        if not assign_mor(x, y, trail, queue):
+                            return False
+                    elif w != y:
+                        return False
+                # compose is defined exactly on the composable pairs, so a
+                # lookup both tests composability and finds the composite
+                for k, v in list(mmap.items()):
+                    x = dom_comp.get((m, k))
+                    if x is not None:
+                        units += 1
+                        y = cod_comp[(n, v)]
+                        w = mmap.get(x)
+                        if w is None:
+                            if not assign_mor(x, y, trail, queue):
+                                return False
+                        elif w != y:
+                            return False
+                    x = dom_comp.get((k, m))
+                    if x is not None:
+                        units += 1
+                        y = cod_comp[(v, n)]
+                        w = mmap.get(x)
+                        if w is None:
+                            if not assign_mor(x, y, trail, queue):
+                                return False
+                        elif w != y:
+                            return False
+            return True
+        finally:
+            budget.spend(units)
 
     def seed_morphism_stage(trail: list[str]) -> bool:
         queue: list[str] = []
-        for x in dom.objects:
-            if not set_mor(dom.ident(x), cod.ident(omap[x]), trail, queue):
-                return False
+        seeds = [(dom_ident[x], cod_ident[omap[x]]) for x in dom.objects]
         if mor_seed:
-            for m, n in mor_seed.items():
-                if not set_mor(m, n, trail, queue):
+            seeds += mor_seed.items()
+        units = 0
+        try:
+            for m, n in seeds:
+                units += 1
+                w = mmap.get(m)
+                if w is None:
+                    if not assign_mor(m, n, trail, queue):
+                        return False
+                elif w != n:
                     return False
+        finally:
+            budget.spend(units)
         return propagate(queue, trail)
 
     def solve_mor(i: int) -> Iterator[Functor]:
@@ -141,7 +202,7 @@ def iter_functors(
         s, t = dom_mor[m]
         for n in cod.hom(omap[s], omap[t]):
             budget.spend()
-            if q is not None and q.mor_map[n] != r.mor_map[m]:
+            if q is not None and q_mor[n] != r_mor[m]:
                 continue
             trail: list[str] = []
             queue: list[str] = []
@@ -159,11 +220,24 @@ def iter_functors(
             undo_mor(trail)
             return
         x = obj_order[i]
+        # x is unmapped, so set_obj rejects a candidate off the post
+        # constraint for exactly one unit and no change; those are counted
+        # and charged before the next candidate that is tried, never
+        # carried across a yield
+        want = r.obj_map[x] if q is not None else None
+        rejected = 0
         for c in cod.objects:
+            if q is not None and q.obj_map[c] != want:
+                rejected += 1
+                continue
+            if rejected:
+                budget.spend(rejected)
+                rejected = 0
             trail: list[str] = []
             if set_obj(x, c, trail):
                 yield from solve_obj(i + 1)
             undo_obj(trail)
+        budget.spend(rejected)
 
     seed_trail: list[str] = []
     feasible = True

@@ -48,7 +48,7 @@ from .equivariant import (
     terminal_map,
     validate_equivariant,
 )
-from .errors import BaseTooSmall, NotSmall
+from .errors import BaseTooSmall, InvariantViolated, NotSmall
 from .homotopy import (
     PathFactorization,
     is_homotopy_equivalence_projective,
@@ -273,6 +273,9 @@ def classify_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle,
     order-preserving injection onto an initial segment; the classifying
     map sends x to (fiber over x, fiber over eta(x), conjugation by the
     involution), and a morphism to transport along its unique lifts.
+
+    Raises ``InvariantViolated`` if the classifying map or the comparison
+    isomorphism comes out wrong.
     """
     if not is_small_fibration(f, bundle):
         raise NotSmall("only discrete fibrations with fibers inside V are classifiable")
@@ -286,7 +289,8 @@ def classify_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle,
 
     def unique_lift(u: str, x: str) -> str:
         ls = lifts_of(f.map, u, x)
-        assert len(ls) == 1
+        if len(ls) != 1:
+            raise InvariantViolated(f"{u} has {len(ls)} lifts at {x}, not one")
         return ls[0]
 
     def transport(u: str) -> dict:
@@ -302,17 +306,21 @@ def classify_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle,
         ey = Bp.eta_obj(y)
         phi = {rename[y][x]: rename[ey][C.eta_obj(x)] for x in fiber_objs[y]}
         oid = bundle.u_object_id(rename[y].values(), rename[ey].values(), phi)
-        assert oid is not None
+        if oid is None:
+            raise InvariantViolated(f"the fiber over {y} is no object of U")
         g_obj[y] = oid
     g_mor: dict[str, str] = {}
     for u in GB.mor_ids():
         budget.spend()
         src, tgt = g_obj[GB.src(u)], g_obj[GB.tgt(u)]
         mid = bundle.u_morphism_id(src, tgt, transport(u))
-        assert mid is not None
+        if mid is None:
+            raise InvariantViolated(f"the transport along {u} is no morphism of U")
         g_mor[u] = mid
     g = EquivariantFunctor(Bp, bundle.U, Functor(GB, bundle.U.base, g_obj, g_mor))
-    assert validate_equivariant(g) == []
+    problems = validate_equivariant(g)
+    if problems:
+        raise InvariantViolated(f"classifying map: {'; '.join(problems[:3])}")
 
     PB, prB, _ = equivariant_pullback(g, bundle.p)
     chi_obj = {
@@ -327,11 +335,14 @@ def classify_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle,
         chi_mor[m] = pair_id(u, f"{g_mor[u]}@{rename[y][x]}")
     chi = EquivariantFunctor(C, PB, Functor(GC, PB.base, chi_obj, chi_mor))
     problems = validate_equivariant(chi)
-    assert not problems, problems[:3]
-    assert len(set(chi_obj.values())) == PB.base.n_objects
-    assert len(set(chi_mor.values())) == PB.base.n_morphisms
+    if problems:
+        raise InvariantViolated(f"comparison map: {'; '.join(problems[:3])}")
+    if (len(set(chi_obj.values())) != PB.base.n_objects
+            or len(set(chi_mor.values())) != PB.base.n_morphisms):
+        raise InvariantViolated("comparison map is not bijective")
     comp = compose_functors(prB.map, chi.map)
-    assert comp.obj_map == f.map.obj_map and comp.mor_map == f.map.mor_map
+    if comp.obj_map != f.map.obj_map or comp.mor_map != f.map.mor_map:
+        raise InvariantViolated("comparison map does not lie over the base")
     return SmallClassification(classifying=g, pullback=PB, pullback_map=prB, chi=chi)
 
 
@@ -391,11 +402,16 @@ def projective_univalence_witness(bundle: UniverseBundle,
 
 
 def check_univalence(bundle: UniverseBundle, tag: StructureTag,
-                     budget: Budget | int | None = None) -> UnivalenceReport:
+                     budget: Budget | int | None = None,
+                     space: EquivalenceSpace | None = None) -> UnivalenceReport:
     """Decide whether the identity-equivalence map U -> E is a homotopy
-    equivalence for the given structure."""
+    equivalence for the given structure.
+
+    ``space`` is E as built by ``equivalence_space(bundle)``; pass it to
+    share one build between the two structures.
+    """
     budget = ensure_budget(budget)
-    space = equivalence_space(bundle)
+    space = space or equivalence_space(bundle)
     d1 = space.delta1
     if tag == StructureTag.PROJECTIVE:
         lw = classify_functor(d1.map).equivalence

@@ -298,6 +298,31 @@ def test_cli_reports_match_benchmark_reference(capsys):
         assert out == (REFERENCE / name).read_text(encoding="utf-8"), name
 
 
+def test_cli_reproduce_budget_stops_at_the_same_unit(capsys):
+    """reproduce-paper --base 2 spends 188,198 units; one fewer is exit 3."""
+    argv = ["reproduce-paper", "--base", "2", "--format", "json"]
+    assert main([*argv, "--budget", "188197"]) == 3
+    assert "(188198 > 188197 candidates)" in capsys.readouterr().err
+    assert main([*argv, "--budget", "188198"]) == 0
+
+
+def test_cli_reproduce_builds_the_equivalence_space_once(monkeypatch, capsys):
+    from invgpd import cli, homotopy, universe
+
+    calls = []
+    original = homotopy.path_object
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, homotopy, universe):
+        monkeypatch.setattr(module, "path_object", counted)
+    assert main(["reproduce-paper", "--base", "2", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_cli_in_process_decompose_and_factorize():
     assert main(["decompose", "iprime", "--structure", "injective"]) == 0
     assert main(["factorize", "Icheck_to_point", "--structure", "injective"]) == 0

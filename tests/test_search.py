@@ -5,7 +5,10 @@ depends on the order in which ``iter_functors`` yields functors and on how
 many candidates it spends. These digests were recorded from the scanning
 ``propagate`` that the composite lookups replaced; any change to the order
 of assignments, to the yielded maps (insertion order included) or to the
-spend count shows up here.
+spend count shows up here. The limit sweep was recorded from the search
+that charged one unit per ``spend()`` call, before stretches that cannot
+yield were charged in bulk: a bulk charge that stops at another unit, or
+lets one more functor out, shows up there.
 """
 
 import hashlib
@@ -86,3 +89,36 @@ def test_search_budget_exceeded_at_the_same_point():
             h.update(functor_bytes(F))
     assert (h.hexdigest(), budget.used) == (
         "e9b3bed3e4ed03a7551b5d1f41eb096f052872ef6ad55494b3282939f868a2b7", 10_001)
+
+
+def sweep_digest(runs, stride=11, points=16) -> str:
+    """Digest, for a spread of limits per run, what the search yields
+    before ``BudgetExceeded`` and ``budget.used`` when it stops.
+
+    Each run is tried at limits ``offset, offset + step, ...`` up to its
+    full spend (which completes), with the offset varying by run so the
+    crossing points fall in every stretch of the search.
+    """
+    h = hashlib.sha256()
+    for i, (dom, cod, kw) in enumerate(runs):
+        total = Budget()
+        for _ in iter_functors(dom, cod, budget=total, **kw):
+            pass
+        for limit in range(i % stride, total.used + 1, max(stride, total.used // points)):
+            budget = Budget(limit=limit)
+            g = hashlib.sha256()
+            try:
+                for F in iter_functors(dom, cod, budget=budget, **kw):
+                    g.update(functor_bytes(F))
+            except BudgetExceeded:
+                pass
+            h.update(f"{g.hexdigest()} {budget.used}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("runs, expected", [
+    (equivariant_runs, "75faaa20e14238004d62698673f66528eaa61ffb58d0f37e4ca1a80041d918ce"),
+    (post_runs, "ba961245db5e86e307557c257a0fb508c8abd419fd04718535c82c2ae6954a73"),
+], ids=["equiv", "post"])
+def test_search_stops_at_the_same_unit_for_every_limit(runs, expected):
+    assert sweep_digest(runs()) == expected

@@ -14,7 +14,7 @@ from invgpd.equivariant import (
     validate_equivariant,
     validate_involutive,
 )
-from invgpd.errors import BaseTooSmall, NotSmall
+from invgpd.errors import BaseTooSmall, InvariantViolated, NotSmall
 from invgpd.generators import random_involutive
 from invgpd.lifting import StructureTag
 from invgpd.search import iter_functors
@@ -144,6 +144,24 @@ def test_classification_rejects_non_small():
     b = build_universe(("a", "b"))
     with pytest.raises(NotSmall):
         classify_small_fibration(terminal_map(REGISTRY.shape("Icheck")), b)
+
+
+@pytest.mark.parametrize("broken", ["missing", "wrong"])
+def test_classification_checks_survive_optimisation(monkeypatch, broken):
+    """A wrong classifying map raises a typed error, also under python -O."""
+    b = build_universe(("a", "b"))
+    right = b.u_morphism_id
+
+    def wrong(src, tgt, rho0):  # another morphism with the same ends
+        mid = right(src, tgt, rho0)
+        return next((n for n in b.U.base.hom(src, tgt) if n != mid), mid)
+
+    if broken == "missing":
+        monkeypatch.setattr(b, "u_morphism_id", lambda src, tgt, rho0: None)
+    else:
+        monkeypatch.setattr(b, "u_morphism_id", wrong)
+    with pytest.raises(InvariantViolated):
+        classify_small_fibration(double_cover_of_interval(), b)
 
 
 def test_classification_roundtrip_on_seeded_pullbacks():
