@@ -21,10 +21,10 @@ from .core import (
     discrete,
     empty_groupoid,
     find_isomorphism,
-    full_subgroupoid,
     identity_functor,
     interval,
     pullback,
+    subgroupoid,
     unit,
     validate_functor,
     validate_groupoid,

@@ -13,11 +13,14 @@ Conventions
   on this: a lookup in ``compose`` is its composability test.
 * All iteration orders are sorted by ID, so searches are deterministic and
   "least witness" always means lexicographically least.
-* Products and pullbacks name each pair ``(a,b)`` with :func:`pair_id`.
-  Pair IDs are labels only: nothing parses them back, the projections
-  ``pr1``/``pr2`` decode them. Names containing ``,`` or parentheses can
-  make two pairs share an ID; the construction then raises
-  ``MalformedDocument``.
+* One construction per concept. A product is the pullback of the two
+  functors to the point (:func:`terminal_functor`), and :func:`subgroupoid`
+  is the one restriction to a set of objects and morphisms (full, fixed
+  and fiber subgroupoids are all built with it).
+* Pullbacks name each pair ``(a,b)`` with :func:`pair_id`. Pair IDs are
+  labels only: nothing parses them back, the projections ``pr1``/``pr2``
+  decode them. Names containing ``,`` or parentheses can make two pairs
+  share an ID; the construction then raises ``MalformedDocument``.
 """
 
 from __future__ import annotations
@@ -208,20 +211,26 @@ def functors_equal(f: Functor, g: Functor) -> bool:
     return f.obj_map == g.obj_map and f.mor_map == g.mor_map
 
 
-def full_subgroupoid(G: Groupoid, objs) -> tuple[Groupoid, Functor]:
-    """The full subgroupoid on ``objs`` together with its inclusion."""
-    objs = tuple(sorted(set(objs)))
-    keep = set(objs)
-    morphisms = {m: st for m, st in G.morphisms.items() if st[0] in keep and st[1] in keep}
-    identity = {x: G.identity[x] for x in objs}
+def subgroupoid(G: Groupoid, objects, keep=None) -> tuple[Groupoid, Functor]:
+    """The subgroupoid on ``objects`` together with its inclusion.
+
+    It holds the morphisms of G between those objects that ``keep``
+    accepts (every one when ``keep`` is None: the full subgroupoid).
+    ``keep`` must accept the identities and be closed under composition
+    and inverses. Every table follows G's order.
+    """
+    objs = set(objects)
+    morphisms = {m: st for m, st in G.morphisms.items()
+                 if st[0] in objs and st[1] in objs and (keep is None or keep(m))}
+    identity = {x: G.identity[x] for x in sorted(objs)}
     compose = {
         (g, f): h
         for (g, f), h in G.compose.items()
         if g in morphisms and f in morphisms
     }
     inverse = {m: G.inverse[m] for m in morphisms}
-    sub = Groupoid(objs, morphisms, identity, compose, inverse)
-    incl = Functor(sub, G, {x: x for x in objs}, {m: m for m in morphisms})
+    sub = Groupoid(tuple(identity), morphisms, identity, compose, inverse)
+    incl = Functor(sub, G, {x: x for x in sub.objects}, {m: m for m in morphisms})
     return sub, incl
 
 
@@ -387,38 +396,26 @@ def pair_id(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-def _require_distinct_ids(what: str, n_ids: int, n_pairs: int) -> None:
+def _require_distinct_ids(n_ids: int, n_pairs: int) -> None:
     """Pair IDs are labels: two component pairs must not share one."""
     if n_ids != n_pairs:
         raise MalformedDocument(
-            f"{what}: {n_pairs - n_ids} pair ID(s) name more than one pair "
+            f"pullback: {n_pairs - n_ids} pair ID(s) name more than one pair "
             "(an object or morphism name contains ',' or parentheses)"
         )
 
 
+def terminal_functor(G: Groupoid, point: Groupoid | None = None) -> Functor:
+    """The unique functor from G to the point (``unit()`` unless given)."""
+    if point is None:
+        point = unit()
+    return Functor(G, point, {x: "*" for x in G.objects}, {m: "id(*)" for m in G.morphisms})
+
+
 def binary_product(G: Groupoid, H: Groupoid) -> tuple[Groupoid, Functor, Functor]:
-    objects = tuple(pair_id(x, y) for x in G.objects for y in H.objects)
-    morphisms = {}
-    for m in G.mor_ids():
-        for n in H.mor_ids():
-            morphisms[pair_id(m, n)] = (
-                pair_id(G.src(m), H.src(n)),
-                pair_id(G.tgt(m), H.tgt(n)),
-            )
-    identity = {pair_id(x, y): pair_id(G.ident(x), H.ident(y)) for x in G.objects for y in H.objects}
-    _require_distinct_ids("product", len(identity), len(objects))
-    _require_distinct_ids("product", len(morphisms), G.n_morphisms * H.n_morphisms)
-    compose = {}
-    for (g1, f1), h1 in G.compose.items():
-        for (g2, f2), h2 in H.compose.items():
-            compose[(pair_id(g1, g2), pair_id(f1, f2))] = pair_id(h1, h2)
-    inverse = {pair_id(m, n): pair_id(G.inv(m), H.inv(n)) for m in G.morphisms for n in H.morphisms}
-    P = Groupoid(objects, morphisms, identity, compose, inverse)
-    pr1 = Functor(P, G, {pair_id(x, y): x for x in G.objects for y in H.objects},
-                  {pair_id(m, n): m for m in G.morphisms for n in H.morphisms})
-    pr2 = Functor(P, H, {pair_id(x, y): y for x in G.objects for y in H.objects},
-                  {pair_id(m, n): n for m in G.morphisms for n in H.morphisms})
-    return P, pr1, pr2
+    """G × H: the pullback of the two functors to the point."""
+    point = unit()
+    return pullback(terminal_functor(G, point), terminal_functor(H, point))
 
 
 def coproduct(G: Groupoid, H: Groupoid) -> tuple[Groupoid, Functor, Functor]:
@@ -457,7 +454,7 @@ def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
     obj_pairs = {
         pair_id(x, y): (x, y) for x in A.objects for y in obj_match.get(f.obj_map[x], ())
     }
-    _require_distinct_ids("pullback", len(obj_pairs),
+    _require_distinct_ids(len(obj_pairs),
                           sum(len(obj_match.get(f.obj_map[x], ())) for x in A.objects))
     mor_match: dict[str, list[str]] = {}
     for n in B.mor_ids():
@@ -466,7 +463,7 @@ def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
     mor_pairs = {
         pair_id(m, n): (m, n) for m in mids for n in mor_match.get(f.mor_map[m], ())
     }
-    _require_distinct_ids("pullback", len(mor_pairs),
+    _require_distinct_ids(len(mor_pairs),
                           sum(len(mor_match.get(f.mor_map[m], ())) for m in mids))
     A_mor, B_mor, A_comp, B_comp = A.morphisms, B.morphisms, A.compose, B.compose
     morphisms: dict[str, tuple[str, str]] = {}

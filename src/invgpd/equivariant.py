@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .core import (
     Functor,
     Groupoid,
-    binary_product,
     compose_functors,
     coproduct,
     empty_groupoid,
@@ -36,11 +35,13 @@ from .core import (
     pair_id,
     pairing,
     pullback,
+    subgroupoid,
+    terminal_functor,
     unit,
     validate_functor,
     validate_groupoid,
 )
-from .errors import CodomainMismatch, InvalidAttachment, ShapeMismatch
+from .errors import CodomainMismatch, InvalidAttachment, InvariantViolated, ShapeMismatch
 
 
 @dataclass
@@ -151,22 +152,9 @@ def fixed_points(X: InvolutiveGroupoid) -> tuple[Groupoid, Groupoid]:
     The full one keeps every morphism between fixed objects; the strict
     one keeps only the fixed morphisms (it is the limit of the action).
     """
-    from .core import full_subgroupoid
-
     fixed = X.fixed_objects()
-    full_fixed, _ = full_subgroupoid(X.base, fixed)
-    keepm = {
-        m
-        for m in X.base.morphisms
-        if X.base.src(m) in fixed and X.base.tgt(m) in fixed and X.eta_mor(m) == m
-    }
-    morphisms = {m: X.base.morphisms[m] for m in keepm}
-    identity = {x: X.base.identity[x] for x in fixed}
-    compose = {
-        (g, f): h for (g, f), h in X.base.compose.items() if g in keepm and f in keepm
-    }
-    inverse = {m: X.base.inverse[m] for m in keepm}
-    strict = Groupoid(tuple(fixed), morphisms, identity, compose, inverse)
+    full_fixed, _ = subgroupoid(X.base, fixed)
+    strict, _ = subgroupoid(X.base, fixed, keep=lambda m: X.eta_mor(m) == m)
     return full_fixed, strict
 
 
@@ -290,23 +278,15 @@ REGISTRY = ShapeRegistry()
 
 def terminal_map(X: InvolutiveGroupoid) -> EquivariantFunctor:
     one = REGISTRY.one
-    obj_map = {x: "*" for x in X.base.objects}
-    mor_map = {m: "id(*)" for m in X.base.morphisms}
-    return EquivariantFunctor(X, one, Functor(X.base, one.base, obj_map, mor_map))
+    return EquivariantFunctor(X, one, terminal_functor(X.base, one.base))
 
 
 # -- pointwise limits and colimits -------------------------------------------
 
 
 def equivariant_product(X: InvolutiveGroupoid, Y: InvolutiveGroupoid):
-    P, pr1, pr2 = binary_product(X.base, Y.base)
-    inv = Functor(
-        P, P,
-        {o: pair_id(X.eta_obj(pr1.obj_map[o]), Y.eta_obj(pr2.obj_map[o])) for o in P.objects},
-        {m: pair_id(X.eta_mor(pr1.mor_map[m]), Y.eta_mor(pr2.mor_map[m])) for m in P.morphisms},
-    )
-    IP = InvolutiveGroupoid(P, inv)
-    return IP, EquivariantFunctor(IP, X, pr1), EquivariantFunctor(IP, Y, pr2)
+    """X × Y: the equivariant pullback of the two maps to the point."""
+    return equivariant_pullback(terminal_map(X), terminal_map(Y))
 
 
 def equivariant_coproduct(X: InvolutiveGroupoid, Y: InvolutiveGroupoid):
@@ -547,6 +527,7 @@ def extend_over_cell(
         )
     for m2, (u2, v2) in Y.base.morphisms.items():
         if m2 not in mor_map:  # only the identity of a point cell remains
-            assert u2 == v2
+            if u2 != v2:
+                raise InvariantViolated(f"{m2} is neither old, conjugated nor an identity")
             mor_map[m2] = B.base.ident(obj_map[u2])
     return EquivariantFunctor(Y, B, Functor(Y.base, B.base, obj_map, mor_map))

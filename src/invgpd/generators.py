@@ -24,13 +24,14 @@ from .core import (
     Groupoid,
     classify_functor,
     codiscrete,
-    full_subgroupoid,
+    subgroupoid,
 )
 from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
     validate_involutive,
 )
+from .errors import InvariantViolated
 from .search import iter_functors
 
 OBJ_NAMES = ("o0", "o1", "o2", "o3", "o4")
@@ -119,7 +120,8 @@ def involutive_catalog(max_objects: int = 3, vertex_z2: bool = False,
     for G in plain_catalog(max_objects, vertex_z2):
         for inv in involutions_of(G, budget):
             X = InvolutiveGroupoid(G, inv)
-            assert validate_involutive(X) == []
+            if validate_involutive(X):
+                raise InvariantViolated("the functor search found a non-involution")
             out.append(X)
     return out
 
@@ -209,14 +211,7 @@ def random_stable_equivalent_subgroupoid(
         if rng.random() < 0.4:
             keep.add(x)
             keep.add(B.eta_obj(x))
-    sub, incl = full_subgroupoid(B.base, sorted(keep))
-    inv = Functor(
-        sub, sub,
-        {x: B.eta_obj(x) for x in sub.objects},
-        {m: B.eta_mor(m) for m in sub.morphisms},
-    )
-    A = InvolutiveGroupoid(sub, inv)
-    return EquivariantFunctor(A, B, incl)
+    return _stable_subgroupoid(B, keep)
 
 
 def random_projective_trivial_cofibration(
@@ -224,12 +219,16 @@ def random_projective_trivial_cofibration(
 ) -> EquivariantFunctor:
     """Like the above, but the subgroupoid keeps every fixed point."""
     f = random_stable_equivalent_subgroupoid(rng, B)
-    keep = set(f.dom.base.objects) | set(B.fixed_objects())
-    sub, incl = full_subgroupoid(B.base, sorted(keep))
+    return _stable_subgroupoid(B, set(f.dom.base.objects) | set(B.fixed_objects()))
+
+
+def _stable_subgroupoid(B: InvolutiveGroupoid, objects) -> EquivariantFunctor:
+    """The full subgroupoid of B on an involution-stable set of objects,
+    with the restricted involution, included into B."""
+    sub, incl = subgroupoid(B.base, objects)
     inv = Functor(
         sub, sub,
         {x: B.eta_obj(x) for x in sub.objects},
         {m: B.eta_mor(m) for m in sub.morphisms},
     )
-    A = InvolutiveGroupoid(sub, inv)
-    return EquivariantFunctor(A, B, incl)
+    return EquivariantFunctor(InvolutiveGroupoid(sub, inv), B, incl)

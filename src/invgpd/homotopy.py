@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
-from .core import Functor, Groupoid, classify_functor, pair_id
+from .core import Functor, Groupoid, classify_functor, functors_equal, pair_id
 from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
@@ -51,16 +51,20 @@ class HomotopyWitness:
     g: EquivariantFunctor
 
 
+def po(phi: str) -> str:
+    """The path-object object (x, y, phi)."""
+    return f"po({phi})"
+
+
+def pm(phi: str, sigma: str, tau: str) -> str:
+    """The path-object morphism (sigma, tau) out of po(phi)."""
+    return f"pm({phi},{sigma},{tau})"
+
+
 def path_object(f: EquivariantFunctor) -> PathFactorization:
     """The canonical path object of f, with delta2∘delta1 = diagonal."""
     A, C = f.dom, f.cod
     GA = A.base
-
-    def po(phi):
-        return f"po({phi})"
-
-    def pm(phi, sigma, tau):
-        return f"pm({phi},{sigma},{tau})"
 
     objs = [m for m in GA.mor_ids() if C.base.is_identity(f.on_mor(m))]
     objects = tuple(sorted(po(m) for m in objs))
@@ -241,11 +245,9 @@ def witness_from_iso(f: EquivariantFunctor, g: EquivariantFunctor,
     """Package a natural isomorphism as a map into the tuple path object."""
     pf = path_object(over)
     GA = f.dom.base
-    obj_map = {a: f"po({nu[a]})" for a in GA.objects}
-    mor_map = {
-        alpha: f"pm({nu[GA.src(alpha)]},{f.on_mor(alpha)},{g.on_mor(alpha)})"
-        for alpha in GA.morphisms
-    }
+    obj_map = {a: po(nu[a]) for a in GA.objects}
+    mor_map = {alpha: pm(nu[GA.src(alpha)], f.on_mor(alpha), g.on_mor(alpha))
+               for alpha in GA.morphisms}
     H = EquivariantFunctor(f.dom, pf.path, Functor(GA, pf.path.base, obj_map, mor_map))
     return HomotopyWitness(H=H, f=f, g=g)
 
@@ -281,9 +283,7 @@ def find_right_homotopy(
         raise CodomainMismatch("homotopy needs parallel maps")
     if over is None:
         over = terminal_map(f.cod)
-    cf = eq_compose(over, f)
-    cg = eq_compose(over, g)
-    if cf.map.obj_map != cg.map.obj_map or cf.map.mor_map != cg.map.mor_map:
+    if not functors_equal(eq_compose(over, f).map, eq_compose(over, g).map):
         raise CodomainMismatch("maps do not agree over the base")
     budget = ensure_budget(budget)
     nu = find_natural_iso(f, g, over, strict_fixed=(tag == StructureTag.PROJECTIVE),

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .budget import Budget, ensure_budget
-from .core import classify_functor, compose_functors
+from .core import classify_functor, compose_functors, functors_equal
 from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
@@ -39,6 +39,7 @@ from .equivariant import (
     validate_equivariant,
 )
 from .errors import (
+    InvariantViolated,
     IterationCapExceeded,
     NonCommutingSquare,
     NotTrivialCofibration,
@@ -77,9 +78,8 @@ class LiftingProblem:
     bottom: EquivariantFunctor
 
     def check_commutes(self) -> None:
-        lhs = compose_functors(self.right.map, self.top.map)
-        rhs = compose_functors(self.bottom.map, self.left.map)
-        if lhs.obj_map != rhs.obj_map or lhs.mor_map != rhs.mor_map:
+        if not functors_equal(compose_functors(self.right.map, self.top.map),
+                              compose_functors(self.bottom.map, self.left.map)):
             raise NonCommutingSquare("p∘top != bottom∘i")
 
 
@@ -180,27 +180,23 @@ class OrthogonalityReport:
         return d
 
 
-def _normalize_maps(maps) -> list[tuple[str, EquivariantFunctor]]:
-    out = []
-    for k, m in enumerate(maps):
-        if isinstance(m, tuple):
-            out.append((m[0], as_equivariant(m[1])))
-        else:
-            out.append((f"map{k}", as_equivariant(m)))
-    return out
-
-
 def has_rlp(p, generators, budget: Budget | int | None = None) -> OrthogonalityReport:
-    """Does p have the right lifting property against every generator?"""
+    """Does p have the right lifting property against every generator?
+
+    ``generators`` is a list of ``(name, map)`` pairs; a failure's witness
+    names its generator."""
     p = as_equivariant(p)
-    pairs = [(name, gen, p) for name, gen in _normalize_maps(generators)]
+    pairs = [(name, as_equivariant(gen), p) for name, gen in generators]
     return _orthogonality(pairs, "generator", budget)
 
 
 def has_llp(i, tests, budget: Budget | int | None = None) -> OrthogonalityReport:
-    """Does i have the left lifting property against every test map?"""
+    """Does i have the left lifting property against every test map?
+
+    ``tests`` is a list of ``(name, map)`` pairs; a failure's witness
+    names its test map."""
     i = as_equivariant(i)
-    pairs = [(name, i, p) for name, p in _normalize_maps(tests)]
+    pairs = [(name, i, as_equivariant(p)) for name, p in tests]
     return _orthogonality(pairs, "test", budget)
 
 
@@ -348,6 +344,22 @@ class CellSequence:
         return X, incl
 
 
+def _glue_cell(X: InvolutiveGroupoid, comp: EquivariantFunctor, kind: str, data, fresh: str,
+               x: str, iso: str) -> tuple[InvolutiveGroupoid, EquivariantFunctor, EquivariantFunctor]:
+    """Attach one cell to X and extend ``comp: X -> B`` over it.
+
+    The cell's new object goes to ``x`` of B and its structure iso to
+    ``iso``; an Si cell's partner object and iso go to their η-images.
+    Returns the attached groupoid, its inclusion and the extended map.
+    """
+    X, incl, info = attach_cell(X, kind, data, fresh=fresh)
+    objs, isos = {info.new_objects[0]: x}, {info.struct_isos[0]: iso}
+    if kind == "Si":
+        objs[info.new_objects[1]] = comp.cod.eta_obj(x)
+        isos[info.struct_isos[1]] = comp.cod.eta_mor(iso)
+    return X, incl, extend_over_cell(comp, X, info, objs, isos)
+
+
 def decompose_trivial_cofibration(f, tag: StructureTag,
                                   budget: Budget | int | None = None) -> CellSequence:
     """Greedy cell decomposition of a trivial cofibration.
@@ -365,58 +377,37 @@ def decompose_trivial_cofibration(f, tag: StructureTag,
     comp = f
     X = f.dom
     seq = CellSequence(start=X)
-    k = 0
     while True:
         image = {comp.on_obj(x) for x in X.base.objects}
         missing = [x for x in B.base.objects if x not in image]
         if not missing:
             break
         x = missing[0]
-        choice = None
-        for y in X.base.objects:
-            for phi in B.base.hom(comp.on_obj(y), x):
-                choice = (y, phi)
-                break
-            if choice:
-                break
-        assert choice is not None, "essential surjectivity failed"
+        choice = next(((y, phi) for y in X.base.objects
+                       for phi in B.base.hom(comp.on_obj(y), x)), None)
+        if choice is None:
+            raise InvariantViolated("essential surjectivity failed")
         y, phi = choice
-        fixed = B.eta_obj(x) == x
         if tag == StructureTag.GPD:
-            X, incl, info = attach_cell(X, "i", y, fresh=f"c{k}")
-            comp = extend_over_cell(
-                comp, X, info, {info.new_objects[0]: x}, {info.struct_isos[0]: phi}
-            )
-            seq.steps.append(("i", y))
-        elif fixed:
+            kind, data, iso = "i", y, phi
+        elif B.eta_obj(x) != x:
+            kind, data, iso = "Si", y, phi
+        else:
             if tag == StructureTag.PROJECTIVE:
                 raise NotTrivialCofibration(
                     "projective trivial cofibrations hit every fixed point"
                 )
-            beta_phi = B.eta_mor(phi)
-            m_B = B.base.comp(B.base.inv(beta_phi), phi)  # comp(y) -> comp(eta y)
-            pre = [
-                m for m in X.base.hom(y, X.eta_obj(y)) if comp.on_mor(m) == m_B
-            ]
-            assert len(pre) == 1, "fully faithful comparison expected"
-            m_X = pre[0]
-            X, incl, info = attach_cell(X, "iprime", m_X, fresh=f"c{k}")
-            comp = extend_over_cell(
-                comp, X, info, {info.new_objects[0]: x}, {info.struct_isos[0]: beta_phi}
-            )
-            seq.steps.append(("iprime", m_X))
-        else:
-            X, incl, info = attach_cell(X, "Si", y, fresh=f"c{k}")
-            n0, n1 = info.new_objects
-            c0, c1 = info.struct_isos
-            comp = extend_over_cell(
-                comp, X, info,
-                {n0: x, n1: B.eta_obj(x)},
-                {c0: phi, c1: B.eta_mor(phi)},
-            )
-            seq.steps.append(("Si", y))
-        assert validate_equivariant(comp) == []
-        k += 1
+            iso = B.eta_mor(phi)
+            m_B = B.base.comp(B.base.inv(iso), phi)  # comp(y) -> comp(eta y)
+            pre = [m for m in X.base.hom(y, X.eta_obj(y)) if comp.on_mor(m) == m_B]
+            if len(pre) != 1:
+                raise InvariantViolated("fully faithful comparison expected")
+            kind, data = "iprime", pre[0]
+        X, _, comp = _glue_cell(X, comp, kind, data, f"c{len(seq.steps)}", x, iso)
+        seq.steps.append((kind, data))
+        problems = validate_equivariant(comp)
+        if problems:
+            raise InvariantViolated(f"extended comparison: {'; '.join(problems[:3])}")
     return seq
 
 
@@ -455,31 +446,13 @@ def factorize(f, tag: StructureTag, max_gluing_steps: int = 8,
             for g, h in iter_squares(gen, q, budget):
                 squares.append((name, g, h))
         for idx, (name, g, h) in enumerate(squares):
-            fresh = f"g{step}.{idx}"
             if name == "i":
-                data = g.on_obj("*")
-                X, incl, info = attach_cell(X, "i", data, fresh=fresh)
-                q = extend_over_cell(
-                    q, X, info, {info.new_objects[0]: h.on_obj("1")},
-                    {info.struct_isos[0]: h.on_mor("phi")},
-                )
+                data, x, iso = g.on_obj("*"), h.on_obj("1"), h.on_mor("phi")
             elif name == "Si":
-                data = g.on_obj("l:*")
-                X, incl, info = attach_cell(X, "Si", data, fresh=fresh)
-                n0, n1 = info.new_objects
-                c0, c1 = info.struct_isos
-                q = extend_over_cell(
-                    q, X, info,
-                    {n0: h.on_obj("l:1"), n1: h.on_obj("r:1")},
-                    {c0: h.on_mor("l:phi"), c1: h.on_mor("r:phi")},
-                )
+                data, x, iso = g.on_obj("l:*"), h.on_obj("l:1"), h.on_mor("l:phi")
             else:  # iprime
-                data = g.on_mor("phi")
-                X, incl, info = attach_cell(X, "iprime", data, fresh=fresh)
-                q = extend_over_cell(
-                    q, X, info, {info.new_objects[0]: h.on_obj("2")},
-                    {info.struct_isos[0]: h.on_mor("psi")},
-                )
+                data, x, iso = g.on_mor("phi"), h.on_obj("2"), h.on_mor("psi")
+            X, incl, q = _glue_cell(X, q, name, data, f"g{step}.{idx}", x, iso)
             j = eq_compose(incl, j)
             cells += 1
     raise IterationCapExceeded(

@@ -6,7 +6,9 @@ of the right adjoint on f is built exactly from its finite data:
 * objects are pairs (y, s) of a base object and a partial section of f
   over the fiber of g at y (objects over y, morphisms over the identity),
 * morphisms are pairs (u, v) of a base morphism and a transport, i.e. a
-  functor from the pullback of the walking isomorphism at u to C over A,
+  functor from the pullback of the walking isomorphism at u to C over A;
+  a transport's cells are the pullback's pairs (a, w) of a morphism of A
+  and one of the interval, addressed through ``core.pair_id`` only,
 * composition stitches two transports using a chosen lift of the first
   base morphism; the result does not depend on the lift (an invariant
   re-checkable with ``lift_independent``), and associativity is verified
@@ -28,9 +30,12 @@ from .core import (
     Groupoid,
     classify_functor,
     compose_functors,
+    functors_equal,
     interval,
     lifts_of,
+    pair_id,
     pullback,
+    subgroupoid,
 )
 from .equivariant import (
     EquivariantFunctor,
@@ -39,7 +44,7 @@ from .equivariant import (
     validate_equivariant,
     validate_involutive,
 )
-from .errors import MalformedSliceMorphism, NotAFibration
+from .errors import InvariantViolated, MalformedSliceMorphism, NotAFibration
 from .search import iter_functors
 
 
@@ -66,35 +71,26 @@ class PiBundle:
     fibers: dict[str, Groupoid]
     # base morphism u -> the pullback g*u with its projections to A and to I
     pullbacks: dict[str, tuple[Groupoid, Functor, Functor]]
+    # base object y -> section key -> object; base morphism u -> transport key -> morphism
+    section_ids: dict[str, dict[tuple, str]]
+    transport_ids: dict[str, dict[tuple, str]]
 
     def object_id(self, y: str, section_obj: dict, section_mor: dict) -> str | None:
         """Find the object with the given base point and section data."""
-        for oid, info in self.objects_info.items():
-            if info.base_point == y and info.section.obj_map == section_obj \
-                    and info.section.mor_map == section_mor:
-                return oid
-        return None
-
-
-def _functor_key(F: Functor) -> tuple:
-    return (tuple(sorted(F.obj_map.items())), tuple(sorted(F.mor_map.items())))
+        return self.section_ids[y].get(_dict_key(section_obj, section_mor))
 
 
 def _dict_key(obj_map: dict, mor_map: dict) -> tuple:
     return (tuple(sorted(obj_map.items())), tuple(sorted(mor_map.items())))
 
 
-def fiber_groupoid(g: EquivariantFunctor, y: str) -> Groupoid:
-    """Objects of A over y and morphisms of A over the identity of y."""
+def fiber_groupoid(g: EquivariantFunctor, y: str) -> tuple[Groupoid, Functor]:
+    """Objects of A over y and morphisms of A over the identity of y,
+    with the inclusion into A."""
     A = g.dom.base
-    objs = tuple(x for x in A.objects if g.on_obj(x) == y)
     idy = g.cod.base.ident(y)
-    keep = {m for m in A.morphisms if g.on_mor(m) == idy}
-    morphisms = {m: A.morphisms[m] for m in keep}
-    identity = {x: A.identity[x] for x in objs}
-    compose = {(a, b): c for (a, b), c in A.compose.items() if a in keep and b in keep}
-    inverse = {m: A.inverse[m] for m in keep}
-    return Groupoid(objs, morphisms, identity, compose, inverse)
+    return subgroupoid(A, [x for x in A.objects if g.on_obj(x) == y],
+                       keep=lambda m: g.on_mor(m) == idy)
 
 
 def interval_functor(B: Groupoid, u: str) -> Functor:
@@ -121,16 +117,16 @@ def _transport_key(pb: tuple[Groupoid, Functor, Functor], on_obj, on_mor) -> tup
 def _stitch(GA: Groupoid, GC: Groupoid, v1: Functor, v2: Functor, h: str, lift: str) -> str:
     """The composite transport's value at (h, phi): v1 along ``lift`` (a
     lift of the first base morphism at src h), then v2 along the rest of h."""
-    first = v1.mor_map[f"({lift},phi)"]
-    rest = v2.mor_map[f"({GA.comp(h, GA.inv(lift))},phi)"]
+    first = v1.mor_map[pair_id(lift, "phi")]
+    rest = v2.mor_map[pair_id(GA.comp(h, GA.inv(lift)), "phi")]
     return GC.comp(rest, first)
 
 
 def _restrict(v: Functor, fib: Groupoid, end: str) -> tuple:
     """Key of the section obtained by restricting a transport to one end."""
     idm = f"id({end})"
-    obj = {x: v.obj_map[f"({x},{end})"] for x in fib.objects}
-    mor = {m: v.mor_map[f"({m},{idm})"] for m in fib.morphisms}
+    obj = {x: v.obj_map[pair_id(x, end)] for x in fib.objects}
+    mor = {m: v.mor_map[pair_id(m, idm)] for m in fib.morphisms}
     return _dict_key(obj, mor)
 
 
@@ -150,22 +146,19 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
     A, B, C = g.dom, g.cod, f.dom
     GA, GB, GC = A.base, B.base, C.base
 
-    fibers: dict[str, Groupoid] = {y: fiber_groupoid(g, y) for y in GB.objects}
-
     # sections over each base object
-    sections: dict[str, list[Functor]] = {}
+    fibers: dict[str, Groupoid] = {}
     section_ids: dict[str, dict[tuple, str]] = {}
     objects_info: dict[str, PiObject] = {}
     for y in GB.objects:
-        fib = fibers[y]
-        incl = Functor(fib, GA, {x: x for x in fib.objects}, {m: m for m in fib.morphisms})
+        fib, incl = fiber_groupoid(g, y)
+        fibers[y] = fib
         found = list(iter_functors(fib, GC, post=(f.map, incl), budget=budget))
-        sections[y] = found
         section_ids[y] = {}
         for k, s in enumerate(found):
             oid = f"sec({y};{k})"
             objects_info[oid] = PiObject(y, s)
-            section_ids[y][_functor_key(s)] = oid
+            section_ids[y][_dict_key(s.obj_map, s.mor_map)] = oid
 
     # transports over each base morphism
     pullbacks: dict[str, tuple[Groupoid, Functor, Functor]] = {}
@@ -180,16 +173,17 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
         for k, v in enumerate(found):
             mid = f"tr({u};{k})"
             morphisms_info[mid] = PiMorphism(u, v)
-            transport_ids[u][_functor_key(v)] = mid
+            transport_ids[u][_dict_key(v.obj_map, v.mor_map)] = mid
             src_id = section_ids[GB.src(u)].get(_restrict(v, fibers[GB.src(u)], "0"))
             tgt_id = section_ids[GB.tgt(u)].get(_restrict(v, fibers[GB.tgt(u)], "1"))
-            assert src_id is not None and tgt_id is not None, "transport ends are sections"
+            if src_id is None or tgt_id is None:
+                raise InvariantViolated(f"an end of transport {mid} is no section")
             mor_table[mid] = (src_id, tgt_id)
 
     def find_transport(u: str, on_obj, on_mor, what: str) -> str:
         mid = transport_ids[u].get(_transport_key(pullbacks[u], on_obj, on_mor))
         if mid is None:
-            raise AssertionError(f"{what} is not among the transports at {u}")
+            raise InvariantViolated(f"{what} is not among the transports at {u}")
         return mid
 
     # identities: the section itself, read as a transport over the identity
@@ -217,13 +211,13 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
             return _stitch(GA, GC, v1, v2, h, least_lift(u1, GA.src(h)))
 
         def on_obj(x: str, e: str) -> str:
-            return v1.obj_map[f"({x},0)"] if e == "0" else v2.obj_map[f"({x},1)"]
+            return (v1 if e == "0" else v2).obj_map[pair_id(x, e)]
 
         def on_mor(h: str, w: str) -> str:
             if w == "id(0)":
-                return v1.mor_map[f"({h},id(0))"]
+                return v1.mor_map[pair_id(h, w)]
             if w == "id(1)":
-                return v2.mor_map[f"({h},id(1))"]
+                return v2.mor_map[pair_id(h, w)]
             if w == "phi":
                 return along_phi(h)
             return GC.inv(along_phi(GA.inv(h)))
@@ -251,8 +245,8 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
         v = morphisms_info[mid].transport
         inverse[mid] = find_transport(
             GB.inv(morphisms_info[mid].base_morphism),
-            lambda x, e: v.obj_map[f"({x},{flip[e]})"],
-            lambda h, w: v.mor_map[f"({h},{flip[w]})"],
+            lambda x, e: v.obj_map[pair_id(x, flip[e])],
+            lambda h, w: v.mor_map[pair_id(h, flip[w])],
             f"inverse of {mid}",
         )
 
@@ -268,15 +262,16 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
         s_obj = {x: gamma.obj_map[s.obj_map[alpha.obj_map[x]]] for x in fib2.objects}
         s_mor = {m: gamma.mor_map[s.mor_map[alpha.mor_map[m]]] for m in fib2.morphisms}
         target = section_ids[y2].get(_dict_key(s_obj, s_mor))
-        assert target is not None, "involution image of a section is a section"
+        if target is None:
+            raise InvariantViolated(f"the involution image of {oid} is no section")
         inv_obj[oid] = target
     inv_mor: dict[str, str] = {}
     for mid in mids:
         v = morphisms_info[mid].transport
         inv_mor[mid] = find_transport(
             beta.mor_map[morphisms_info[mid].base_morphism],
-            lambda x, e: gamma.obj_map[v.obj_map[f"({alpha.obj_map[x]},{e})"]],
-            lambda h, w: gamma.mor_map[v.mor_map[f"({alpha.mor_map[h]},{w})"]],
+            lambda x, e: gamma.obj_map[v.obj_map[pair_id(alpha.obj_map[x], e)]],
+            lambda h, w: gamma.mor_map[v.mor_map[pair_id(alpha.mor_map[h], w)]],
             f"involution image of {mid}",
         )
     dom_pi = InvolutiveGroupoid(dom, Functor(dom, dom, inv_obj, inv_mor))
@@ -293,10 +288,13 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
         g=g, f=f, dom_pi=dom_pi, projection=projection,
         objects_info=objects_info, morphisms_info=morphisms_info,
         fibers=fibers, pullbacks=pullbacks,
+        section_ids=section_ids, transport_ids=transport_ids,
     )
     if check:
         problems = validate_involutive(dom_pi) + validate_equivariant(projection)
-        assert not problems, "dependent product structure law failure: " + "; ".join(problems[:3])
+        if problems:
+            raise InvariantViolated(
+                "dependent product structure law failure: " + "; ".join(problems[:3]))
     return bundle
 
 
@@ -332,14 +330,12 @@ def lift_independent(bundle: PiBundle, budget: Budget | int | None = None) -> bo
 
 def pullback_along(g: EquivariantFunctor, h: EquivariantFunctor):
     """g*h: the pullback of h: D -> B along g: A -> B, projecting to A."""
-    P, prA, prD = equivariant_pullback(g, h)
-    return P, prA, prD
+    return equivariant_pullback(g, h)
 
 
 def check_slice_over(m: EquivariantFunctor, a: EquivariantFunctor, b: EquivariantFunctor) -> None:
     """Require b∘m = a (m is a slice morphism from a to b)."""
-    comp = compose_functors(b.map, m.map)
-    if comp.obj_map != a.map.obj_map or comp.mor_map != a.map.mor_map:
+    if not functors_equal(compose_functors(b.map, m.map), a.map):
         raise MalformedSliceMorphism("triangle does not commute")
 
 
@@ -362,16 +358,13 @@ def adjunction_forward(bundle: PiBundle, h: EquivariantFunctor,
     for x in D.objects:
         y = h.on_obj(x)
         fib = bundle.fibers[y]
-        s_obj = {z: v.map.obj_map[f"({z},{x})"] for z in fib.objects}
-        s_mor = {t: v.map.mor_map[f"({t},{D.ident(x)})"] for t in fib.morphisms}
+        s_obj = {z: v.map.obj_map[pair_id(z, x)] for z in fib.objects}
+        s_mor = {t: v.map.mor_map[pair_id(t, D.ident(x))] for t in fib.morphisms}
         oid = bundle.object_id(y, s_obj, s_mor)
-        assert oid is not None, "transposed object is a section"
+        if oid is None:
+            raise InvariantViolated(f"the transpose at {x} is no section")
         obj_map[x] = oid
 
-    transport_lookup = {
-        (info.base_morphism, _functor_key(info.transport)): mid
-        for mid, info in bundle.morphisms_info.items()
-    }
     mor_map: dict[str, str] = {}
     for u in D.mor_ids():
         bu = h.on_mor(u)
@@ -380,11 +373,12 @@ def adjunction_forward(bundle: PiBundle, h: EquivariantFunctor,
         along = {"id(0)": D.ident(x), "id(1)": D.ident(x2), "phi": u, "inv(phi)": D.inv(u)}
         key = _transport_key(
             bundle.pullbacks[bu],
-            lambda z, e: v.map.obj_map[f"({z},{ends[e]})"],
-            lambda t, w: v.map.mor_map[f"({t},{along[w]})"],
+            lambda z, e: v.map.obj_map[pair_id(z, ends[e])],
+            lambda t, w: v.map.mor_map[pair_id(t, along[w])],
         )
-        mid = transport_lookup.get((bu, key))
-        assert mid is not None, "transposed morphism is a transport"
+        mid = bundle.transport_ids[bu].get(key)
+        if mid is None:
+            raise InvariantViolated(f"the transpose along {u} is no transport")
         mor_map[u] = mid
     k = EquivariantFunctor(h.dom, bundle.dom_pi, Functor(D, bundle.dom_pi.base, obj_map, mor_map))
     check_slice_over(k, h, bundle.projection)
@@ -408,7 +402,7 @@ def adjunction_backward(bundle: PiBundle, h: EquivariantFunctor,
     for m in P.base.morphisms:
         t = prA.on_mor(m)
         tr = bundle.morphisms_info[k.on_mor(prD.on_mor(m))].transport
-        mor_map[m] = tr.mor_map[f"({t},phi)"]
+        mor_map[m] = tr.mor_map[pair_id(t, "phi")]
     v = EquivariantFunctor(P, f.dom, Functor(P.base, f.dom.base, obj_map, mor_map))
     check_slice_over(v, prA, f)
     return v

@@ -34,6 +34,7 @@ from .core import (
     Groupoid,
     classify_functor,
     compose_functors,
+    functors_equal,
     lifts_of,
     pair_id,
 )
@@ -340,8 +341,7 @@ def classify_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle,
     if (len(set(chi_obj.values())) != PB.base.n_objects
             or len(set(chi_mor.values())) != PB.base.n_morphisms):
         raise InvariantViolated("comparison map is not bijective")
-    comp = compose_functors(prB.map, chi.map)
-    if comp.obj_map != f.map.obj_map or comp.mor_map != f.map.mor_map:
+    if not functors_equal(compose_functors(prB.map, chi.map), f.map):
         raise InvariantViolated("comparison map does not lie over the base")
     return SmallClassification(classifying=g, pullback=PB, pullback_map=prB, chi=chi)
 

@@ -1,11 +1,16 @@
 """Groupoid and functor layer: validation, predicates, finite (co)limits."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
+import invgpd
 from invgpd.core import (
     Functor,
     Groupoid,
@@ -22,12 +27,15 @@ from invgpd.core import (
     pair_id,
     pairing,
     pullback,
+    subgroupoid,
     unit,
     validate_functor,
     validate_groupoid,
 )
+from invgpd.equivariant import equivariant_product, fixed_points, terminal_map
 from invgpd.errors import CodomainMismatch, MalformedDocument, MalformedFunctor
-from invgpd.generators import plain_catalog
+from invgpd.generators import involutive_catalog, plain_catalog
+from invgpd.pi import fiber_groupoid
 from invgpd.search import count_functors, iter_functors
 
 
@@ -159,6 +167,106 @@ def test_colliding_pair_ids_are_malformed():
         binary_product(A, B)
     with pytest.raises(MalformedDocument):
         pullback(bang(A), bang(B))
+
+
+def all_pairs_product(G, H):
+    """G × H by its definition: all pairs of objects and of morphisms, with
+    identities, composites, inverses and projections taken componentwise."""
+    pairs = [(m, n) for m in G.mor_ids() for n in H.mor_ids()]
+    obj_pairs = [(x, y) for x in G.objects for y in H.objects]
+    return {
+        "objects": tuple(sorted(pair_id(x, y) for x, y in obj_pairs)),
+        "morphisms": [(pair_id(m, n), (pair_id(G.src(m), H.src(n)), pair_id(G.tgt(m), H.tgt(n))))
+                      for m, n in pairs],
+        "identity": [(pair_id(x, y), pair_id(G.ident(x), H.ident(y))) for x, y in obj_pairs],
+        "compose": {(pair_id(g1, g2), pair_id(f1, f2)): pair_id(h1, h2)
+                    for (g1, f1), h1 in G.compose.items() for (g2, f2), h2 in H.compose.items()},
+        "inverse": {pair_id(m, n): pair_id(G.inv(m), H.inv(n)) for m, n in pairs},
+        "pr1": ({pair_id(x, y): x for x, y in obj_pairs}, {pair_id(m, n): m for m, n in pairs}),
+        "pr2": ({pair_id(x, y): y for x, y in obj_pairs}, {pair_id(m, n): n for m, n in pairs}),
+    }
+
+
+def assert_is_product(P, pr1, pr2, G, H):
+    want = all_pairs_product(G, H)
+    assert P.objects == want["objects"]
+    assert list(P.morphisms.items()) == want["morphisms"]
+    assert list(P.identity.items()) == want["identity"]
+    assert P.compose == want["compose"]
+    assert P.inverse == want["inverse"]
+    for pr, cod, name in ((pr1, G, "pr1"), (pr2, H, "pr2")):
+        assert pr.dom is P and pr.cod is cod
+        assert (pr.obj_map, pr.mor_map) == want[name]
+
+
+def test_binary_product_matches_all_pairs_definition():
+    catalog = plain_catalog(2, vertex_z2=True)
+    for G in catalog:
+        for H in catalog:
+            assert_is_product(*binary_product(G, H), G, H)
+
+
+def test_equivariant_product_matches_all_pairs_definition():
+    catalog = involutive_catalog(2)
+    for X in catalog:
+        for Y in catalog:
+            IP, pr1, pr2 = equivariant_product(X, Y)
+            assert pr1.dom is IP and pr1.cod is X and pr2.dom is IP and pr2.cod is Y
+            P = IP.base
+            assert_is_product(P, pr1.map, pr2.map, X.base, Y.base)
+            eta = IP.involution
+            assert eta.dom is P and eta.cod is P
+            assert eta.obj_map == {pair_id(x, y): pair_id(X.eta_obj(x), Y.eta_obj(y))
+                                   for x in X.objects for y in Y.objects}
+            assert eta.mor_map == {pair_id(m, n): pair_id(X.eta_mor(m), Y.eta_mor(n))
+                                   for m in X.base.morphisms for n in Y.base.morphisms}
+
+
+def test_subgroupoids_follow_the_groupoid_order():
+    """Full, strict fixed and fiber subgroupoids: valid, and every table in
+    the order of the groupoid they restrict."""
+    for X in involutive_catalog(2, vertex_z2=True):
+        G = X.base
+        full, strict = fixed_points(X)
+        fiber, incl = fiber_groupoid(terminal_map(X), "*")
+        assert incl.dom is fiber and incl.cod is G
+        assert subgroupoid(G, G.objects)[0] == G == fiber
+        assert set(full.objects) == set(strict.objects) == set(X.fixed_objects())
+        assert set(strict.morphisms) == set(X.fixed_morphisms())
+        for S in (full, strict, fiber):
+            assert validate_groupoid(S) == []
+            assert list(S.morphisms) == [m for m in G.morphisms if m in S.morphisms]
+            assert list(S.compose) == [k for k in G.compose if k in S.compose]
+            assert list(S.inverse) == [m for m in G.inverse if m in S.inverse]
+
+
+SUBGROUPOID_ORDER = """
+import json
+from invgpd.equivariant import fixed_points, terminal_map
+from invgpd.generators import involutive_catalog
+from invgpd.pi import fiber_groupoid
+
+tables = []
+for X in involutive_catalog(2, vertex_z2=True):
+    for S in (fixed_points(X)[1], fiber_groupoid(terminal_map(X), "*")[0]):
+        tables.append([list(S.morphisms), list(S.identity), list(S.compose), list(S.inverse)])
+print(json.dumps(tables))
+"""
+
+
+def test_subgroupoid_order_does_not_depend_on_the_hash_seed():
+    """The strict fixed and the fiber subgroupoid come out in the same key
+    order under two string-hash seeds (the core determinism promise)."""
+    src = str(Path(invgpd.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", SUBGROUPOID_ORDER], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_pullback_universal_property_unique_mediator():

@@ -1,4 +1,5 @@
-"""Source hygiene: every import in the package is used."""
+"""Source hygiene: every import in the package is used, and no invariant
+check is an ``assert`` (``python -O`` would drop it)."""
 
 import ast
 from pathlib import Path
@@ -36,4 +37,14 @@ def test_no_unused_imports():
         names = unused_imports(path.read_text(encoding="utf-8"))
         if names:
             found[path.name] = names
+    assert found == {}
+
+
+def test_no_assert_statements():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        if lines:
+            found[path.name] = lines
     assert found == {}

@@ -1,8 +1,14 @@
 """Dependent products: the explicit construction and its adjunction."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import invgpd
 
 from invgpd.core import Functor, classify_functor, find_isomorphism
 from invgpd.equivariant import (
@@ -180,3 +186,29 @@ def test_pi_validates_structure():
     bundle = pi_of(g, f, check=True)
     assert validate_involutive(bundle.dom_pi) == []
     assert validate_equivariant(bundle.projection) == []
+
+
+BROKEN_PI = """
+import sys
+from invgpd import pi
+from invgpd.errors import InvariantViolated
+from invgpd.universe import funext_instance
+
+pi.{name} = lambda *args: ()  # a key no section or transport has
+try:
+    pi.pi_of(*funext_instance())
+except InvariantViolated:
+    print(sys.flags.optimize, "InvariantViolated")
+"""
+
+
+@pytest.mark.parametrize("broken", ["_restrict", "_transport_key"])
+def test_pi_of_checks_survive_optimisation(broken):
+    """A transport end or transport that matches nothing raises
+    InvariantViolated under python -O, where asserts would not run."""
+    src = str(Path(invgpd.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_PI.replace("{name}", broken)],
+                          env=env, capture_output=True, text=True)
+    assert proc.stdout.split() == ["1", "InvariantViolated"], proc.stderr
