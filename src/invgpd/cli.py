@@ -310,7 +310,7 @@ def cmd_decompose(args, rep: Reporter) -> None:
     doc = merged_document(args.file)
     f = as_equivariant(resolve_functor(doc, args.target))
     tag = StructureTag(args.structure)
-    seq = decompose_trivial_cofibration(f, tag, rep.budget)
+    seq = decompose_trivial_cofibration(f, tag)
     rep.add(
         f"decompose {args.target} ({tag.value})",
         "PASS",

@@ -13,6 +13,11 @@ Conventions
   on this: a lookup in ``compose`` is its composability test.
 * All iteration orders are sorted by ID, so searches are deterministic and
   "least witness" always means lexicographically least.
+* Derived indexes (a groupoid's hom-sets, its per-morphism composite
+  table and whether its identities obey the unit laws; whether a functor
+  preserves identities) are built once per value and cached on it. That
+  is sound only because values are immutable after construction: tables
+  must not be edited once a groupoid or functor is built.
 * One construction per concept. A product is the pullback of the two
   functors to the point (:func:`terminal_functor`), and :func:`subgroupoid`
   is the one restriction to a set of objects and morphisms (full, fixed
@@ -50,6 +55,10 @@ class Groupoid:
     _hom: dict[tuple[str, str], tuple[str, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _composites: dict[str, dict[str, str]] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _unital: bool | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.objects = tuple(sorted(self.objects))
@@ -79,6 +88,40 @@ class Groupoid:
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom.get((x, y), ())
 
+    def composite_table(self) -> dict[str, dict[str, str]]:
+        """``g -> {f: g∘f}`` for every morphism g; built on first use."""
+        if self._composites is None:
+            table: dict[str, dict[str, str]] = {m: {} for m in self.morphisms}
+            for (g, f), h in self.compose.items():
+                row = table.get(g)
+                if row is not None:
+                    row[f] = h
+            self._composites = table
+        return self._composites
+
+    def identities_are_units(self) -> bool:
+        """Is every identity a distinct endomorphism of its object, its own
+        inverse and a two-sided unit? Checked on first use; never raises,
+        so a law-breaking groupoid just reads False. Like the functor
+        search, it takes ``compose`` to be defined exactly on the
+        composable pairs."""
+        if self._unital is None:
+            self._unital = self._check_units()
+        return self._unital
+
+    def _check_units(self) -> bool:
+        ident, mor, comp, inv = self.identity, self.morphisms, self.compose, self.inverse
+        if set(ident) != set(self.objects) or len(set(ident.values())) != len(ident):
+            return False
+        for x, i in ident.items():
+            if mor.get(i) != (x, x) or inv.get(i) != i:
+                return False
+        for m, (s, t) in mor.items():
+            i, j = ident.get(s), ident.get(t)
+            if i is None or j is None or comp.get((m, i)) != m or comp.get((j, m)) != m:
+                return False
+        return True
+
     def is_identity(self, m: str) -> bool:
         s, t = self.morphisms[m]
         return s == t and self.identity.get(s) == m
@@ -106,12 +149,28 @@ class Functor:
     cod: Groupoid
     obj_map: dict[str, str]
     mor_map: dict[str, str]
+    _keeps_identities: bool | None = field(init=False, repr=False, compare=False, default=None)
 
     def on_obj(self, x: str) -> str:
         return self.obj_map[x]
 
     def on_mor(self, m: str) -> str:
         return self.mor_map[m]
+
+    def preserves_identities(self) -> bool:
+        """Does every identity of dom go to the identity of its object's
+        image? Checked on first use; never raises."""
+        if self._keeps_identities is None:
+            self._keeps_identities = self._check_identities()
+        return self._keeps_identities
+
+    def _check_identities(self) -> bool:
+        cod_ident, obj_map, mor_map = self.cod.identity, self.obj_map, self.mor_map
+        for x, i in self.dom.identity.items():
+            j = cod_ident.get(obj_map.get(x))
+            if j is None or mor_map.get(i) != j:
+                return False
+        return True
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Functor({self.dom!r} -> {self.cod!r})"

@@ -27,6 +27,10 @@ A document is UTF-8 text made of sections::
       top id_icheck
       bottom nabla_to_point
 
+Every image an ``involutive`` or ``functor`` section gives (or derives)
+must be an object or morphism of its codomain; a name that is not is a
+structural error, rejected at load time.
+
 Identities are created automatically as ``id(x)`` unless an explicit
 ``identity`` line names one (which ``dumps`` writes only for identities
 not named ``id(x)``), inverses of declared morphisms as ``inv(m)``
@@ -206,6 +210,8 @@ def _complete_involution(name: str, G: Groupoid, omap: dict, mmap: dict) -> Func
                 raise MalformedDocument(
                     f"involutive {name}: no image declared for morphism {m}"
                 )
+        if mor_map[m] not in G.morphisms:
+            raise MalformedDocument(f"involutive {name}: image of {m} is not a morphism")
     return Functor(G, G, obj_map, mor_map)
 
 
@@ -227,9 +233,13 @@ def _complete_functor(name: str, dom: Groupoid, cod: Groupoid,
             if m in mor_map and dom.inv(m) not in mor_map and mor_map[m] in cod.inverse:
                 mor_map[dom.inv(m)] = cod.inv(mor_map[m])
                 changed = True
-    missing = [m for m in dom.mor_ids() if m not in mor_map]
+    mids = dom.mor_ids()
+    missing = [m for m in mids if m not in mor_map]
     if missing:
         raise MalformedDocument(f"functor {name}: no image for morphisms {missing}")
+    for m in mids:
+        if mor_map[m] not in cod.morphisms:
+            raise MalformedDocument(f"functor {name}: image of {m} is not a morphism")
     return Functor(dom, cod, obj_map, mor_map)
 
 

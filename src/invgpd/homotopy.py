@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
-from .core import Functor, Groupoid, classify_functor, functors_equal, pair_id
+from .core import Functor, Groupoid, classify_functor, functors_equal, pair_id, subgroupoid
 from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
@@ -25,7 +25,6 @@ from .equivariant import (
     eq_identity,
     eq_pairing,
     equivariant_pullback,
-    fixed_points,
     terminal_map,
 )
 from .errors import CodomainMismatch
@@ -295,8 +294,8 @@ def find_right_homotopy(
 
 def full_fixed_isomorphism(f: EquivariantFunctor) -> bool:
     """Does f restrict to an isomorphism of the full fixed subgroupoids?"""
-    Gf, _ = fixed_points(f.dom)
-    Hf, _ = fixed_points(f.cod)
+    Gf, _ = subgroupoid(f.dom.base, f.dom.fixed_objects())
+    Hf, _ = subgroupoid(f.cod.base, f.cod.fixed_objects())
     objs = [f.on_obj(x) for x in Gf.objects]
     if len(set(objs)) != len(objs) or set(objs) != set(Hf.objects):
         return False

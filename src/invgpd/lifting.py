@@ -360,15 +360,15 @@ def _glue_cell(X: InvolutiveGroupoid, comp: EquivariantFunctor, kind: str, data,
     return X, incl, extend_over_cell(comp, X, info, objs, isos)
 
 
-def decompose_trivial_cofibration(f, tag: StructureTag,
-                                  budget: Budget | int | None = None) -> CellSequence:
+def decompose_trivial_cofibration(f, tag: StructureTag) -> CellSequence:
     """Greedy cell decomposition of a trivial cofibration.
 
     Repeatedly picks the least object of the codomain missing from the
     image and attaches the cell dictated by its fixed/non-fixed status:
     an interval cell for plain groupoids, a swapped pair for a non-fixed
     object, a fixed-point cell (attached along a morphism m with
-    eta(m) = inv(m)) for a fixed one.
+    eta(m) = inv(m)) for a fixed one. Each choice is read off the hom-sets
+    directly: the decomposition runs no search, so it takes no budget.
     """
     f = as_equivariant(f)
     if not is_trivial_cofibration(f, tag):

@@ -27,6 +27,22 @@ and at the end of its loop, never across a ``yield``. Because a bulk
 nothing is yielded in between, the functors yielded before
 ``BudgetExceeded`` and the final ``budget.used`` are exactly those of
 charging every unit as it is spent.
+
+Identity pops are charged, not walked. The seed stage maps every identity
+of dom before any other morphism and the queue is LIFO, so the identities'
+pops come last, after all other propagation, and each only confirms
+images already mapped: together they charge exactly
+
+    |dom objects| * (2 + [equiv given]) + 2 * |mmap|
+
+(two units for the pop and its inverse, one for the equivariance partner,
+and one per mapped morphism at its source and one at its target). When
+that holds, the identities are assigned but not queued and the sum is
+charged once the other pops succeed. It needs every ``identity[x]`` of dom
+and cod to be a distinct endomorphism of x, its own inverse and a
+two-sided unit (``Groupoid.identities_are_units``), and ``ed``/``ec`` to be endofunctors
+of dom/cod that send identities to identities. Otherwise the identities
+are queued and walked like any other morphism.
 """
 
 from __future__ import annotations
@@ -59,11 +75,17 @@ def iter_functors(
     used_obj: set[str] = set()
     used_mor: set[str] = set()
 
-    dom_mor, dom_comp, dom_inv = dom.morphisms, dom.compose, dom.inverse
-    cod_mor, cod_comp, cod_inv = cod.morphisms, cod.compose, cod.inverse
+    dom_mor, dom_inv, cod_mor, cod_inv = dom.morphisms, dom.inverse, cod.morphisms, cod.inverse
     dom_ident, cod_ident = dom.identity, cod.identity
     q_mor, r_mor = (q.mor_map, r.mor_map) if q is not None else (None, None)
     ed_mor, ec_mor = (ed.mor_map, ec.mor_map) if ed is not None else (None, None)
+
+    # set at the first seed stage, which many searches never reach: the
+    # composite tables, and whether identity pops are charged, not walked
+    # (they only confirm images when the unit laws hold; module docstring)
+    dom_after = cod_after = None
+    charge_identities = False
+    identity_units = dom.n_objects * (2 if ed is None else 3)
 
     obj_order = list(dom.objects)
     mor_order = [m for m in dom.mor_ids() if not dom.is_identity(m)]
@@ -146,23 +168,25 @@ def iter_functors(
                             return False
                     elif w != y:
                         return False
-                # compose is defined exactly on the composable pairs, so a
-                # lookup both tests composability and finds the composite
+                # a composite table row holds exactly the composable
+                # partners, so a lookup both tests composability and finds
+                # the composite
+                m_after, n_after = dom_after[m], cod_after[n]
                 for k, v in list(mmap.items()):
-                    x = dom_comp.get((m, k))
+                    x = m_after.get(k)
                     if x is not None:
                         units += 1
-                        y = cod_comp[(n, v)]
+                        y = n_after[v]
                         w = mmap.get(x)
                         if w is None:
                             if not assign_mor(x, y, trail, queue):
                                 return False
                         elif w != y:
                             return False
-                    x = dom_comp.get((k, m))
+                    x = dom_after[k].get(m)
                     if x is not None:
                         units += 1
-                        y = cod_comp[(v, n)]
+                        y = cod_after[v][n]
                         w = mmap.get(x)
                         if w is None:
                             if not assign_mor(x, y, trail, queue):
@@ -174,23 +198,39 @@ def iter_functors(
             budget.spend(units)
 
     def seed_morphism_stage(trail: list[str]) -> bool:
+        nonlocal dom_after, cod_after, charge_identities
+        if dom_after is None:
+            dom_after, cod_after = dom.composite_table(), cod.composite_table()
+            charge_identities = (
+                dom.identities_are_units() and cod.identities_are_units()
+                and (ed is None or (ed.dom is dom is ed.cod and ec.dom is cod is ec.cod
+                                    and ed.preserves_identities()
+                                    and ec.preserves_identities()))
+            )
         queue: list[str] = []
-        seeds = [(dom_ident[x], cod_ident[omap[x]]) for x in dom.objects]
+        # when identities are charged, not walked, they are assigned but
+        # not queued (see the module docstring)
+        ident_queue: list[str] = [] if charge_identities else queue
+        seeds = [(dom_ident[x], cod_ident[omap[x]], ident_queue) for x in dom.objects]
         if mor_seed:
-            seeds += mor_seed.items()
+            seeds += [(m, n, queue) for m, n in mor_seed.items()]
         units = 0
         try:
-            for m, n in seeds:
+            for m, n, into in seeds:
                 units += 1
                 w = mmap.get(m)
                 if w is None:
-                    if not assign_mor(m, n, trail, queue):
+                    if not assign_mor(m, n, trail, into):
                         return False
                 elif w != n:
                     return False
         finally:
             budget.spend(units)
-        return propagate(queue, trail)
+        if not propagate(queue, trail):
+            return False
+        if charge_identities:
+            budget.spend(identity_units + 2 * len(mmap))
+        return True
 
     def solve_mor(i: int) -> Iterator[Functor]:
         while i < len(mor_order) and mor_order[i] in mmap:

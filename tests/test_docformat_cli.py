@@ -284,6 +284,49 @@ def test_cli_non_composable_compose_line_is_malformed(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
 
 
+# an involution and a functor that send a morphism to a name G does not declare
+UNDECLARED_IMAGE_DOCS = {
+    "involutive": """
+groupoid G
+  objects a
+
+involutive X
+  base G
+  morphism id(a) -> z
+
+functor F : X -> X
+  object a -> a
+""",
+    "functor": """
+groupoid G
+  objects a
+
+involutive X
+  base G
+
+functor F : X -> X
+  object a -> a
+  morphism id(a) -> z
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECLARED_IMAGE_DOCS))
+def test_cli_image_outside_the_morphisms_is_malformed(kind, tmp_path, capsys):
+    """validate used to die with a raw KeyError on the involution's image
+    (a case tests/test_fuzz.py generates); both maps are rejected at load."""
+    bad = tmp_path / "undeclared.gpd"
+    bad.write_text(UNDECLARED_IMAGE_DOCS[kind], encoding="utf-8")
+    with pytest.raises(MalformedDocument, match="image of id\\(a\\) is not a morphism"):
+        docformat.load(str(bad))
+    for argv in (["validate", str(bad)],
+                 ["classify", "F", "--structure", "injective", "--file", str(bad)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {kind} ")
+
+
 def test_cli_reports_match_benchmark_reference(capsys):
     """The byte-stable reports, budget_used included, equal the committed
     benchmark references."""

@@ -15,11 +15,15 @@ import hashlib
 
 import pytest
 
+from invgpd import cli, docformat, lifting
 from invgpd.budget import Budget
+from invgpd.core import Groupoid
 from invgpd.equivariant import InvolutiveGroupoid
 from invgpd.errors import BudgetExceeded
 from invgpd.generators import equivariant_functors, involutions_of, plain_catalog
+from invgpd.lifting import StructureTag, generating_trivial_cofibrations, has_rlp
 from invgpd.search import iter_functors
+from invgpd.universe import build_universe, equivalence_space
 
 CATALOG = plain_catalog(3, vertex_z2=True)
 INVOLUTIVE = [InvolutiveGroupoid(G, involutions_of(G)[-1]) for G in CATALOG]
@@ -122,3 +126,105 @@ def sweep_digest(runs, stride=11, points=16) -> str:
 ], ids=["equiv", "post"])
 def test_search_stops_at_the_same_unit_for_every_limit(runs, expected):
     assert sweep_digest(runs()) == expected
+
+
+# -- identity pops charged in bulk, against the generic walk ------------------
+#
+# When the identities obey the unit laws, ``iter_functors`` charges the
+# pops of the identities it seeds instead of walking them. Patching the
+# unit-law check to False forces the generic walk, which is the reference.
+
+
+def force_generic_walk(monkeypatch):
+    monkeypatch.setattr(Groupoid, "identities_are_units", lambda self: False)
+
+
+@pytest.mark.parametrize("runs", [plain_runs, bijective_runs, equivariant_runs, post_runs],
+                         ids=["plain", "bijective", "equiv", "post"])
+def test_identity_charge_matches_the_generic_walk(runs, monkeypatch):
+    assert all(G.identities_are_units() for G in CATALOG)
+    assert all(X.involution.preserves_identities() for X in INVOLUTIVE)
+    charged = catalog_digest(runs())
+    force_generic_walk(monkeypatch)
+    assert catalog_digest(runs()) == charged
+
+
+@pytest.fixture(scope="module")
+def base2_maps():
+    bundle = build_universe(cli.base_elements(2))
+    return {"q": equivalence_space(bundle).q, "p": bundle.p}
+
+
+def rlp_trace(f, monkeypatch) -> tuple[str, dict]:
+    """Run ``has_rlp(f)`` against the injective generators, digesting every
+    square and filler search it makes: each yielded functor with the
+    budget spent so far, and each search's spend when it runs out."""
+    h = hashlib.sha256()
+
+    def recorded(dom, cod, *, budget, **kw):
+        h.update(b"search\n")
+        for F in iter_functors(dom, cod, budget=budget, **kw):
+            h.update(functor_bytes(F) + f" {budget.used}\n".encode())
+            yield F
+        h.update(f"end {budget.used}\n".encode())
+
+    monkeypatch.setattr(lifting, "iter_functors", recorded)
+    budget = Budget()
+    report = has_rlp(f, generating_trivial_cofibrations(StructureTag.INJECTIVE), budget)
+    return h.hexdigest(), {**report.to_dict(), "budget_used": budget.used}
+
+
+@pytest.mark.parametrize("name", ["q", "p"])
+def test_base2_rlp_searches_match_the_generic_walk(base2_maps, name, monkeypatch):
+    f = base2_maps[name]
+    assert f.dom.base.identities_are_units() and f.cod.base.identities_are_units()
+    charged = rlp_trace(f, monkeypatch)
+    force_generic_walk(monkeypatch)
+    assert rlp_trace(f, monkeypatch) == charged
+
+
+# compose id(a) . id(a) = f breaks the unit law at id(a) itself; only the
+# pop of id(a) compares that composite with its image's, so charging the
+# identity pops instead of walking them would accept maps the walk rejects
+NON_UNIT_DOC = """
+groupoid G
+  objects a b
+  morphism f : a -> a
+  morphism u : a -> b
+  inverse f = f
+  compose id(a) . id(a) = f
+
+involutive X
+  base G
+
+functor F : X -> X
+  object a -> a
+  object b -> b
+  morphism f -> f
+  morphism u -> u
+"""
+
+# recorded from the search that walked every identity pop
+NON_UNIT_CLASSIFY = """[
+  {
+    "budget_used": 398,
+    "check": "classify F (injective)",
+    "verdict": "PASS",
+    "witness": {
+      "cofibration": true,
+      "fibration": true,
+      "trivial_cofibration": true,
+      "weak_equivalence": true
+    }
+  }
+]
+"""
+
+
+def test_non_unit_identity_takes_the_generic_walk(tmp_path, capsys):
+    path = tmp_path / "non_unit.gpd"
+    path.write_text(NON_UNIT_DOC, encoding="utf-8")
+    assert not docformat.load(str(path)).groupoids["G"].identities_are_units()
+    code = cli.main(["classify", "F", "--structure", "injective", "--file", str(path),
+                     "--format", "json"])
+    assert (code, capsys.readouterr().out) == (0, NON_UNIT_CLASSIFY)
