@@ -9,8 +9,11 @@ equivariant functors. This module provides
 * the standard shapes (terminal/initial, the walking isomorphism with and
   without the point-swapping involution, its one-fixed-point extension,
   the swapped doubles) and the generating maps between them,
-* finite cell attachments: the pushouts along the generating maps that
-  every decomposition and factorization below is made of.
+* finite cell attachments: the pushouts along the generating trivial
+  cofibrations ``i``, ``Si`` and ``iprime`` that every decomposition and
+  factorization is made of. These three are the only cells; a free fixed
+  point is not a cell but the coproduct ``equivariant_coproduct(X,
+  REGISTRY.one)``.
 
 Cell attachments use a conjugation representation: the attached groupoid
 keeps the original morphism IDs, each new object carries an anchor in the
@@ -327,7 +330,7 @@ def eq_pairing(f: EquivariantFunctor, g: EquivariantFunctor, prod: InvolutiveGro
 
 # -- cell attachments ----------------------------------------------------------
 
-CELL_KINDS = ("point", "i", "Si", "iprime")
+CELL_KINDS = ("i", "Si", "iprime")
 
 
 @dataclass
@@ -350,10 +353,11 @@ def attach_cell(
     data,
     fresh: str,
 ) -> tuple[InvolutiveGroupoid, EquivariantFunctor, CellInfo]:
-    """Pushout of X along one generating (trivial) cofibration.
+    """Pushout of X along one generating trivial cofibration.
 
-    kind/data:
-      "point"  -- no data; adjoins one isolated fixed object.
+    Cells come only from the three generators ``i``, ``Si`` and ``iprime``;
+    any other kind raises ``ShapeMismatch`` (a free fixed point is the
+    coproduct with ``REGISTRY.one``, not a cell). kind/data:
       "i"      -- data = fixed object y; adjoins one fixed object
                   isomorphic to y (the involution extends trivially).
       "Si"     -- data = object y; adjoins a swapped pair of objects
@@ -364,34 +368,12 @@ def attach_cell(
     Returns the attached groupoid, the inclusion (a full embedding) and
     the bookkeeping needed to extend maps out of X over the new cell.
     New IDs are derived from ``fresh`` and the template object names only.
+    X's compose table is copied as it is; only the composites that touch
+    a new object are computed.
     """
     if kind not in CELL_KINDS:
         raise ShapeMismatch(f"unknown cell kind {kind!r}")
     base, eta = X.base, X.involution
-
-    if kind == "point":
-        new = f"{fresh}:*"
-        objects = tuple(sorted(base.objects + (new,)))
-        nid = f"{fresh}:id"
-        morphisms = dict(base.morphisms)
-        morphisms[nid] = (new, new)
-        identity = dict(base.identity)
-        identity[new] = nid
-        compose = dict(base.compose)
-        compose[(nid, nid)] = nid
-        inverse = dict(base.inverse)
-        inverse[nid] = nid
-        Y = Groupoid(objects, morphisms, identity, compose, inverse)
-        inv = Functor(
-            Y, Y,
-            {**eta.obj_map, new: new},
-            {**eta.mor_map, nid: nid},
-        )
-        IY = InvolutiveGroupoid(Y, inv)
-        incl = EquivariantFunctor(
-            X, IY, Functor(base, Y, {x: x for x in base.objects}, {m: m for m in base.morphisms})
-        )
-        return IY, incl, CellInfo("point", (new,), (), {})
 
     # anchors: new object -> old object its hom-sets are conjugated from
     # twists: new object n -> morphism in hom(anchor(eta n), eta(anchor n))
@@ -458,17 +440,22 @@ def attach_cell(
     for (u, v, core), mid in triples.items():
         inverse[mid] = from_triple(v, u, base.inv(core))
 
+    # X's own composites are copied; only pairs touching a new object are
+    # added, in the order an all-pairs loop (old morphisms first, then the
+    # new ones, each paired with its composable partners) would add them.
     compose = dict(base.compose)
-    all_triples = [(s, t, m) for m, (s, t) in base.morphisms.items()]
-    all_triples += list(triples)
-    by_src: dict[str, list[tuple[str, str, str]]] = {}
-    for tr in all_triples:
-        by_src.setdefault(tr[0], []).append(tr)
-    for (u, v, c1) in all_triples:
-        for (v2, w, c2) in by_src.get(v, ()):  # v2 == v
-            g = from_triple(v, w, c2)
-            f = from_triple(u, v, c1)
-            compose[(g, f)] = from_triple(u, w, base.comp(c2, c1))
+    old = [(s, t, m, m) for m, (s, t) in base.morphisms.items()]
+    new = [(u, v, core, mid) for (u, v, core), mid in triples.items()]
+    new_from: dict[str, list[tuple[str, str, str, str]]] = {}
+    for tr in new:
+        new_from.setdefault(tr[0], []).append(tr)
+    all_from: dict[str, list[tuple[str, str, str, str]]] = {}
+    for tr in old + new:
+        all_from.setdefault(tr[0], []).append(tr)
+    for partners, firsts in ((new_from, old), (all_from, new)):
+        for (u, v, c1, f) in firsts:
+            for (_, w, c2, g) in partners.get(v, ()):
+                compose[(g, f)] = from_triple(u, w, base.comp(c2, c1))
 
     Y = Groupoid(objects, morphisms, identity, compose, inverse)
 
@@ -500,34 +487,34 @@ def extend_over_cell(
     comp: EquivariantFunctor,
     attached: InvolutiveGroupoid,
     info: CellInfo,
-    object_images: dict[str, str],
-    iso_images: dict[str, str],
+    x: str,
+    iso: str,
 ) -> EquivariantFunctor:
     """Extend ``comp: X -> B`` over an attachment ``Y`` of X.
 
-    ``object_images`` sends each new object to an object of B and
-    ``iso_images`` sends each structure isomorphism to an isomorphism of B
-    with matching endpoints; everything else is determined because Y's new
-    hom-sets are conjugates of old ones.
+    The cell's first new object goes to the object ``x`` of B and its
+    structure isomorphism to the isomorphism ``iso`` of B ending at ``x``;
+    an Si cell's partner object and iso go to their η-images. Everything
+    else is determined because Y's new hom-sets are conjugates of old ones.
     """
     B = comp.cod
     Y = attached
     old = comp.map.dom
     # per-object comparison isos: old objects get identities, new objects
-    # get the prescribed images of their structure isos
+    # get the images of their structure isos
     obj_map = dict(comp.map.obj_map)
-    obj_map.update(object_images)
-    phi: dict[str, str] = {x: B.base.ident(comp.on_obj(x)) for x in old.objects}
-    for n, s in zip(info.new_objects, info.struct_isos):
-        phi[n] = iso_images[s]
+    phi: dict[str, str] = {y: B.base.ident(comp.on_obj(y)) for y in old.objects}
+    images = [(x, iso)]
+    if info.kind == "Si":
+        images.append((B.eta_obj(x), B.eta_mor(iso)))
+    for n, (n_img, n_iso) in zip(info.new_objects, images):
+        obj_map[n] = n_img
+        phi[n] = n_iso
     mor_map = dict(comp.map.mor_map)
     for mid, (u, v, core) in info.cores.items():
         mor_map[mid] = B.base.comp(
             B.base.comp(phi[v], comp.map.mor_map[core]), B.base.inv(phi[u])
         )
-    for m2, (u2, v2) in Y.base.morphisms.items():
-        if m2 not in mor_map:  # only the identity of a point cell remains
-            if u2 != v2:
-                raise InvariantViolated(f"{m2} is neither old, conjugated nor an identity")
-            mor_map[m2] = B.base.ident(obj_map[u2])
+    if len(mor_map) != Y.base.n_morphisms:
+        raise InvariantViolated("a morphism of the attachment is neither old nor conjugated")
     return EquivariantFunctor(Y, B, Functor(Y.base, B.base, obj_map, mor_map))

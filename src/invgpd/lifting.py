@@ -89,25 +89,30 @@ def square(left, right, top, bottom) -> LiftingProblem:
     )
 
 
+def _seeds(left: EquivariantFunctor, obj_image: dict[str, str], mor_image: dict[str, str]):
+    """The seeds that force ``h∘left`` to send each object a of left's domain
+    to ``obj_image[a]`` and each morphism m to ``mor_image[m]``, or None
+    when two of them ask one object or morphism for different images."""
+    obj_seed: dict[str, str] = {}
+    mor_seed: dict[str, str] = {}
+    dom = left.dom.base
+    for seed, on, image, cells in ((obj_seed, left.map.obj_map, obj_image, dom.objects),
+                                   (mor_seed, left.map.mor_map, mor_image, dom.morphisms)):
+        for a in cells:
+            if seed.setdefault(on[a], image[a]) != image[a]:
+                return None
+    return obj_seed, mor_seed
+
+
 def iter_fillers(P: LiftingProblem, budget: Budget | int | None = None):
     """All diagonal fillers of the square, in deterministic order."""
     P.check_commutes()
     budget = ensure_budget(budget)
     i, p, top, bottom = P.left, P.right, P.top, P.bottom
-    obj_seed: dict[str, str] = {}
-    mor_seed: dict[str, str] = {}
-    for a in i.dom.base.objects:
-        b = i.on_obj(a)
-        want = top.on_obj(a)
-        if obj_seed.get(b, want) != want:
-            return  # the constraint h∘i = top is unsatisfiable
-        obj_seed[b] = want
-    for m in i.dom.base.morphisms:
-        n = i.on_mor(m)
-        want = top.on_mor(m)
-        if mor_seed.get(n, want) != want:
-            return
-        mor_seed[n] = want
+    seeds = _seeds(i, top.map.obj_map, top.map.mor_map)
+    if seeds is None:
+        return  # the constraint h∘i = top is unsatisfiable
+    obj_seed, mor_seed = seeds
     for F in iter_functors(
         i.cod.base,
         p.dom.base,
@@ -148,14 +153,13 @@ def iter_squares(left: EquivariantFunctor, right: EquivariantFunctor,
     budget = ensure_budget(budget)
     A, B = left.dom, left.cod
     X, Y = right.dom, right.cod
+    r_obj, r_mor = right.map.obj_map, right.map.mor_map
     for g in iter_functors(A.base, X.base, equiv=(A.involution, X.involution), budget=budget):
-        obj_seed = {left.on_obj(a): right.map.obj_map[g.obj_map[a]] for a in A.base.objects}
-        mor_seed = {left.on_mor(m): right.map.mor_map[g.mor_map[m]] for m in A.base.morphisms}
-        ok = all(
-            obj_seed[left.on_obj(a)] == right.map.obj_map[g.obj_map[a]] for a in A.base.objects
-        )
-        if not ok:
+        seeds = _seeds(left, {a: r_obj[b] for a, b in g.obj_map.items()},
+                       {m: r_mor[n] for m, n in g.mor_map.items()})
+        if seeds is None:
             continue
+        obj_seed, mor_seed = seeds
         for h in iter_functors(
             B.base, Y.base, obj_seed=obj_seed, mor_seed=mor_seed,
             equiv=(B.involution, Y.involution), budget=budget,
@@ -344,22 +348,6 @@ class CellSequence:
         return X, incl
 
 
-def _glue_cell(X: InvolutiveGroupoid, comp: EquivariantFunctor, kind: str, data, fresh: str,
-               x: str, iso: str) -> tuple[InvolutiveGroupoid, EquivariantFunctor, EquivariantFunctor]:
-    """Attach one cell to X and extend ``comp: X -> B`` over it.
-
-    The cell's new object goes to ``x`` of B and its structure iso to
-    ``iso``; an Si cell's partner object and iso go to their η-images.
-    Returns the attached groupoid, its inclusion and the extended map.
-    """
-    X, incl, info = attach_cell(X, kind, data, fresh=fresh)
-    objs, isos = {info.new_objects[0]: x}, {info.struct_isos[0]: iso}
-    if kind == "Si":
-        objs[info.new_objects[1]] = comp.cod.eta_obj(x)
-        isos[info.struct_isos[1]] = comp.cod.eta_mor(iso)
-    return X, incl, extend_over_cell(comp, X, info, objs, isos)
-
-
 def decompose_trivial_cofibration(f, tag: StructureTag) -> CellSequence:
     """Greedy cell decomposition of a trivial cofibration.
 
@@ -403,7 +391,8 @@ def decompose_trivial_cofibration(f, tag: StructureTag) -> CellSequence:
             if len(pre) != 1:
                 raise InvariantViolated("fully faithful comparison expected")
             kind, data = "iprime", pre[0]
-        X, _, comp = _glue_cell(X, comp, kind, data, f"c{len(seq.steps)}", x, iso)
+        X, _, info = attach_cell(X, kind, data, fresh=f"c{len(seq.steps)}")
+        comp = extend_over_cell(comp, X, info, x, iso)
         seq.steps.append((kind, data))
         problems = validate_equivariant(comp)
         if problems:
@@ -452,7 +441,8 @@ def factorize(f, tag: StructureTag, max_gluing_steps: int = 8,
                 data, x, iso = g.on_obj("l:*"), h.on_obj("l:1"), h.on_mor("l:phi")
             else:  # iprime
                 data, x, iso = g.on_mor("phi"), h.on_obj("2"), h.on_mor("psi")
-            X, incl, q = _glue_cell(X, q, name, data, f"g{step}.{idx}", x, iso)
+            X, incl, info = attach_cell(X, name, data, fresh=f"g{step}.{idx}")
+            q = extend_over_cell(q, X, info, x, iso)
             j = eq_compose(incl, j)
             cells += 1
     raise IterationCapExceeded(

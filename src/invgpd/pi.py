@@ -131,12 +131,12 @@ def _restrict(v: Functor, fib: Groupoid, end: str) -> tuple:
 
 
 def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
-          budget: Budget | int | None = None, check: bool = True) -> PiBundle:
+          budget: Budget | int | None = None) -> PiBundle:
     """Construct the right-adjoint value on f of pullback along g.
 
-    Raises NotAFibration unless g is a levelwise isofibration. With
-    ``check`` (the default) the resulting groupoid is validated in full,
-    associativity included, and the projection is checked equivariant.
+    Raises NotAFibration unless g is a levelwise isofibration. The
+    resulting groupoid is validated in full, associativity included, and
+    the projection is checked equivariant.
     """
     budget = ensure_budget(budget)
     if not classify_functor(g.map).isofibration:
@@ -290,11 +290,10 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
         fibers=fibers, pullbacks=pullbacks,
         section_ids=section_ids, transport_ids=transport_ids,
     )
-    if check:
-        problems = validate_involutive(dom_pi) + validate_equivariant(projection)
-        if problems:
-            raise InvariantViolated(
-                "dependent product structure law failure: " + "; ".join(problems[:3]))
+    problems = validate_involutive(dom_pi) + validate_equivariant(projection)
+    if problems:
+        raise InvariantViolated(
+            "dependent product structure law failure: " + "; ".join(problems[:3]))
     return bundle
 
 

@@ -259,6 +259,16 @@ def test_cli_user_file_resolution(tmp_path):
     assert rec["witness"]["discrete_fibration"] is True
 
 
+def test_cli_in_process_calls_share_no_options(capsys):
+    # the parser is built once per process; a flag given to one call must
+    # not carry over to the next
+    argv = ["classify", "iprime", "--structure", "gpd"]
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["verdict"] == "PASS"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("PASS  classify")
+
+
 def test_cli_names_with_pair_id_separators(tmp_path, capsys):
     comma = tmp_path / "comma.gpd"
     comma.write_text(COMMA_DOC, encoding="utf-8")

@@ -14,6 +14,7 @@ from invgpd.equivariant import (
     equivariant_coproduct,
     equivariant_product,
     equivariant_pullback,
+    extend_over_cell,
     fixed_points,
     swap_double,
     terminal_map,
@@ -107,13 +108,6 @@ def test_equivariant_pullback_of_swapped_fold_swaps_components():
     assert validate_involutive(P) == []
     assert validate_equivariant(pr1) == [] and validate_equivariant(pr2) == []
     assert P.fixed_objects() == ()
-
-
-def test_point_cell_on_empty():
-    zero = REGISTRY.shape("0!")
-    Y, incl, info = attach_cell(zero, "point", None, "c0")
-    assert Y.base.n_objects == 1
-    assert len(Y.fixed_objects()) == 1
 
 
 def test_si_cell_on_icheck_gives_four_objects_no_fixed_points():
@@ -219,8 +213,7 @@ def test_attach_cell_pushout_universal_property(seed):
                         continue
                     images_obj = {info.new_objects[0]: n_obj}
                     images_iso = {info.struct_isos[0]: iso}
-                from invgpd.equivariant import extend_over_cell
-                ext = extend_over_cell(comp, Y, info, images_obj, images_iso)
+                ext = extend_over_cell(comp, Y, info, n_obj, iso)
                 assert validate_equivariant(ext) == []
                 # uniqueness: every equivariant functor out of Y agreeing with
                 # the cocone equals ext
@@ -234,3 +227,50 @@ def test_attach_cell_pushout_universal_property(seed):
                 ))
                 assert len(mediators) == 1
                 assert mediators[0].mor_map == ext.map.mor_map
+
+
+def _all_pairs_compose(X, info):
+    """The attachment's compose table by the all-pairs definition: every
+    composable pair of old and new morphisms, old morphisms first."""
+    base = X.base
+    triples = {tr: mid for mid, tr in info.cores.items()}
+
+    def from_triple(u, v, core):
+        if u in base.identity and v in base.identity:
+            return core
+        return triples[(u, v, core)]
+
+    compose = dict(base.compose)
+    all_triples = [(s, t, m) for m, (s, t) in base.morphisms.items()] + list(triples)
+    by_src = {}
+    for tr in all_triples:
+        by_src.setdefault(tr[0], []).append(tr)
+    for (u, v, c1) in all_triples:
+        for (_, w, c2) in by_src.get(v, ()):
+            compose[(from_triple(v, w, c2), from_triple(u, v, c1))] = (
+                from_triple(u, w, base.comp(c2, c1)))
+    return compose
+
+
+def test_attach_cell_compose_matches_all_pairs_definition():
+    """Every i, Si and iprime cell on the catalog: the compose table built
+    from X's copied table plus the new pairs equals the all-pairs table,
+    key order included, and the attachment is a valid involutive groupoid."""
+    cases = 0
+    for X in involutive_catalog(3, vertex_z2=True):
+        cells = [("i", y) for y in X.fixed_objects()]
+        cells += [("Si", y) for y in X.base.objects]
+        cells += [("iprime", m) for m in X.base.mor_ids()
+                  if X.base.tgt(m) == X.eta_obj(X.base.src(m))
+                  and X.eta_mor(m) == X.base.inv(m)]
+        for kind, data in cells:
+            Y, incl, info = attach_cell(X, kind, data, "c0")
+            assert list(Y.base.compose.items()) == list(_all_pairs_compose(X, info).items())
+            assert validate_involutive(Y) == [] and validate_equivariant(incl) == []
+            cases += 1
+    assert cases == 471
+
+
+def test_point_is_not_a_cell():
+    with pytest.raises(ShapeMismatch):
+        attach_cell(REGISTRY.shape("0!"), "point", None, "c0")

@@ -1,7 +1,11 @@
-"""Source hygiene: every import in the package is used, and no invariant
-check is an ``assert`` (``python -O`` would drop it)."""
+"""Source hygiene: every import in the package is used, no invariant
+check is an ``assert`` (``python -O`` would drop it), and every function
+the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib
+import inspect
+import types
 from pathlib import Path
 
 import invgpd
@@ -48,3 +52,19 @@ def test_no_assert_statements():
         if lines:
             found[path.name] = lines
     assert found == {}
+
+
+def test_tracer_layers_name_package_functions():
+    # perfbench/tracer.py wraps functions by name, so a rename in the
+    # package would silently drop a layer from ``--trace 1``. The file is
+    # executed from its source text, so nothing is written next to it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    assert tracer.LAYERS
+    for mod_name, fn_name, _, _, tracks_budget in tracer.LAYERS:
+        module = importlib.import_module(f"invgpd.{mod_name}")
+        fn = getattr(module, fn_name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, (mod_name, fn_name)
+        if tracks_budget:
+            assert "budget" in inspect.signature(fn).parameters, (mod_name, fn_name)

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invgpd.core import classify_functor, find_isomorphism, identity_functor
+from invgpd import docformat
+from invgpd.core import Functor, classify_functor, find_isomorphism, identity_functor, unit
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
@@ -86,6 +87,21 @@ def test_llp_of_cells_against_projective_fibrations():
     assert has_llp(REGISTRY.map("Si"), fibs).ok
     # iprime fails against the projective fibration Icheck -> 1!
     assert not has_llp(REGISTRY.map("iprime"), fibs).ok
+
+
+def test_llp_of_a_map_that_identifies_two_morphisms():
+    # i sends t and id(x) to the one morphism of the point: the two seeds for
+    # id(*) disagree unless the top map agrees on them, and such a square is
+    # skipped, not solved with one seed overwritten
+    A = docformat.loads("""
+groupoid A
+  objects x
+  morphism t : x -> x
+  inverse t = t
+  compose t . t = id(x)
+""").groupoids["A"]
+    i = Functor(A, unit(), {"x": "*"}, {"id(x)": "id(*)", "t": "id(*)"})
+    assert has_llp(i, [("p", identity_functor(A))]).to_dict() == {"ok": True, "squares_checked": 1}
 
 
 def test_projective_classify_examples():

@@ -183,7 +183,7 @@ def test_adjunction_seeded_instances():
 def test_pi_validates_structure():
     # the constructed groupoid passes full validation (associativity included)
     g, f = funext_instance()
-    bundle = pi_of(g, f, check=True)
+    bundle = pi_of(g, f)
     assert validate_involutive(bundle.dom_pi) == []
     assert validate_equivariant(bundle.projection) == []
 
