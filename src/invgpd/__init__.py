@@ -20,7 +20,6 @@ from .core import (
     coproduct,
     discrete,
     empty_groupoid,
-    find_isomorphism,
     identity_functor,
     interval,
     pullback,
@@ -92,6 +91,7 @@ from .pi import (
     enumerate_slice_homs,
     pi_of,
 )
+from .search import find_isomorphism
 from .universe import (
     UniverseBundle,
     build_universe,

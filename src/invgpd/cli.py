@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Subcommands operate on named structures resolved against the bundled
-documents (shapes and counterexamples) plus an optional user document::
+document (the standard shapes and maps of ``equivariant.REGISTRY``, under
+their registry names, plus the counterexample maps and square) and an
+optional user document::
 
     invgpd validate FILE
     invgpd classify FUNCTOR --structure {projective|injective|gpd}
@@ -18,7 +20,8 @@ Global flags: --budget K, --max-gluing-steps K, --format {human|json},
 --seed S, --file EXTRA_DOCUMENT.
 
 Exit codes: 0 all checks pass; 1 a check failed (with witness);
-2 malformed input; 3 budget or iteration cap exceeded. Reports are
+2 malformed input (a ``--file`` document that ``validate`` rejects is
+malformed input); 3 budget or iteration cap exceeded. Reports are
 emitted as {check, verdict, witness?, steps?, budget_used} records;
 JSON output is byte-stable for a fixed seed and budget.
 """
@@ -30,12 +33,11 @@ import json
 import random
 import sys
 from functools import cache
-from importlib import resources
 
 from . import docformat
 from .budget import Budget, ensure_budget
 from .core import classify_functor
-from .equivariant import EquivariantFunctor
+from .equivariant import REGISTRY, EquivariantFunctor, eq_identity, terminal_map
 from .errors import BudgetExceeded, InvgpdError, IterationCapExceeded, MalformedDocument
 from .homotopy import path_object
 from .lifting import (
@@ -54,12 +56,14 @@ from .lifting import (
     solve_lifting,
 )
 from .pi import pi_of
+from .search import iter_functors
 from .universe import (
     build_universe,
     check_funext_counterexample,
     check_univalence,
     default_closure_samples,
     equivalence_space,
+    pullback_of_universal,
     universe_closure_checks,
 )
 
@@ -72,14 +76,34 @@ FAIL_VERDICTS = {"FAIL", "FAILS"}
 
 
 def bundled_document() -> docformat.Document:
-    pkg = resources.files("invgpd").joinpath("data")
-    text = ""
-    for name in ("shapes.gpd", "counterexamples.gpd"):
-        text += pkg.joinpath(name).read_text(encoding="utf-8") + "\n"
-    return docformat.loads(text)
+    """The names every command resolves: the shapes and maps of
+    ``REGISTRY`` (the objects themselves, each shape's groupoid as
+    ``NAME.base``), the maps of S1, Icheck and nabla to the point, the
+    identity of Icheck, and the square with no diagonal filler that shows
+    Icheck over the point is not an injective fibration."""
+    shapes = dict(REGISTRY.shapes)
+    functors = dict(REGISTRY.maps)
+    for name in ("S1", "Icheck", "nabla"):
+        functors[f"{name}_to_point"] = terminal_map(shapes[name])
+    functors["id_Icheck"] = eq_identity(shapes["Icheck"])
+    name_of = {id(X): name for name, X in shapes.items()}
+    return docformat.Document(
+        groupoids={f"{name}.base": X.base for name, X in shapes.items()},
+        involutives=shapes,
+        functors=functors,
+        functor_sig={name: (name_of[id(F.dom)], name_of[id(F.cod)])
+                     for name, F in functors.items()},
+        squares={"no-fixed-point-lift": {"left": "iprime", "right": "Icheck_to_point",
+                                         "top": "id_Icheck", "bottom": "nabla_to_point"}},
+    )
 
 
 def merged_document(extra_path: str | None) -> docformat.Document:
+    """The bundled document with the user's document loaded over it.
+
+    A merged document that breaks the laws (or names a square's map that
+    does not exist) is malformed input: every search assumes groupoids.
+    """
     doc = bundled_document()
     if extra_path:
         user = docformat.load(extra_path)
@@ -88,6 +112,11 @@ def merged_document(extra_path: str | None) -> docformat.Document:
         doc.functors.update(user.functors)
         doc.functor_sig.update(user.functor_sig)
         doc.squares.update(user.squares)
+        diags = doc.diagnostics()
+        if diags:
+            where, problems = next(iter(diags.items()))
+            raise MalformedDocument(f"{extra_path}: {where}: {problems[0]} "
+                                    "('invgpd validate' lists every problem)")
     return doc
 
 
@@ -276,9 +305,9 @@ def cmd_universe(args, rep: Reporter) -> None:
 
 def seeded_closure_samples(bundle, seed: int):
     """Extra pullbacks of the universal map along seeded random maps."""
+    # imported here, not at the top: no other command needs generators, and
+    # importing it adds about 4 ms (-X importtime) to every process's start-up
     from .generators import random_involutive
-    from .search import iter_functors
-    from .universe import pullback_of_universal
 
     rng = random.Random(seed)
     out = []

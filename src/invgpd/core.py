@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .budget import Budget, ensure_budget
 from .errors import CodomainMismatch, MalformedDocument, MalformedFunctor
 
 
@@ -544,24 +543,6 @@ def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
     pr2 = Functor(P, B, {o: y for o, (_, y) in obj_pairs.items()},
                   {p: n for p, (_, n) in mor_pairs.items()})
     return P, pr1, pr2
-
-
-def find_isomorphism(G: Groupoid, H: Groupoid, budget: Budget | int | None = None,
-                     obj_seed: dict | None = None) -> Functor | None:
-    """Search for an isomorphism of groupoids G -> H.
-
-    Backtracks over object bijections, then hom bijections, in ID order;
-    the first success wins, so the answer is deterministic. ``obj_seed``
-    pins part of the object map (used for over-the-codomain comparisons).
-    """
-    from .search import iter_functors  # local import to avoid a cycle
-
-    if G.n_objects != H.n_objects or G.n_morphisms != H.n_morphisms:
-        return None
-    budget = ensure_budget(budget)
-    for F in iter_functors(G, H, bijective=True, obj_seed=obj_seed, budget=budget):
-        return F
-    return None
 
 
 def pairing(f: Functor, g: Functor, product: Groupoid) -> Functor:

@@ -27,6 +27,15 @@ A document is UTF-8 text made of sections::
       top id_icheck
       bottom nabla_to_point
 
+A document's sections name only what the document defines: the standard
+shapes (``Icheck``, ``nabla`` and so on) live in ``equivariant.REGISTRY``,
+not in a text document, so a user document that needs one defines its
+own. The command line merges a ``--file`` document over the bundled one
+(``cli.bundled_document``, the registry under its own names); inside the
+user's document only a square can name a bundled map. The merged
+document must pass ``validate``, or the command exits 2 as on malformed
+input.
+
 Every image an ``involutive`` or ``functor`` section gives (or derives)
 must be an object or morphism of its codomain; a name that is not is a
 structural error, rejected at load time.

@@ -8,7 +8,9 @@ equivariant functors. This module provides
 * fixed-point extraction (full and strict),
 * the standard shapes (terminal/initial, the walking isomorphism with and
   without the point-swapping involution, its one-fixed-point extension,
-  the swapped doubles) and the generating maps between them,
+  the swapped doubles) and the generating maps between them, defined once
+  in ``REGISTRY``; the command line's bundled document is this registry
+  under the same names (``cli.bundled_document``),
 * finite cell attachments: the pushouts along the generating trivial
   cofibrations ``i``, ``Si`` and ``iprime`` that every decomposition and
   factorization is made of. These three are the only cells; a free fixed

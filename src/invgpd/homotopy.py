@@ -28,6 +28,7 @@ from .equivariant import (
     terminal_map,
 )
 from .errors import CodomainMismatch
+from .lifting import StructureTag, factorize
 from .search import iter_functors
 
 
@@ -140,8 +141,6 @@ def path_factorization(over: EquivariantFunctor, tag=None,
     ``find_right_homotopy`` does not build this object; it stays as the
     reference that the test suite checks that search against.
     """
-    from .lifting import StructureTag, factorize
-
     if tag is not None and tag == StructureTag.PROJECTIVE:
         product, pr1, pr2 = equivariant_pullback(over, over)
         A = over.dom
@@ -274,8 +273,6 @@ def find_right_homotopy(
     witness is the induced map into the explicit tuple path object (the
     image of the glued witness under the comparison map).
     """
-    from .lifting import StructureTag
-
     if tag is None:
         tag = StructureTag.PROJECTIVE
     if f.dom.base != g.dom.base or f.cod.base != g.cod.base:

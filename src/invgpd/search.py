@@ -297,5 +297,21 @@ def iter_functors(
         set_obj = solve_obj = solve_mor = None
 
 
+def find_isomorphism(G: Groupoid, H: Groupoid, budget: Budget | int | None = None,
+                     obj_seed: dict | None = None) -> Functor | None:
+    """Search for an isomorphism of groupoids G -> H.
+
+    Backtracks over object bijections, then hom bijections, in ID order;
+    the first success wins, so the answer is deterministic. ``obj_seed``
+    pins part of the object map (used for over-the-codomain comparisons).
+    """
+    if G.n_objects != H.n_objects or G.n_morphisms != H.n_morphisms:
+        return None
+    budget = ensure_budget(budget)
+    for F in iter_functors(G, H, bijective=True, obj_seed=obj_seed, budget=budget):
+        return F
+    return None
+
+
 def count_functors(dom: Groupoid, cod: Groupoid, **kw) -> int:
     return sum(1 for _ in iter_functors(dom, cod, **kw))

@@ -34,6 +34,7 @@ from .core import (
     Groupoid,
     classify_functor,
     compose_functors,
+    discrete,
     functors_equal,
     lifts_of,
     pair_id,
@@ -47,6 +48,7 @@ from .equivariant import (
     eq_identity,
     equivariant_pullback,
     terminal_map,
+    trivial_action,
     validate_equivariant,
 )
 from .errors import BaseTooSmall, InvariantViolated, NotSmall
@@ -54,6 +56,7 @@ from .homotopy import (
     PathFactorization,
     is_homotopy_equivalence_projective,
     path_object,
+    po,
 )
 from .lifting import (
     StructureTag,
@@ -364,8 +367,8 @@ class EquivalenceSpace:
 
     def decode(self, eid: str) -> tuple[str, str, str]:
         """(source type, target type, equivalence) of an E-object."""
-        m = eid[3:-1]  # strip "po(" ")"
         U = self.delta1.dom.base
+        m = next(m for m in U.morphisms if po(m) == eid)
         return (U.src(m), U.tgt(m), m)
 
 
@@ -605,12 +608,8 @@ def default_closure_samples(bundle: UniverseBundle) -> list[tuple[str, Equivaria
     Includes a chain of discrete maps whose composite has four-point
     fibers, so bases with |V| < 4 exercise the OVERFLOW verdict.
     """
-    from .core import discrete
-    from .equivariant import trivial_action
-
     if len(bundle.base) < 2:
         raise BaseTooSmall("closure samples need at least two base elements")
-    one = REGISTRY.shape("1!")
     s1 = REGISTRY.shape("S1")
     samples: list[tuple[str, EquivariantFunctor]] = [
         ("S1->1!", terminal_map(s1)),
@@ -624,12 +623,7 @@ def default_closure_samples(bundle: UniverseBundle) -> list[tuple[str, Equivaria
                 {"w0": "v0", "w1": "v0", "w2": "v1", "w3": "v1"},
                 {f"id(w{k})": f"id(v{0 if k < 2 else 1})" for k in range(4)}),
     )
-    to_one = EquivariantFunctor(
-        d2, one,
-        Functor(d2.base, one.base, {"v0": "*", "v1": "*"},
-                {"id(v0)": "id(*)", "id(v1)": "id(*)"}),
-    )
     samples.append(("D4->D2", to_d2))
-    samples.append(("D2->1!", to_one))
+    samples.append(("D2->1!", terminal_map(d2)))
     samples.append(("p", bundle.p))
     return samples

@@ -21,7 +21,6 @@ from invgpd.core import (
     coproduct,
     discrete,
     empty_groupoid,
-    find_isomorphism,
     identity_functor,
     interval,
     pair_id,
@@ -36,7 +35,7 @@ from invgpd.equivariant import equivariant_product, fixed_points, terminal_map
 from invgpd.errors import CodomainMismatch, MalformedDocument, MalformedFunctor
 from invgpd.generators import involutive_catalog, plain_catalog
 from invgpd.pi import fiber_groupoid
-from invgpd.search import count_functors, iter_functors
+from invgpd.search import count_functors, find_isomorphism, iter_functors
 
 
 def bang(G: Groupoid) -> Functor:

@@ -10,6 +10,7 @@ import pytest
 from invgpd import docformat
 from invgpd.cli import bundled_document, main
 from invgpd.core import validate_groupoid
+from invgpd.equivariant import REGISTRY
 from invgpd.errors import MalformedDocument
 from invgpd.generators import plain_catalog
 
@@ -105,30 +106,21 @@ groupoid z2
 
 
 def test_bundled_documents_load_and_validate():
+    # the bundled document is the registry itself, not a copy of it
     doc = bundled_document()
     assert doc.diagnostics() == {}
-    for name in ("Icheck", "nabla", "S1", "SI", "one!", "zero!", "Iflat"):
-        assert name in doc.involutives
+    for name in ("0!", "1!", "I", "Icheck", "nabla", "S1", "SI"):
+        assert doc.involutives[name] is REGISTRY.shape(name)
     for name in ("u", "i", "Si", "iprime", "fold"):
-        assert name in doc.functors
+        assert doc.functors[name] is REGISTRY.map(name)
     assert "no-fixed-point-lift" in doc.squares
-
-
-def test_bundled_shapes_match_programmatic_registry():
-    from invgpd.core import find_isomorphism
-    from invgpd.equivariant import REGISTRY
-    from invgpd.search import iter_functors
-
-    doc = bundled_document()
-    pairs = {
-        "Icheck": "Icheck", "nabla": "nabla", "S1": "S1", "SI": "SI", "one!": "1!",
-    }
-    for doc_name, reg_name in pairs.items():
-        X = doc.involutives[doc_name]
-        Y = REGISTRY.shape(reg_name)
-        hits = list(iter_functors(X.base, Y.base, bijective=True,
-                                  equiv=(X.involution, Y.involution)))
-        assert hits, f"{doc_name} differs from registry {reg_name}"
+    # a user document merged over it must not reach the registry
+    assert doc.involutives is not REGISTRY.shapes and doc.functors is not REGISTRY.maps
+    doc2 = docformat.loads(docformat.dumps(doc))
+    assert doc2.functor_sig == doc.functor_sig
+    for name, F in doc.functors.items():
+        assert doc2.functors[name].map.obj_map == F.map.obj_map
+        assert doc2.functors[name].map.mor_map == F.map.mor_map
 
 
 def test_invalid_inverse_loads_and_fails_validation():
@@ -249,7 +241,10 @@ def test_cli_user_file_resolution(tmp_path):
     extra.write_text(
         "groupoid two\n  objects a b\n\n"
         "involutive two!\n  base two\n\n"
-        "functor diag2 : two! -> two!\n  object a -> a\n  object b -> b\n",
+        "functor diag2 : two! -> two!\n  object a -> a\n  object b -> b\n\n"
+        # a user square may name the bundled maps
+        "square mine\n  left iprime\n  right Icheck_to_point\n"
+        "  top id_Icheck\n  bottom nabla_to_point\n",
         encoding="utf-8",
     )
     code, out = run_cli("classify", "diag2", "--structure", "gpd",
@@ -257,6 +252,8 @@ def test_cli_user_file_resolution(tmp_path):
     assert code == 0
     rec = json.loads(out)[0]
     assert rec["witness"]["discrete_fibration"] is True
+    code, out = run_cli("lift", "mine", "--file", str(extra), "--format", "json")
+    assert (code, json.loads(out)[0]["verdict"]) == (1, "FAIL")
 
 
 def test_cli_in_process_calls_share_no_options(capsys):
@@ -374,6 +371,13 @@ def test_cli_reproduce_builds_the_equivalence_space_once(monkeypatch, capsys):
     assert main(["reproduce-paper", "--base", "2", "--format", "json"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_cli_decompose_names_the_registry_cell(capsys):
+    # the bundled Si is the registry's, whose S1 object is l:*
+    assert main(["decompose", "Si", "--structure", "injective", "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)[0]
+    assert rec["witness"]["cells"] == [["Si", "l:*"]]
 
 
 def test_cli_in_process_decompose_and_factorize():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invgpd.core import find_isomorphism, interval, unit, validate_groupoid
+from invgpd.core import interval, unit
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
@@ -25,7 +25,7 @@ from invgpd.equivariant import (
 )
 from invgpd.errors import InvalidAttachment, ShapeMismatch
 from invgpd.generators import involutive_catalog, random_involutive
-from invgpd.search import count_functors, iter_functors
+from invgpd.search import find_isomorphism, iter_functors
 
 
 def test_registry_shapes_and_maps_are_valid():

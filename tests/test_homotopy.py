@@ -2,7 +2,7 @@
 
 import random
 
-from invgpd.core import Functor, classify_functor, find_isomorphism
+from invgpd.core import Functor, classify_functor
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
@@ -34,6 +34,7 @@ from invgpd.lifting import (
     is_fibrant,
     is_trivial_cofibration,
 )
+from invgpd.search import find_isomorphism
 from invgpd.universe import build_universe, funext_instance
 
 

@@ -1,6 +1,7 @@
-"""Source hygiene: every import in the package is used, no invariant
-check is an ``assert`` (``python -O`` would drop it), and every function
-the benchmark's tracer wraps still exists."""
+"""Source hygiene: every import in the package is used, every public
+function and class is used somewhere, no invariant check is an
+``assert`` (``python -O`` would drop it), and every function the
+benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ from pathlib import Path
 import invgpd
 
 PACKAGE = Path(invgpd.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,6 +44,42 @@ def test_no_unused_imports():
         if names:
             found[path.name] = names
     assert found == {}
+
+
+def references(node: ast.AST) -> set[str]:
+    """Names a piece of code uses: variables, attributes, and strings that
+    are a bare name (the tracer wraps functions it names as strings)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def test_every_public_definition_is_used():
+    # a public function or class of the package must be used by code other
+    # than its own definition and the re-exports of __init__.py: by the
+    # package, the tests or the benchmark
+    modules = {
+        path: ast.parse(path.read_text(encoding="utf-8")).body
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+    }
+    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    outside = set().union(*(references(ast.parse(p.read_text(encoding="utf-8"))) for p in others))
+    uses = {path: [references(node) for node in body] for path, body in modules.items()}
+    unused = []
+    for path, body in modules.items():
+        used = outside.union(*(r for other, refs in uses.items() if other != path for r in refs))
+        for k, node in enumerate(body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in used.union(*uses[path][:k], *uses[path][k + 1:]):
+                unused.append(f"{path.name}: {node.name}")
+    assert unused == []
 
 
 def test_no_assert_statements():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invgpd import docformat
-from invgpd.core import Functor, classify_functor, find_isomorphism, identity_functor, unit
+from invgpd.core import Functor, classify_functor, identity_functor, unit
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
@@ -42,6 +42,7 @@ from invgpd.lifting import (
     projective_classify,
     solve_lifting,
 )
+from invgpd.search import find_isomorphism
 
 
 def icheck_to_point():

@@ -10,7 +10,7 @@ import pytest
 
 import invgpd
 
-from invgpd.core import Functor, classify_functor, find_isomorphism
+from invgpd.core import Functor
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
@@ -35,6 +35,7 @@ from invgpd.pi import (
     pi_of,
     pullback_along,
 )
+from invgpd.search import find_isomorphism
 from invgpd.universe import funext_instance
 
 

@@ -205,26 +205,24 @@ functor F : X -> X
 """
 
 # recorded from the search that walked every identity pop
-NON_UNIT_CLASSIFY = """[
-  {
-    "budget_used": 398,
-    "check": "classify F (injective)",
-    "verdict": "PASS",
-    "witness": {
-      "cofibration": true,
-      "fibration": true,
-      "trivial_cofibration": true,
-      "weak_equivalence": true
-    }
-  }
-]
-"""
+NON_UNIT_FLAGS = {
+    "cofibration": True,
+    "fibration": True,
+    "trivial_cofibration": True,
+    "weak_equivalence": True,
+}
 
 
 def test_non_unit_identity_takes_the_generic_walk(tmp_path, capsys):
     path = tmp_path / "non_unit.gpd"
     path.write_text(NON_UNIT_DOC, encoding="utf-8")
-    assert not docformat.load(str(path)).groupoids["G"].identities_are_units()
-    code = cli.main(["classify", "F", "--structure", "injective", "--file", str(path),
-                     "--format", "json"])
-    assert (code, capsys.readouterr().out) == (0, NON_UNIT_CLASSIFY)
+    doc = docformat.load(str(path))
+    assert not doc.groupoids["G"].identities_are_units()
+    budget = Budget()
+    flags = lifting.injective_classify(doc.functors["F"], budget)
+    assert (flags.to_dict(), budget.used) == (NON_UNIT_FLAGS, 398)
+    # the command line does not search a document that is not a groupoid
+    code = cli.main(["classify", "F", "--structure", "injective", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

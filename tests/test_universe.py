@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from invgpd.core import Functor, classify_functor, find_isomorphism
+from invgpd.core import classify_functor
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
