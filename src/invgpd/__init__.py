@@ -76,6 +76,7 @@ from .lifting import (
     StructureTag,
     decompose_trivial_cofibration,
     factorize,
+    generator_orthogonal,
     has_llp,
     has_rlp,
     injective_classify,

@@ -351,6 +351,8 @@ def cmd_factorize(args, rep: Reporter) -> None:
         "PASS",
         witness={
             "cells_attached": fact.cells_attached,
+            # the generic square search, not factorize's closed-form check:
+            # the report cross-checks that check's final verdict
             "right_factor_orthogonal": has_rlp(fact.q, gens, rep.budget).ok,
             "left_factor_trivial_cofibration": is_trivial_cofibration(fact.j, tag),
             "middle_objects": fact.q.dom.base.n_objects,
@@ -438,14 +440,22 @@ class _SubParser(argparse.ArgumentParser):
         super().__init__(*a, **kw)
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse type: a count or limit, which is never negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
     unchanged, and every call gets a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--budget", type=non_negative_int, default=argparse.SUPPRESS,
                         help="enumeration budget")
-    common.add_argument("--max-gluing-steps", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--max-gluing-steps", type=non_negative_int, default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("human", "json"), default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for sampled suites")
@@ -477,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("universe", parents=[common],
                         help="build the universe over a finite base")
-    sp.add_argument("--base", type=int, required=True, metavar="N")
+    sp.add_argument("--base", type=non_negative_int, required=True, metavar="N")
     sp.add_argument("--check-univalence", choices=("projective", "injective"), default=None)
     sp.add_argument("--closure", action="store_true")
 
@@ -495,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reproduce-paper", parents=[common],
                         help="run the headline reproduction checks")
-    sp.add_argument("--base", type=int, default=2, metavar="N")
+    sp.add_argument("--base", type=non_negative_int, default=2, metavar="N")
     return p
 
 

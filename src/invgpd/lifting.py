@@ -5,13 +5,17 @@ constrained functor search. On top of it sit:
 
 * ``has_rlp`` / ``has_llp``  -- orthogonality against a finite set of maps,
   enumerating every commuting square and reporting the least failing one,
+* ``generator_orthogonal`` -- the RLP against a structure's generating
+  trivial cofibrations, decided by the local condition each generator
+  imposes (no search); ``has_rlp`` is its test oracle,
 * ``projective_classify`` / ``injective_classify`` -- the predicate suites
   for the two structures on groupoids with involution,
 * ``decompose_trivial_cofibration`` -- the greedy cell decomposition of a
   trivial cofibration (interval cells for plain groupoids, swapped-pair
   and fixed-point cells in the injective structure),
 * ``factorize`` -- the one-step gluing construction, iterated until the
-  right factor has the right lifting property against the generators.
+  right factor has the right lifting property against the generators,
+  which ``generator_orthogonal`` decides.
 
 Projective cofibrations are only ever reported as *bounded evidence*
 (LLP against a finite family of trivial fibrations); trivial cofibrations
@@ -225,6 +229,54 @@ def _orthogonality(pairs, key: str, budget: Budget | int | None) -> Orthogonalit
     return OrthogonalityReport(ok=True, squares_checked=checked)
 
 
+def _out(G) -> dict[str, list[str]]:
+    """Object -> the morphisms of G that start at it."""
+    out: dict[str, list[str]] = {x: [] for x in G.objects}
+    for m, (s, _) in G.morphisms.items():
+        out[s].append(m)
+    return out
+
+
+def generator_orthogonal(q, tag: StructureTag) -> bool:
+    """Does q have the RLP against the tag's generating trivial cofibrations?
+
+    Decides what ``has_rlp(q, generating_trivial_cofibrations(tag)).ok``
+    decides, from the local condition that each generator's squares and
+    fillers amount to, so it runs no search and takes no budget.
+    ``has_rlp`` stays the oracle the tests check it against.
+    """
+    q = as_equivariant(q)
+    X, Y = q.dom, q.cod
+    XB, q_obj, q_mor = X.base, q.map.obj_map, q.map.mor_map
+    out_Y = _out(Y.base)
+    if tag == StructureTag.GPD:
+        # i: an η-fixed v out of q(x), x fixed, lifts to an η-fixed w out of x
+        lifts = {(XB.src(w), q_mor[w]) for w in XB.morphisms if X.eta_mor(w) == w}
+        return all((x, v) in lifts for x in X.fixed_objects()
+                   for v in out_Y[q_obj[x]] if Y.eta_mor(v) == v)
+    # Si: every v out of q(x) lifts to some w out of x (an isofibration)
+    lifts = {(XB.src(w), q_mor[w]) for w in XB.morphisms}
+    if not all((x, v) in lifts for x in XB.objects for v in out_Y[q_obj[x]]):
+        return False
+    if tag == StructureTag.PROJECTIVE:
+        return True
+    # iprime: for m: x -> ηx with η(m) = m⁻¹, every v out of q(ηx) with
+    # η(v) = v∘q(m) lifts to a w out of ηx with η(w) = w∘m (which makes the
+    # targets of v and w fixed)
+    out_X = _out(XB)
+    for x in XB.objects:
+        ex = X.eta_obj(x)
+        for m in XB.hom(x, ex):
+            if X.eta_mor(m) != XB.inv(m):
+                continue
+            qm = q_mor[m]
+            have = {q_mor[w] for w in out_X[ex] if X.eta_mor(w) == XB.comp(w, m)}
+            if any(v not in have for v in out_Y[q_obj[ex]]
+                   if Y.eta_mor(v) == Y.base.comp(v, qm)):
+                return False
+    return True
+
+
 # -- structure predicate suites ------------------------------------------------
 
 
@@ -418,7 +470,10 @@ def factorize(f, tag: StructureTag, max_gluing_steps: int = 8,
     One gluing step attaches a cell for every commuting square between a
     generator and the current right factor, exactly as in the small object
     argument; steps repeat until the right factor has the RLP or the cap
-    is hit.
+    is hit. Whether it has the RLP is decided by the closed-form generator
+    conditions of ``generator_orthogonal``, with ``has_rlp`` as their
+    oracle, so the budget pays only for the squares of the steps that
+    attach cells.
     """
     f = as_equivariant(f)
     budget = ensure_budget(budget)
@@ -428,7 +483,7 @@ def factorize(f, tag: StructureTag, max_gluing_steps: int = 8,
     j = eq_identity(f.dom)
     cells = 0
     for step in range(max_gluing_steps + 1):
-        if has_rlp(q, gens, budget).ok:
+        if generator_orthogonal(q, tag):
             return Factorization(j=j, q=q, gluing_steps=step, cells_attached=cells)
         squares = []
         for name, gen in gens:

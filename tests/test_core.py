@@ -326,7 +326,6 @@ def test_functor_search_releases_groupoids_without_gc():
 
 def test_equivalence_flag_matches_homotopy_inverse_oracle():
     # plain-groupoid oracle: equivalence iff a homotopy inverse exists
-    from invgpd.equivariant import trivial_action
     from invgpd.homotopy import find_homotopy_inverse
     from invgpd.lifting import as_equivariant
 

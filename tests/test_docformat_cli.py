@@ -204,6 +204,27 @@ def test_cli_budget_exceeded_exit_3():
         assert code == 3, budget
 
 
+@pytest.mark.parametrize("argv", [
+    ["universe", "--base", "-1"],
+    ["reproduce-paper", "--base", "-1"],
+    ["factorize", "nabla_to_point", "--structure", "injective", "--max-gluing-steps", "-1"],
+    ["factorize", "nabla_to_point", "--structure", "injective", "--budget", "-3"],
+])
+def test_cli_negative_counts_are_malformed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must not be negative" in capsys.readouterr().err
+
+
+def test_cli_zero_counts_stay_valid(capsys):
+    # nabla -> 1! is already a fibration: no gluing step is needed, but the
+    # report's cross-check still spends budget
+    argv = ["factorize", "nabla_to_point", "--structure", "injective"]
+    assert main([*argv, "--max-gluing-steps", "0"]) == 0
+    assert main([*argv, "--budget", "0"]) == 3
+
+
 def test_cli_reproduce_paper_passes():
     code, out = run_cli("reproduce-paper", "--base", "2", "--format", "json")
     assert code == 0

@@ -10,14 +10,12 @@ from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
     attach_cell,
-    eq_identity,
     equivariant_coproduct,
     equivariant_product,
     equivariant_pullback,
     extend_over_cell,
     fixed_points,
     swap_double,
-    terminal_map,
     trivial_action,
     underlying,
     validate_equivariant,

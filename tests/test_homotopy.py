@@ -9,7 +9,6 @@ from invgpd.equivariant import (
     eq_compose,
     eq_identity,
     terminal_map,
-    trivial_action,
     validate_equivariant,
     validate_involutive,
 )
@@ -17,12 +16,10 @@ from invgpd.generators import (
     equivariant_functors,
     involutive_catalog,
     random_involutive,
-    random_stable_equivalent_subgroupoid,
 )
 from invgpd.homotopy import (
     find_homotopy_inverse,
     find_right_homotopy,
-    full_fixed_isomorphism,
     is_homotopy_equivalence_projective,
     path_object,
 )
@@ -32,7 +29,6 @@ from invgpd.lifting import (
     has_rlp,
     injective_classify,
     is_fibrant,
-    is_trivial_cofibration,
 )
 from invgpd.search import find_isomorphism
 from invgpd.universe import build_universe, funext_instance

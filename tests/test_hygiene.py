@@ -1,6 +1,6 @@
-"""Source hygiene: every import in the package is used, every public
-function and class is used somewhere, no invariant check is an
-``assert`` (``python -O`` would drop it), and every function the
+"""Source hygiene: every import in the package and the tests is used,
+every public function and class is used somewhere, no invariant check
+is an ``assert`` (``python -O`` would drop it), and every function the
 benchmark's tracer wraps still exists."""
 
 import ast
@@ -36,10 +36,10 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_no_unused_imports():
+    # the package's __init__.py is left out: it re-exports the public API
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":  # re-exports the public API
-            continue
+    for path in paths + sorted((ROOT / "tests").glob("*.py")):
         names = unused_imports(path.read_text(encoding="utf-8"))
         if names:
             found[path.name] = names

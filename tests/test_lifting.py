@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invgpd import docformat
+from invgpd import cli, docformat, lifting
 from invgpd.core import Functor, classify_functor, identity_functor, unit
 from invgpd.equivariant import (
     REGISTRY,
@@ -14,13 +14,12 @@ from invgpd.equivariant import (
     eq_identity,
     equivariant_pullback,
     terminal_map,
-    trivial_action,
-    validate_equivariant,
 )
 from invgpd.errors import IterationCapExceeded, NonCommutingSquare, NotTrivialCofibration
 from invgpd.generators import (
+    equivariant_functors,
     involutive_catalog,
-    plain_catalog,
+    random_equivariant,
     random_involutive,
     random_projective_trivial_cofibration,
     random_stable_equivalent_subgroupoid,
@@ -28,11 +27,10 @@ from invgpd.generators import (
 from invgpd.lifting import (
     LiftingProblem,
     StructureTag,
-    as_equivariant,
     decompose_trivial_cofibration,
     factorize,
-    fixed_point_bijection,
     generating_trivial_cofibrations,
+    generator_orthogonal,
     has_llp,
     has_rlp,
     injective_classify,
@@ -43,6 +41,7 @@ from invgpd.lifting import (
     solve_lifting,
 )
 from invgpd.search import find_isomorphism
+from invgpd.universe import build_universe, equivalence_space
 
 
 def icheck_to_point():
@@ -223,6 +222,69 @@ def test_factorize_iteration_cap():
         factorize(icheck_to_point(), StructureTag.INJECTIVE, max_gluing_steps=0)
 
 
+# -- the closed-form generator conditions against the square search -----------
+
+
+@pytest.fixture(scope="module")
+def catalog_maps():
+    """The terminal maps of two catalogs and every equivariant map between
+    two objects of the first."""
+    small = involutive_catalog(2, vertex_z2=True)
+    return [terminal_map(X) for X in small + involutive_catalog(3)] + [
+        f for X in small for Y in small for f in equivariant_functors(X, Y)
+    ]
+
+
+@pytest.fixture(scope="module")
+def base2_maps():
+    bundle = build_universe(cli.base_elements(2))
+    space = equivalence_space(bundle)
+    return [bundle.p, space.q, space.delta1,
+            *(terminal_map(X) for X in (bundle.U, bundle.Utilde, space.E))]
+
+
+@pytest.mark.parametrize("tag", list(StructureTag), ids=lambda tag: tag.value)
+def test_generator_orthogonal_matches_the_square_search(catalog_maps, base2_maps, tag):
+    gens = generating_trivial_cofibrations(tag)
+    maps = catalog_maps + base2_maps
+    verdicts = [generator_orthogonal(f, tag) for f in maps]
+    assert verdicts == [has_rlp(f, gens).ok for f in maps]
+    assert set(verdicts) == {True, False}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6))
+def test_generator_orthogonal_matches_the_square_search_on_random_maps(seed):
+    rng = random.Random(seed)
+    X = random_involutive(rng, max_objects=3)
+    Y = random_involutive(rng, max_objects=3)
+    maps = [terminal_map(X), random_equivariant(rng, X, Y)]
+    for f in filter(None, maps):
+        for tag in StructureTag:
+            gens = generating_trivial_cofibrations(tag)
+            assert generator_orthogonal(f, tag) == has_rlp(f, gens).ok
+
+
+def test_factorize_decides_each_step_as_the_square_search(catalog_maps, monkeypatch):
+    """At every gluing step the closed-form check gives the square search's
+    verdict, so factorize attaches the same cells and ends with the same
+    right factor as a factorize that runs the search."""
+    kernel = lifting.generator_orthogonal
+    verdicts = []
+
+    def checked(q, tag):
+        ok = kernel(q, tag)
+        assert ok == has_rlp(q, generating_trivial_cofibrations(tag)).ok
+        verdicts.append(ok)
+        return ok
+
+    monkeypatch.setattr(lifting, "generator_orthogonal", checked)
+    for tag in StructureTag:
+        for f in catalog_maps[::12]:
+            factorize(f, tag)
+    assert set(verdicts) == {True, False}
+
+
 def test_rlp_generators_imply_rlp_against_generated_trivial_cofibrations():
     """Maps orthogonal to the generators lift against every decomposable
     injective trivial cofibration (the generating-set soundness check)."""
@@ -253,7 +315,6 @@ def test_trivial_cofibrations_stable_under_pullback_along_fibrations(seed):
     rng = random.Random(seed)
     B = random_involutive(rng, max_objects=3, vertex_z2=False)
     m = random_stable_equivalent_subgroupoid(rng, B)
-    from invgpd.generators import equivariant_functors
     A = random_involutive(rng, max_objects=3, vertex_z2=False)
     fibs = [g for g in equivariant_functors(A, B, limit=200)
             if classify_functor(g.map).isofibration]

@@ -9,7 +9,6 @@ from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
     eq_compose,
-    eq_identity,
     terminal_map,
     validate_equivariant,
     validate_involutive,
