@@ -34,6 +34,7 @@ from .equivariant import (
     REGISTRY,
     ShapeRegistry,
     attach_cell,
+    attach_cells,
     equivariant_coproduct,
     equivariant_product,
     equivariant_pullback,

@@ -13,8 +13,9 @@ Conventions
   on this: a lookup in ``compose`` is its composability test.
 * All iteration orders are sorted by ID, so searches are deterministic and
   "least witness" always means lexicographically least.
-* Derived indexes (a groupoid's hom-sets, its per-morphism composite
-  table and whether its identities obey the unit laws; whether a functor
+* Derived indexes (a groupoid's hom-sets, the morphisms out of each
+  object, its per-morphism composite table and whether its identities
+  obey the unit laws; whether a functor
   preserves identities) are built once per value and cached on it. That
   is sound only because values are immutable after construction: tables
   must not be edited once a groupoid or functor is built.
@@ -54,6 +55,9 @@ class Groupoid:
     _hom: dict[tuple[str, str], tuple[str, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _out: dict[str, tuple[str, ...]] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
     _composites: dict[str, dict[str, str]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -86,6 +90,16 @@ class Groupoid:
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom.get((x, y), ())
+
+    def out(self, x: str) -> tuple[str, ...]:
+        """The morphisms out of x, by target then ID (the hom-sets of x in
+        object order); built on first use."""
+        if self._out is None:
+            out: dict[str, list[str]] = {y: [] for y in self.objects}
+            for s, t in sorted(self._hom, key=lambda st: st[1]):
+                out[s].extend(self._hom[(s, t)])
+            self._out = {y: tuple(ms) for y, ms in out.items()}
+        return self._out[x]
 
     def composite_table(self) -> dict[str, dict[str, str]]:
         """``g -> {f: g∘f}`` for every morphism g; built on first use."""

@@ -21,8 +21,9 @@ Cell attachments use a conjugation representation: the attached groupoid
 keeps the original morphism IDs, each new object carries an anchor in the
 old groupoid, and every hom-set touching a new object is a relabelled copy
 of the anchored hom-set. This makes the inclusion a full embedding by
-construction and keeps IDs deterministic (they depend only on the fresh
-prefix supplied by the caller).
+construction and keeps IDs deterministic (they depend only on the names
+supplied by the caller). A gluing step attaches all of its cells in one
+pushout, ``attach_cells``; ``attach_cell`` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -337,68 +338,29 @@ CELL_KINDS = ("i", "Si", "iprime")
 
 @dataclass
 class CellInfo:
-    """What a single attachment added: new objects and structure isos."""
+    """What an attachment added: each cell's new objects and structure
+    isos, and the new morphisms."""
 
-    kind: str
-    new_objects: tuple[str, ...]
-    # structure isomorphisms from the attachment anchors to the new objects,
-    # in template order (c for i-cells, (c0, c1) for Si-cells, psi for iprime)
-    struct_isos: tuple[str, ...]
+    # per cell, in template order: its new objects (c for an i-cell,
+    # (c0, c1) for an Si-cell, whose c1 is the η-image of c0, the fixed
+    # object for an iprime-cell) and the structure isomorphisms from
+    # their anchors to them
+    new_objects: tuple[tuple[str, ...], ...]
+    struct_isos: tuple[tuple[str, ...], ...]
     # new morphism ID -> (src, tgt, old core morphism) in the conjugation
     # representation; lets callers extend maps without re-deriving anything
     cores: dict[str, tuple[str, str, str]]
 
 
-def attach_cell(
-    X: InvolutiveGroupoid,
-    kind: str,
-    data,
-    fresh: str,
-) -> tuple[InvolutiveGroupoid, EquivariantFunctor, CellInfo]:
-    """Pushout of X along one generating trivial cofibration.
+def _cell_objects(X: InvolutiveGroupoid, kind: str, data, name: str):
+    """One cell's new objects, each as (object, anchor, η-image, twist).
 
-    Cells come only from the three generators ``i``, ``Si`` and ``iprime``;
-    any other kind raises ``ShapeMismatch`` (a free fixed point is the
-    coproduct with ``REGISTRY.one``, not a cell). kind/data:
-      "i"      -- data = fixed object y; adjoins one fixed object
-                  isomorphic to y (the involution extends trivially).
-      "Si"     -- data = object y; adjoins a swapped pair of objects
-                  isomorphic to y and eta(y).
-      "iprime" -- data = morphism m: y -> eta(y) with eta(m) = inv(m);
-                  adjoins one fixed object with an isomorphism from eta(y).
-
-    Returns the attached groupoid, the inclusion (a full embedding) and
-    the bookkeeping needed to extend maps out of X over the new cell.
-    New IDs are derived from ``fresh`` and the template object names only.
-    X's compose table is copied as it is; only the composites that touch
-    a new object are computed.
-    """
+    The anchor is the object of X whose hom-sets the new object copies;
+    the twist is an iso anchor(η n) -> η(anchor n) in X."""
     if kind not in CELL_KINDS:
         raise ShapeMismatch(f"unknown cell kind {kind!r}")
-    base, eta = X.base, X.involution
-
-    # anchors: new object -> old object its hom-sets are conjugated from
-    # twists: new object n -> morphism in hom(anchor(eta n), eta(anchor n))
-    if kind == "i":
-        if data not in base.identity:
-            raise ShapeMismatch(f"i-cell data must be an object, got {data!r}")
-        y = data
-        if X.eta_obj(y) != y:
-            raise InvalidAttachment("i-cells require a fixed attachment object")
-        new_objects = [f"{fresh}:1"]
-        anchors = {new_objects[0]: y}
-        eta_new = {new_objects[0]: new_objects[0]}
-        twists = {new_objects[0]: base.ident(y)}
-    elif kind == "Si":
-        if data not in base.identity:
-            raise ShapeMismatch(f"Si-cell data must be an object, got {data!r}")
-        y = data
-        n0, n1 = f"{fresh}:0p", f"{fresh}:1p"
-        new_objects = [n0, n1]
-        anchors = {n0: y, n1: X.eta_obj(y)}
-        eta_new = {n0: n1, n1: n0}
-        twists = {n0: base.ident(X.eta_obj(y)), n1: base.ident(y)}
-    elif kind == "iprime":
+    base = X.base
+    if kind == "iprime":
         if data not in base.morphisms:
             raise ShapeMismatch(f"iprime-cell data must be a morphism, got {data!r}")
         m = data
@@ -407,116 +369,155 @@ def attach_cell(
             raise InvalidAttachment("iprime attachment must map y to eta(y)")
         if X.eta_mor(m) != base.inv(m):
             raise InvalidAttachment("iprime attachment needs eta(m) = inv(m)")
-        n2 = f"{fresh}:2"
-        new_objects = [n2]
-        anchors = {n2: X.eta_obj(y)}  # psi attaches at eta(y)
-        eta_new = {n2: n2}
-        twists = {n2: base.inv(m)}
+        n2 = f"{name}:2"
+        return [(n2, X.eta_obj(y), n2, base.inv(m))]  # psi attaches at eta(y)
+    if data not in base.identity:
+        raise ShapeMismatch(f"{kind}-cell data must be an object, got {data!r}")
+    y = data
+    if kind == "i":
+        if X.eta_obj(y) != y:
+            raise InvalidAttachment("i-cells require a fixed attachment object")
+        n = f"{name}:1"
+        return [(n, y, n, base.ident(y))]
+    n0, n1, ey = f"{name}:0p", f"{name}:1p", X.eta_obj(y)
+    return [(n0, y, n1, base.ident(ey)), (n1, ey, n0, base.ident(y))]
 
+
+def attach_cells(X: InvolutiveGroupoid, cells,
+                 fresh: str) -> tuple[InvolutiveGroupoid, EquivariantFunctor, CellInfo]:
+    """Pushout of X along a coproduct of generating trivial cofibrations.
+
+    ``cells`` lists ``(kind, data, name)``, all attached along X at once.
+    Cells come only from the three generators ``i``, ``Si`` and
+    ``iprime``; any other kind raises ``ShapeMismatch`` (a free fixed
+    point is the coproduct with ``REGISTRY.one``, not a cell). kind/data:
+      "i"      -- data = fixed object y; adjoins one fixed object
+                  isomorphic to y (the involution extends trivially).
+      "Si"     -- data = object y; adjoins a swapped pair of objects
+                  isomorphic to y and eta(y).
+      "iprime" -- data = morphism m: y -> eta(y) with eta(m) = inv(m);
+                  adjoins one fixed object with an isomorphism from eta(y).
+
+    Returns the attached groupoid, the inclusion (a full embedding) and
+    the bookkeeping needed to extend maps out of X over the new cells.
+    Every new object is anchored in X. A cell's objects are named from
+    its ``name``, every new morphism from ``fresh``. X's tables are
+    copied once; only the composites that touch a new object are
+    computed, read straight off X's tables.
+    """
+    base = X.base
+    old, b_comp, b_inv, b_eta = base.identity, base.compose, base.inverse, X.involution.mor_map
+    per_cell = [_cell_objects(X, kind, data, name) for kind, data, name in cells]
+    adjoined = [row for cell in per_cell for row in cell]
+    new_objects = sorted(n for n, _, _, _ in adjoined)
     objects = tuple(sorted(base.objects + tuple(new_objects)))
     anchor = {x: x for x in base.objects}
-    anchor.update(anchors)
+    inv_obj = dict(X.involution.obj_map)
+    # twists: object u -> an iso anchor(eta u) -> eta(anchor u); identities
+    # at old objects
+    twist = {x: old[inv_obj[x]] for x in base.objects}
+    for n, a, en, tw in adjoined:
+        anchor[n], inv_obj[n], twist[n] = a, en, tw
 
     # new morphisms: for every hom pair touching a new object, one copy of
     # the anchored hom-set; (u, v, core) triples get deterministic IDs.
+    # ids[u][v] maps each core to the morphism u -> v that copies it (an
+    # old morphism is its own core).
     morphisms = dict(base.morphisms)
-    identity = dict(base.identity)
-    inverse = dict(base.inverse)
     triples: dict[tuple[str, str, str], str] = {}
+    ids: dict[str, dict[str, dict[str, str]]] = {u: {} for u in objects}
+    for m, (s, t) in base.morphisms.items():
+        ids[s].setdefault(t, {})[m] = m
     for u in objects:
-        for v in objects:
-            if u in base.identity and v in base.identity:
-                continue
+        for v in (new_objects if u in old else objects):
+            named = ids[u].setdefault(v, {})
             for core in base.hom(anchor[u], anchor[v]):
                 mid = f"{fresh}:m({u},{core},{v})"
                 triples[(u, v, core)] = mid
                 morphisms[mid] = (u, v)
+                named[core] = mid
 
-    def from_triple(u: str, v: str, core: str) -> str:
-        if u in base.identity and v in base.identity:
-            return core
-        return triples[(u, v, core)]
-
+    identity = dict(old)
     for n in new_objects:
-        identity[n] = from_triple(n, n, base.ident(anchor[n]))
+        identity[n] = ids[n][n][old[anchor[n]]]
+    inverse = dict(b_inv)
     for (u, v, core), mid in triples.items():
-        inverse[mid] = from_triple(v, u, base.inv(core))
+        inverse[mid] = ids[v][u][b_inv[core]]
 
     # X's own composites are copied; only pairs touching a new object are
     # added, in the order an all-pairs loop (old morphisms first, then the
     # new ones, each paired with its composable partners) would add them.
-    compose = dict(base.compose)
-    old = [(s, t, m, m) for m, (s, t) in base.morphisms.items()]
-    new = [(u, v, core, mid) for (u, v, core), mid in triples.items()]
-    new_from: dict[str, list[tuple[str, str, str, str]]] = {}
-    for tr in new:
-        new_from.setdefault(tr[0], []).append(tr)
-    all_from: dict[str, list[tuple[str, str, str, str]]] = {}
-    for tr in old + new:
-        all_from.setdefault(tr[0], []).append(tr)
-    for partners, firsts in ((new_from, old), (all_from, new)):
-        for (u, v, c1, f) in firsts:
-            for (_, w, c2, g) in partners.get(v, ()):
-                compose[(g, f)] = from_triple(u, w, base.comp(c2, c1))
+    # Morphisms f: u -> v and f': u' -> v with one core meet the same
+    # partners g: v -> w with the same composite cores, so those are looked
+    # up once per (v, core).
+    compose = dict(b_comp)
+    old_rows = [(s, t, m, m) for m, (s, t) in base.morphisms.items()]
+    new_rows = [(u, v, core, mid) for (u, v, core), mid in triples.items()]
+    new_from: dict[str, list[tuple[str, str, str]]] = {}
+    all_from: dict[str, list[tuple[str, str, str]]] = {}
+    for u, v, core, mid in new_rows:
+        new_from.setdefault(u, []).append((v, core, mid))
+    for u, v, core, mid in old_rows + new_rows:
+        all_from.setdefault(u, []).append((v, core, mid))
+    for partners, firsts in ((new_from, old_rows), (all_from, new_rows)):
+        after: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+        for u, v, c1, f in firsts:
+            row = after.get((v, c1))
+            if row is None:
+                row = after[(v, c1)] = [(w, b_comp[(c2, c1)], g)
+                                        for w, c2, g in partners.get(v, ())]
+            named = ids[u]
+            for w, core, g in row:
+                compose[(g, f)] = named[w][core]
 
     Y = Groupoid(objects, morphisms, identity, compose, inverse)
-
-    inv_obj = dict(eta.obj_map)
-    inv_obj.update(eta_new)
-
-    def twist(u: str) -> str:
-        # an iso anchor(eta_Y(u)) -> eta(anchor(u)); identity at old objects
-        if u in base.identity:
-            return base.ident(X.eta_obj(u))
-        return twists[u]
-
-    inv_mor = dict(eta.mor_map)
+    inv_mor = dict(b_eta)
     for (u, v, core), mid in triples.items():
-        core2 = base.comp(base.comp(base.inv(twist(v)), X.eta_mor(core)), twist(u))
-        inv_mor[mid] = from_triple(inv_obj[u], inv_obj[v], core2)
+        core2 = b_comp[(b_comp[(b_inv[twist[v]], b_eta[core])], twist[u])]
+        inv_mor[mid] = ids[inv_obj[u]][inv_obj[v]][core2]
     IY = InvolutiveGroupoid(Y, Functor(Y, Y, inv_obj, inv_mor))
     incl = EquivariantFunctor(
         X, IY, Functor(base, Y, {x: x for x in base.objects}, {m: m for m in base.morphisms})
     )
-    struct = tuple(
-        from_triple(anchors[n], n, base.ident(anchors[n])) for n in new_objects
+    info = CellInfo(
+        new_objects=tuple(tuple(n for n, _, _, _ in cell) for cell in per_cell),
+        struct_isos=tuple(tuple(ids[a][n][old[a]] for n, a, _, _ in cell) for cell in per_cell),
+        cores={mid: tr for tr, mid in triples.items()},
     )
-    cores = {mid: tr for tr, mid in triples.items()}
-    return IY, incl, CellInfo(kind, tuple(new_objects), struct, cores)
+    return IY, incl, info
 
 
-def extend_over_cell(
-    comp: EquivariantFunctor,
-    attached: InvolutiveGroupoid,
-    info: CellInfo,
-    x: str,
-    iso: str,
-) -> EquivariantFunctor:
+def attach_cell(X: InvolutiveGroupoid, kind: str, data,
+                fresh: str) -> tuple[InvolutiveGroupoid, EquivariantFunctor, CellInfo]:
+    """Pushout of X along one generating trivial cofibration: the one-cell
+    case of ``attach_cells``, with its objects and morphisms both named
+    from ``fresh``."""
+    return attach_cells(X, [(kind, data, fresh)], fresh)
+
+
+def extend_over_cell(comp: EquivariantFunctor, attached: InvolutiveGroupoid,
+                     info: CellInfo, images) -> EquivariantFunctor:
     """Extend ``comp: X -> B`` over an attachment ``Y`` of X.
 
-    The cell's first new object goes to the object ``x`` of B and its
-    structure isomorphism to the isomorphism ``iso`` of B ending at ``x``;
-    an Si cell's partner object and iso go to their η-images. Everything
-    else is determined because Y's new hom-sets are conjugates of old ones.
+    ``images`` holds one ``(x, iso)`` per cell: the cell's first new
+    object goes to the object ``x`` of B and its structure isomorphism to
+    the isomorphism ``iso`` of B ending at ``x``; an Si cell's partner
+    object and iso go to their η-images. Everything else is determined
+    because Y's new hom-sets are conjugates of old ones.
     """
-    B = comp.cod
-    Y = attached
-    old = comp.map.dom
+    B, BB = comp.cod, comp.cod.base
+    b_comp, b_inv = BB.compose, BB.inverse
+    old_obj, old_mor = comp.map.obj_map, comp.map.mor_map
     # per-object comparison isos: old objects get identities, new objects
     # get the images of their structure isos
-    obj_map = dict(comp.map.obj_map)
-    phi: dict[str, str] = {y: B.base.ident(comp.on_obj(y)) for y in old.objects}
-    images = [(x, iso)]
-    if info.kind == "Si":
-        images.append((B.eta_obj(x), B.eta_mor(iso)))
-    for n, (n_img, n_iso) in zip(info.new_objects, images):
-        obj_map[n] = n_img
-        phi[n] = n_iso
-    mor_map = dict(comp.map.mor_map)
+    obj_map = dict(old_obj)
+    phi = {y: BB.identity[old_obj[y]] for y in comp.map.dom.objects}
+    for objs, (x, iso) in zip(info.new_objects, images, strict=True):
+        for n, image in zip(objs, ((x, iso), (B.eta_obj(x), B.eta_mor(iso)))):
+            obj_map[n], phi[n] = image
+    mor_map = dict(old_mor)
     for mid, (u, v, core) in info.cores.items():
-        mor_map[mid] = B.base.comp(
-            B.base.comp(phi[v], comp.map.mor_map[core]), B.base.inv(phi[u])
-        )
-    if len(mor_map) != Y.base.n_morphisms:
+        mor_map[mid] = b_comp[(b_comp[(phi[v], old_mor[core])], b_inv[phi[u]])]
+    if len(mor_map) != attached.base.n_morphisms:
         raise InvariantViolated("a morphism of the attachment is neither old nor conjugated")
-    return EquivariantFunctor(Y, B, Functor(Y.base, B.base, obj_map, mor_map))
+    return EquivariantFunctor(attached, B, Functor(attached.base, BB, obj_map, mor_map))

@@ -5,17 +5,19 @@ constrained functor search. On top of it sit:
 
 * ``has_rlp`` / ``has_llp``  -- orthogonality against a finite set of maps,
   enumerating every commuting square and reporting the least failing one,
-* ``generator_orthogonal`` -- the RLP against a structure's generating
-  trivial cofibrations, decided by the local condition each generator
-  imposes (no search); ``has_rlp`` is its test oracle,
+* ``generator_squares`` / ``generator_orthogonal`` -- the commuting
+  squares from a structure's generating trivial cofibrations, and the
+  RLP against them, read off the local data each generator's squares
+  and fillers amount to (no search); ``iter_squares`` and ``has_rlp``
+  are their test oracles,
 * ``projective_classify`` / ``injective_classify`` -- the predicate suites
   for the two structures on groupoids with involution,
 * ``decompose_trivial_cofibration`` -- the greedy cell decomposition of a
   trivial cofibration (interval cells for plain groupoids, swapped-pair
   and fixed-point cells in the injective structure),
-* ``factorize`` -- the one-step gluing construction, iterated until the
-  right factor has the right lifting property against the generators,
-  which ``generator_orthogonal`` decides.
+* ``factorize`` -- the gluing construction: each step attaches one cell
+  per square of ``generator_squares`` in one pushout, until
+  ``generator_orthogonal`` holds of the right factor; it runs no search.
 
 Projective cofibrations are only ever reported as *bounded evidence*
 (LLP against a finite family of trivial fibrations); trivial cofibrations
@@ -34,6 +36,7 @@ from .equivariant import (
     InvolutiveGroupoid,
     REGISTRY,
     attach_cell,
+    attach_cells,
     eq_compose,
     eq_identity,
     equivariant_product,
@@ -229,12 +232,44 @@ def _orthogonality(pairs, key: str, budget: Budget | int | None) -> Orthogonalit
     return OrthogonalityReport(ok=True, squares_checked=checked)
 
 
-def _out(G) -> dict[str, list[str]]:
-    """Object -> the morphisms of G that start at it."""
-    out: dict[str, list[str]] = {x: [] for x in G.objects}
-    for m, (s, _) in G.morphisms.items():
-        out[s].append(m)
-    return out
+def generator_squares(q, tag: StructureTag):
+    """The commuting squares from the tag's generating trivial cofibrations
+    to q, in ``iter_squares`` order, each as ``(name, data, x, iso)``: the
+    cell the gluing construction attaches for it and where the extended q
+    sends that cell.
+
+    Each square is local data, read off q's hom-sets, so this runs no
+    search and takes no budget:
+      "i"      -- a fixed y and an η-fixed v: q(y) -> x; data = y,
+      "Si"     -- any y and any v: q(y) -> x; data = y,
+      "iprime" -- an m: y -> ηy with η(m) = m⁻¹ and a v: q(ηy) -> x with
+                  η(v) = v∘q(m); data = m,
+    with iso = v. ``iter_squares`` stays the oracle the tests check it
+    against.
+    """
+    q = as_equivariant(q)
+    X, Y = q.dom, q.cod
+    XB, YB, q_obj = X.base, Y.base, q.map.obj_map
+    if tag == StructureTag.GPD:
+        for y in X.fixed_objects():
+            for v in YB.out(q_obj[y]):
+                if Y.eta_mor(v) == v:
+                    yield "i", y, YB.tgt(v), v
+        return
+    for y in XB.objects:
+        for v in YB.out(q_obj[y]):
+            yield "Si", y, YB.tgt(v), v
+    if tag == StructureTag.PROJECTIVE:
+        return
+    for y in XB.objects:
+        ey = X.eta_obj(y)
+        for m in XB.hom(y, ey):
+            if X.eta_mor(m) != XB.inv(m):
+                continue
+            qm = q.map.mor_map[m]
+            for v in YB.out(q_obj[ey]):
+                if Y.eta_mor(v) == YB.comp(v, qm):
+                    yield "iprime", m, YB.tgt(v), v
 
 
 def generator_orthogonal(q, tag: StructureTag) -> bool:
@@ -242,38 +277,29 @@ def generator_orthogonal(q, tag: StructureTag) -> bool:
 
     Decides what ``has_rlp(q, generating_trivial_cofibrations(tag)).ok``
     decides, from the local condition that each generator's squares and
-    fillers amount to, so it runs no search and takes no budget.
+    fillers amount to, so it runs no search and takes no budget: the
+    square ``(name, data, x, v)`` of ``generator_squares`` has a filler
+    iff some w with q(w) = v starts at
+      "i"      -- y = data, with η(w) = w,
+      "Si"     -- y = data,
+      "iprime" -- ηy = tgt(m) for m = data, with η(w) = w∘m.
     ``has_rlp`` stays the oracle the tests check it against.
     """
     q = as_equivariant(q)
-    X, Y = q.dom, q.cod
-    XB, q_obj, q_mor = X.base, q.map.obj_map, q.map.mor_map
-    out_Y = _out(Y.base)
-    if tag == StructureTag.GPD:
-        # i: an η-fixed v out of q(x), x fixed, lifts to an η-fixed w out of x
-        lifts = {(XB.src(w), q_mor[w]) for w in XB.morphisms if X.eta_mor(w) == w}
-        return all((x, v) in lifts for x in X.fixed_objects()
-                   for v in out_Y[q_obj[x]] if Y.eta_mor(v) == v)
-    # Si: every v out of q(x) lifts to some w out of x (an isofibration)
-    lifts = {(XB.src(w), q_mor[w]) for w in XB.morphisms}
-    if not all((x, v) in lifts for x in XB.objects for v in out_Y[q_obj[x]]):
-        return False
-    if tag == StructureTag.PROJECTIVE:
-        return True
-    # iprime: for m: x -> ηx with η(m) = m⁻¹, every v out of q(ηx) with
-    # η(v) = v∘q(m) lifts to a w out of ηx with η(w) = w∘m (which makes the
-    # targets of v and w fixed)
-    out_X = _out(XB)
-    for x in XB.objects:
-        ex = X.eta_obj(x)
-        for m in XB.hom(x, ex):
-            if X.eta_mor(m) != XB.inv(m):
-                continue
-            qm = q_mor[m]
-            have = {q_mor[w] for w in out_X[ex] if X.eta_mor(w) == XB.comp(w, m)}
-            if any(v not in have for v in out_Y[q_obj[ex]]
-                   if Y.eta_mor(v) == Y.base.comp(v, qm)):
-                return False
+    X, XB, q_mor = q.dom, q.dom.base, q.map.mor_map
+    key = lifts = None
+    for name, data, _, v in generator_squares(q, tag):
+        if (name, data) != key:  # the squares come grouped by (name, data)
+            key = (name, data)
+            if name == "i":
+                ws = [w for w in XB.out(data) if X.eta_mor(w) == w]
+            elif name == "Si":
+                ws = XB.out(data)
+            else:
+                ws = [w for w in XB.out(XB.tgt(data)) if X.eta_mor(w) == XB.comp(w, data)]
+            lifts = {q_mor[w] for w in ws}
+        if v not in lifts:
+            return False
     return True
 
 
@@ -444,7 +470,7 @@ def decompose_trivial_cofibration(f, tag: StructureTag) -> CellSequence:
                 raise InvariantViolated("fully faithful comparison expected")
             kind, data = "iprime", pre[0]
         X, _, info = attach_cell(X, kind, data, fresh=f"c{len(seq.steps)}")
-        comp = extend_over_cell(comp, X, info, x, iso)
+        comp = extend_over_cell(comp, X, info, [(x, iso)])
         seq.steps.append((kind, data))
         problems = validate_equivariant(comp)
         if problems:
@@ -469,15 +495,15 @@ def factorize(f, tag: StructureTag, max_gluing_steps: int = 8,
 
     One gluing step attaches a cell for every commuting square between a
     generator and the current right factor, exactly as in the small object
-    argument; steps repeat until the right factor has the RLP or the cap
-    is hit. Whether it has the RLP is decided by the closed-form generator
-    conditions of ``generator_orthogonal``, with ``has_rlp`` as their
-    oracle, so the budget pays only for the squares of the steps that
-    attach cells.
+    argument, in one pushout (``attach_cells``); steps repeat until the
+    right factor has the RLP or the cap is hit. It runs no search: the
+    squares are read off in closed form by ``generator_squares`` and the
+    RLP is decided by ``generator_orthogonal``, with ``iter_squares`` and
+    ``has_rlp`` as their oracles. The budget is charged one unit per cell
+    attached, so it still bounds the construction.
     """
     f = as_equivariant(f)
     budget = ensure_budget(budget)
-    gens = generating_trivial_cofibrations(tag)
     X = f.dom
     q = f
     j = eq_identity(f.dom)
@@ -485,21 +511,15 @@ def factorize(f, tag: StructureTag, max_gluing_steps: int = 8,
     for step in range(max_gluing_steps + 1):
         if generator_orthogonal(q, tag):
             return Factorization(j=j, q=q, gluing_steps=step, cells_attached=cells)
-        squares = []
-        for name, gen in gens:
-            for g, h in iter_squares(gen, q, budget):
-                squares.append((name, g, h))
-        for idx, (name, g, h) in enumerate(squares):
-            if name == "i":
-                data, x, iso = g.on_obj("*"), h.on_obj("1"), h.on_mor("phi")
-            elif name == "Si":
-                data, x, iso = g.on_obj("l:*"), h.on_obj("l:1"), h.on_mor("l:phi")
-            else:  # iprime
-                data, x, iso = g.on_mor("phi"), h.on_obj("2"), h.on_mor("psi")
-            X, incl, info = attach_cell(X, name, data, fresh=f"g{step}.{idx}")
-            q = extend_over_cell(q, X, info, x, iso)
-            j = eq_compose(incl, j)
-            cells += 1
+        squares = list(generator_squares(q, tag))
+        budget.spend(len(squares))
+        X, incl, info = attach_cells(
+            X, [(name, data, f"g{step}.{idx}") for idx, (name, data, _, _) in enumerate(squares)],
+            fresh=f"g{step}",
+        )
+        q = extend_over_cell(q, X, info, [(x, iso) for _, _, x, iso in squares])
+        j = eq_compose(incl, j)
+        cells += len(squares)
     raise IterationCapExceeded(
         f"gluing construction did not converge in {max_gluing_steps} steps"
     )

@@ -10,6 +10,8 @@ from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
     attach_cell,
+    attach_cells,
+    eq_compose,
     equivariant_coproduct,
     equivariant_product,
     equivariant_pullback,
@@ -22,7 +24,8 @@ from invgpd.equivariant import (
     validate_involutive,
 )
 from invgpd.errors import InvalidAttachment, ShapeMismatch
-from invgpd.generators import involutive_catalog, random_involutive
+from invgpd.generators import equivariant_functors, involutive_catalog, random_involutive
+from invgpd.lifting import StructureTag, generator_squares
 from invgpd.search import find_isomorphism, iter_functors
 
 
@@ -200,18 +203,17 @@ def test_attach_cell_pushout_universal_property(seed):
                     if H.base.src(k) == src_img and H.base.tgt(k) == n_obj]
             for iso in isos[:2]:
                 if kind == "Si":
-                    images_obj = {info.new_objects[0]: n_obj,
-                                  info.new_objects[1]: H.eta_obj(n_obj)}
-                    images_iso = {info.struct_isos[0]: iso,
-                                  info.struct_isos[1]: H.eta_mor(iso)}
+                    (n0, n1), (s0, s1) = info.new_objects[0], info.struct_isos[0]
+                    images_obj = {n0: n_obj, n1: H.eta_obj(n_obj)}
+                    images_iso = {s0: iso, s1: H.eta_mor(iso)}
                 else:
                     if H.eta_obj(n_obj) != n_obj:
                         continue
                     if H.eta_mor(iso) != H.base.comp(iso, m.mor_map[data]):
                         continue
-                    images_obj = {info.new_objects[0]: n_obj}
-                    images_iso = {info.struct_isos[0]: iso}
-                ext = extend_over_cell(comp, Y, info, n_obj, iso)
+                    images_obj = {info.new_objects[0][0]: n_obj}
+                    images_iso = {info.struct_isos[0][0]: iso}
+                ext = extend_over_cell(comp, Y, info, [(n_obj, iso)])
                 assert validate_equivariant(ext) == []
                 # uniqueness: every equivariant functor out of Y agreeing with
                 # the cocone equals ext
@@ -267,6 +269,45 @@ def test_attach_cell_compose_matches_all_pairs_definition():
             assert validate_involutive(Y) == [] and validate_equivariant(incl) == []
             cases += 1
     assert cases == 471
+
+
+@pytest.mark.parametrize("tag", list(StructureTag), ids=lambda tag: tag.value)
+def test_attach_cells_matches_attaching_one_cell_at_a_time(tag):
+    """The cells of a real gluing step (the first step of factorize on maps
+    of the catalog), attached at once: a valid involutive groupoid whose
+    compose table is the all-pairs one, with the counts of attaching the
+    cells one at a time and an equivariant isomorphism to that groupoid
+    fixing X; the map extends over it."""
+    small = involutive_catalog(2, vertex_z2=True)
+    cases = 0
+    for f in (f for X in small for Y in small for f in equivariant_functors(X, Y)):
+        squares = list(generator_squares(f, tag))
+        if not 2 <= len(squares) <= 6:
+            continue
+        X = f.dom
+        cells = [(name, data, f"c{k}") for k, (name, data, _, _) in enumerate(squares)]
+        Y, incl, info = attach_cells(X, cells, "c")
+        assert validate_involutive(Y) == [] and validate_equivariant(incl) == []
+        assert list(Y.base.compose.items()) == list(_all_pairs_compose(X, info).items())
+        Z = X
+        for name, data, fresh in cells:
+            Z, _, _ = attach_cell(Z, name, data, fresh)
+        assert (Y.base.n_objects, Y.base.n_morphisms) == (Z.base.n_objects, Z.base.n_morphisms)
+        # the new objects have the same names in both; X is fixed pointwise
+        iso = next(iter_functors(
+            Y.base, Z.base, bijective=True,
+            obj_seed={y: y for y in Y.base.objects},
+            mor_seed={m: m for m in X.base.morphisms},
+            equiv=(Y.involution, Z.involution),
+        ), None)
+        assert iso is not None
+        q = extend_over_cell(f, Y, info, [(x, v) for _, _, x, v in squares])
+        assert validate_equivariant(q) == []
+        assert eq_compose(q, incl).map == f.map
+        cases += 1
+        if cases == 8:
+            break
+    assert cases == 8
 
 
 def test_point_is_not_a_cell():

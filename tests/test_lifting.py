@@ -6,16 +6,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invgpd import cli, docformat, lifting
+from invgpd.budget import Budget
 from invgpd.core import Functor, classify_functor, identity_functor, unit
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
+    attach_cell,
     eq_compose,
     eq_identity,
     equivariant_pullback,
+    extend_over_cell,
     terminal_map,
 )
-from invgpd.errors import IterationCapExceeded, NonCommutingSquare, NotTrivialCofibration
+from invgpd.errors import (
+    BudgetExceeded,
+    IterationCapExceeded,
+    NonCommutingSquare,
+    NotTrivialCofibration,
+)
 from invgpd.generators import (
     equivariant_functors,
     involutive_catalog,
@@ -31,6 +39,7 @@ from invgpd.lifting import (
     factorize,
     generating_trivial_cofibrations,
     generator_orthogonal,
+    generator_squares,
     has_llp,
     has_rlp,
     injective_classify,
@@ -222,6 +231,21 @@ def test_factorize_iteration_cap():
         factorize(icheck_to_point(), StructureTag.INJECTIVE, max_gluing_steps=0)
 
 
+@pytest.mark.parametrize("f, tag", [
+    (icheck_to_point(), StructureTag.INJECTIVE),
+    (REGISTRY.map("iprime"), StructureTag.INJECTIVE),
+    (REGISTRY.map("i"), StructureTag.GPD),
+])
+def test_factorize_charges_one_unit_per_cell(f, tag):
+    cells = factorize(f, tag).cells_attached
+    assert cells > 0
+    with pytest.raises(BudgetExceeded):
+        factorize(f, tag, budget=Budget(limit=cells - 1))
+    budget = Budget(limit=cells)
+    assert factorize(f, tag, budget=budget).cells_attached == cells
+    assert budget.used == cells
+
+
 # -- the closed-form generator conditions against the square search -----------
 
 
@@ -263,6 +287,55 @@ def test_generator_orthogonal_matches_the_square_search_on_random_maps(seed):
         for tag in StructureTag:
             gens = generating_trivial_cofibrations(tag)
             assert generator_orthogonal(f, tag) == has_rlp(f, gens).ok
+
+
+def square_cell(name, g, h):
+    """The ``(data, x, iso)`` a gluing step reads off a square of
+    ``iter_squares``: the top map's image of the generator's attaching
+    data, and the bottom map's image of its new object and structure iso."""
+    if name == "i":
+        return g.on_obj("*"), h.on_obj("1"), h.on_mor("phi")
+    if name == "Si":
+        return g.on_obj("l:*"), h.on_obj("l:1"), h.on_mor("l:phi")
+    return g.on_mor("phi"), h.on_obj("2"), h.on_mor("psi")
+
+
+def searched_squares(q, tag):
+    return [(name, *square_cell(name, g, h))
+            for name, gen in generating_trivial_cofibrations(tag)
+            for g, h in iter_squares(gen, q)]
+
+
+@pytest.mark.parametrize("tag", list(StructureTag), ids=lambda tag: tag.value)
+def test_generator_squares_match_the_square_search(catalog_maps, base2_maps, tag):
+    maps = catalog_maps + base2_maps
+    found = [list(generator_squares(f, tag)) for f in maps]
+    assert found == [searched_squares(f, tag) for f in maps]
+    assert any(found) and not all(found)
+
+
+def factorize_by_search(f, tag, max_gluing_steps=8):
+    """The gluing construction with every square found by search and its
+    cells attached one at a time: (gluing steps, cells, middle object)."""
+    X, q, cells = f.dom, f, 0
+    for step in range(max_gluing_steps + 1):
+        if generator_orthogonal(q, tag):
+            return step, cells, X
+        for idx, (name, data, x, iso) in enumerate(searched_squares(q, tag)):
+            X, _, info = attach_cell(X, name, data, f"g{step}.{idx}")
+            q = extend_over_cell(q, X, info, [(x, iso)])
+            cells += 1
+    raise IterationCapExceeded("did not converge")
+
+
+@pytest.mark.parametrize("tag", list(StructureTag), ids=lambda tag: tag.value)
+def test_factorize_matches_the_search_based_construction(catalog_maps, tag):
+    for f in catalog_maps:
+        fact = factorize(f, tag)
+        steps, cells, X = factorize_by_search(f, tag)
+        assert (fact.gluing_steps, fact.cells_attached) == (steps, cells)
+        assert (fact.q.dom.base.n_objects, fact.q.dom.base.n_morphisms) == (
+            X.base.n_objects, X.base.n_morphisms)
 
 
 def test_factorize_decides_each_step_as_the_square_search(catalog_maps, monkeypatch):
