@@ -1,7 +1,8 @@
 """Finite groupoids and functors, with a decidable predicate suite.
 
-Everything is enumerated explicitly: a :class:`Groupoid` stores its full
-composition, identity and inverse tables, so every predicate downstream
+Everything is enumerated explicitly: a :class:`Groupoid` has full
+composition, identity and inverse tables (a pullback's composition table
+is computed from its factors, see below), so every predicate downstream
 (equivalence, isofibration, lifting, ...) is decided by finite search.
 Values are treated as immutable after construction; all operations are
 pure functions of their inputs.
@@ -27,10 +28,17 @@ Conventions
   labels only: nothing parses them back, the projections ``pr1``/``pr2``
   decode them. Names containing ``,`` or parentheses can make two pairs
   share an ID; the construction then raises ``MalformedDocument``.
+* A pullback's ``compose`` is a read-only ``Mapping`` that computes each
+  composite from the two factors' tables when it is looked up, and
+  tabulates them all on its first full walk (iteration, ``len``,
+  ``items``, ``dict(...)``, equality). Its pair IDs and key order are
+  those of the all-pairs table; a reader that looks up a few composites
+  never pays for the rest.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import CodomainMismatch, MalformedDocument, MalformedFunctor
@@ -43,14 +51,16 @@ class Groupoid:
     objects    -- sorted tuple of object IDs
     morphisms  -- morphism ID -> (src object, tgt object)
     identity   -- object ID -> its identity morphism ID
-    compose    -- (g, f) -> g∘f, total on composable pairs
+    compose    -- (g, f) -> g∘f, total on composable pairs: a dict, or
+                  any read-only Mapping (a pullback's computes each
+                  composite from its factors on lookup)
     inverse    -- morphism ID -> inverse morphism ID
     """
 
     objects: tuple[str, ...]
     morphisms: dict[str, tuple[str, str]]
     identity: dict[str, str]
-    compose: dict[tuple[str, str], str]
+    compose: Mapping[tuple[str, str], str]
     inverse: dict[str, str]
     _hom: dict[tuple[str, str], tuple[str, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -515,6 +525,68 @@ def coproduct(G: Groupoid, H: Groupoid) -> tuple[Groupoid, Functor, Functor]:
     return C, inl, inr
 
 
+class _PairComposites(Mapping):
+    """The compose table of a pullback, read off its two factors.
+
+    ``[(p1, p2)]`` decodes both pair IDs and pairs the factors'
+    composites; it raises ``KeyError`` unless tgt(p2) == src(p1). The
+    first full walk (iteration, ``len``, ``keys``, ``items``,
+    ``dict(...)``, equality) tabulates every composite once, in the order of the
+    all-pairs loop: p1 in morphism order, then every p2 into src(p1) in
+    morphism order. Lookups after that read the table.
+    """
+
+    __slots__ = ("_pairs", "_morphisms", "_a_comp", "_b_comp", "_table")
+
+    def __init__(self, pairs: dict[str, tuple[str, str]],
+                 morphisms: dict[str, tuple[str, str]],
+                 a_comp: Mapping[tuple[str, str], str],
+                 b_comp: Mapping[tuple[str, str], str]):
+        self._pairs, self._morphisms = pairs, morphisms
+        self._a_comp, self._b_comp = a_comp, b_comp
+        self._table: dict[tuple[str, str], str] | None = None
+
+    def __getitem__(self, key) -> str:
+        table = self._table
+        if table is not None:
+            return table[key]
+        try:
+            p1, p2 = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        pairs, morphisms = self._pairs, self._morphisms
+        if p1 in pairs and p2 in pairs and morphisms[p2][1] == morphisms[p1][0]:
+            (m1, n1), (m2, n2) = pairs[p1], pairs[p2]
+            return pair_id(self._a_comp[(m1, m2)], self._b_comp[(n1, n2)])
+        raise KeyError(key)
+
+    def _tabulated(self) -> dict[tuple[str, str], str]:
+        if self._table is None:
+            pairs, morphisms = self._pairs, self._morphisms
+            A_comp, B_comp = self._a_comp, self._b_comp
+            by_tgt: dict[str, list[tuple[str, str, str]]] = {}
+            for p, (m, n) in pairs.items():
+                by_tgt.setdefault(morphisms[p][1], []).append((p, m, n))
+            table = {}
+            for p1, (m1, n1) in pairs.items():
+                for p2, m2, n2 in by_tgt.get(morphisms[p1][0], ()):
+                    table[(p1, p2)] = pair_id(A_comp[(m1, m2)], B_comp[(n1, n2)])
+            self._table = table
+        return self._table
+
+    def __iter__(self):
+        return iter(self._tabulated())
+
+    def __len__(self) -> int:
+        return len(self._tabulated())
+
+    def keys(self):
+        return self._tabulated().keys()
+
+    def items(self):
+        return self._tabulated().items()
+
+
 def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
     """The pullback of ``f`` and ``g`` over their shared codomain."""
     if f.cod != g.cod:
@@ -537,19 +609,13 @@ def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
     }
     _require_distinct_ids(len(mor_pairs),
                           sum(len(mor_match.get(f.mor_map[m], ())) for m in mids))
-    A_mor, B_mor, A_comp, B_comp = A.morphisms, B.morphisms, A.compose, B.compose
+    A_mor, B_mor = A.morphisms, B.morphisms
     morphisms: dict[str, tuple[str, str]] = {}
-    by_tgt: dict[str, list[tuple[str, str, str]]] = {}
     for p, (m, n) in mor_pairs.items():
         (sm, tm), (sn, tn) = A_mor[m], B_mor[n]
-        t = pair_id(tm, tn)
-        morphisms[p] = (pair_id(sm, sn), t)
-        by_tgt.setdefault(t, []).append((p, m, n))
+        morphisms[p] = (pair_id(sm, sn), pair_id(tm, tn))
     identity = {o: pair_id(A.identity[x], B.identity[y]) for o, (x, y) in obj_pairs.items()}
-    compose = {}
-    for p1, (m1, n1) in mor_pairs.items():
-        for p2, m2, n2 in by_tgt.get(morphisms[p1][0], ()):
-            compose[(p1, p2)] = pair_id(A_comp[(m1, m2)], B_comp[(n1, n2)])
+    compose = _PairComposites(mor_pairs, morphisms, A.compose, B.compose)
     inverse = {p: pair_id(A.inv(m), B.inv(n)) for p, (m, n) in mor_pairs.items()}
     P = Groupoid(tuple(obj_pairs), morphisms, identity, compose, inverse)
     pr1 = Functor(P, A, {o: x for o, (x, _) in obj_pairs.items()},

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 from .budget import Budget, ensure_budget
 from .core import classify_functor, compose_functors, functors_equal
@@ -204,7 +205,7 @@ def has_rlp(p, generators, budget: Budget | int | None = None) -> OrthogonalityR
 def has_llp(i, tests, budget: Budget | int | None = None) -> OrthogonalityReport:
     """Does i have the left lifting property against every test map?
 
-    ``tests`` is a list of ``(name, map)`` pairs; a failure's witness
+    ``tests`` is a sequence of ``(name, map)`` pairs; a failure's witness
     names its test map."""
     i = as_equivariant(i)
     pairs = [(name, i, as_equivariant(p)) for name, p in tests]
@@ -331,17 +332,22 @@ class ProjectiveReport:
         }
 
 
-def sample_trivial_fibrations() -> list[tuple[str, EquivariantFunctor]]:
-    """A fixed family of projective trivial fibrations used as LLP evidence."""
+@cache
+def sample_trivial_fibrations() -> tuple[tuple[str, EquivariantFunctor], ...]:
+    """A fixed family of projective trivial fibrations used as LLP evidence.
+
+    Built once per process and shared by every caller; a tuple, so that
+    no caller can change it.
+    """
     ic = REGISTRY.shape("Icheck")
     nb = REGISTRY.shape("nabla")
     prod, pr1, _ = equivariant_product(ic, ic)
-    return [
+    return (
         ("Icheck->1!", terminal_map(ic)),
         ("nabla->1!", terminal_map(nb)),
         ("SI->S1", REGISTRY.map("fold")),
         ("IcheckxIcheck->Icheck", pr1),
-    ]
+    )
 
 
 def projective_classify(f, budget: Budget | int | None = None) -> ProjectiveReport:
@@ -500,7 +506,10 @@ def factorize(f, tag: StructureTag, max_gluing_steps: int = 8,
     squares are read off in closed form by ``generator_squares`` and the
     RLP is decided by ``generator_orthogonal``, with ``iter_squares`` and
     ``has_rlp`` as their oracles. The budget is charged one unit per cell
-    attached, so it still bounds the construction.
+    attached, so it still bounds the construction. The cap is checked
+    before a step's cells are read off or charged: a run that hits it
+    builds no step it would discard, and reports the cap even where a
+    tight budget would also have run out.
     """
     f = as_equivariant(f)
     budget = ensure_budget(budget)
@@ -511,6 +520,8 @@ def factorize(f, tag: StructureTag, max_gluing_steps: int = 8,
     for step in range(max_gluing_steps + 1):
         if generator_orthogonal(q, tag):
             return Factorization(j=j, q=q, gluing_steps=step, cells_attached=cells)
+        if step == max_gluing_steps:
+            break
         squares = list(generator_squares(q, tag))
         budget.spend(len(squares))
         X, incl, info = attach_cells(

@@ -26,7 +26,7 @@ growth are reported as OVERFLOW, never as failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 
 from .budget import Budget, ensure_budget
 from .core import (
@@ -132,20 +132,27 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
         inv_phi = {v: k for k, v in phi.items()}
         return f"[{_set_id(A1)}|{_set_id(A0)}|{_bij_id(inv_phi)}]"
 
+    # each (src, tgt) block of morphisms is in permutations order, and
+    # by_src lists an object's blocks by target in object order
     u_morphisms: dict[str, dict] = {}
     morphisms: dict[str, tuple[str, str]] = {}
-    mid_of: dict[tuple[str, str, tuple], str] = {}  # (src, tgt, image of sorted A0) -> id
+    by_src: dict[str, list[str]] = {}
+    place: dict[str, int] = {}  # morphism -> its index in its block
+    n_same: dict[int, int] = {}  # fiber size -> number of objects
     for src, (A0, A1, phi) in u_objects.items():
+        n_same[len(A0)] = n_same.get(len(A0), 0) + 1
+        out = by_src[src] = []
         for tgt, (B0, B1, psi) in u_objects.items():
             if len(A0) != len(B0) or len(A1) != len(B1):
                 continue
-            for image in permutations(sorted(B0)):
+            for j, image in enumerate(permutations(sorted(B0))):
                 budget.spend()
                 rho0 = dict(zip(sorted(A0), image))
                 mid = f"<{src}->{tgt}:{_bij_id(rho0)}>"
                 u_morphisms[mid] = rho0
                 morphisms[mid] = (src, tgt)
-                mid_of[(src, tgt, image)] = mid
+                out.append(mid)
+                place[mid] = j
 
     def derived_rho1(mid: str) -> dict:
         src, tgt = morphisms[mid]
@@ -162,17 +169,24 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
         oid: u_mid(oid, oid, {a: a for a in sorted(data[0])})
         for oid, data in u_objects.items()
     }
-    by_src: dict[str, list[str]] = {}
-    for mid, (s, _) in morphisms.items():
-        by_src.setdefault(s, []).append(mid)
+    # As permutations of positions, rho2∘rho1 is perms[j2]∘perms[j1], so the
+    # composites of rho1 (index j1, fiber size k) with every rho2 out of its
+    # target sit at fixed places of by_src[src rho1]: row_places[(k, j1)].
+    row_places: dict[tuple[int, int], list[int]] = {}
+    for k, n_objects in n_same.items():
+        perms = list(permutations(range(k)))
+        index = {perm: j for j, perm in enumerate(perms)}
+        for j1, perm1 in enumerate(perms):
+            col = [index[tuple(perm2[i] for i in perm1)] for perm2 in perms]
+            row_places[(k, j1)] = [b * len(perms) + c for b in range(n_objects) for c in col]
     compose = {}
+    u_rows: dict[str, list[str]] = {}  # rho1 -> its composites, aligned with by_src[tgt rho1]
     for m1, (s1, t1) in morphisms.items():
-        rho1 = u_morphisms[m1]
-        for m2 in by_src[t1]:
-            t2 = morphisms[m2][1]
-            budget.spend()
-            rho2 = u_morphisms[m2]
-            compose[(m2, m1)] = mid_of[(s1, t2, tuple(rho2[v] for v in rho1.values()))]
+        out = by_src[t1]
+        budget.spend(len(out))
+        row = u_rows[m1] = list(map(by_src[s1].__getitem__,
+                                    row_places[(len(u_objects[s1][0]), place[m1])]))
+        compose.update(zip(zip(out, repeat(m1)), row))
     inverse = {
         mid: u_mid(t, s, {v: k for k, v in u_morphisms[mid].items()})
         for mid, (s, t) in morphisms.items()
@@ -192,25 +206,25 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
     ut_rank = {po: k for k, po in enumerate(ut_objects)}
     ut_morphisms: dict[str, tuple[str, str]] = {}
     ut_decode: dict[str, str] = {}  # pointed morphism -> underlying U morphism
+    ut_out: dict[str, tuple[list[str], list[int]]] = {}  # po -> (out(po), places in by_src)
     for po1, (o1, a) in ut_objects.items():
         # one pointed morphism per U-morphism rho out of o1, landing at
         # tgt@rho0[a]; a stable sort by target keeps the table's order
-        out = [(f"{morphisms[mid][1]}@{u_morphisms[mid][a]}", mid) for mid in by_src[o1]]
-        out.sort(key=lambda e: ut_rank[e[0]])
-        for po2, mid in out:
-            budget.spend()
-            pmid = f"{mid}@{a}"
-            ut_morphisms[pmid] = (po1, po2)
-            ut_decode[pmid] = mid
+        out = by_src[o1]
+        tgts = [f"{morphisms[mid][1]}@{u_morphisms[mid][a]}" for mid in out]
+        order = sorted(range(len(out)), key=lambda i: ut_rank[tgts[i]])
+        budget.spend(len(out))
+        pms = [f"{out[i]}@{a}" for i in order]
+        ut_out[po1] = (pms, order)
+        for pmid, i in zip(pms, order):
+            ut_morphisms[pmid] = (po1, tgts[i])
+            ut_decode[pmid] = out[i]
     ut_identity = {po: f"{identity[o]}@{a}" for po, (o, a) in ut_objects.items()}
-    ut_by_src: dict[str, list[str]] = {}
-    for pm, (s, _) in ut_morphisms.items():
-        ut_by_src.setdefault(s, []).append(pm)
     ut_compose = {}
     for p1, (s1, t1) in ut_morphisms.items():
-        for p2 in ut_by_src[t1]:
-            c = compose[(ut_decode[p2], ut_decode[p1])]
-            ut_compose[(p2, p1)] = f"{c}@{ut_objects[s1][1]}"
+        pms, order = ut_out[t1]
+        row, suffix = u_rows[ut_decode[p1]], "@" + ut_objects[s1][1]
+        ut_compose.update(zip(zip(pms, repeat(p1)), [row[i] + suffix for i in order]))
     ut_inverse = {
         p: f"{inverse[ut_decode[p]]}@{ut_objects[t][1]}"
         for p, (s, t) in ut_morphisms.items()

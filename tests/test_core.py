@@ -36,6 +36,7 @@ from invgpd.errors import CodomainMismatch, MalformedDocument, MalformedFunctor
 from invgpd.generators import involutive_catalog, plain_catalog
 from invgpd.pi import fiber_groupoid
 from invgpd.search import count_functors, find_isomorphism, iter_functors
+from invgpd.universe import build_universe
 
 
 def bang(G: Groupoid) -> Functor:
@@ -156,7 +157,51 @@ def test_pullback_contract_on_catalog_cospans():
                             assert pair_id(pr1.mor_map[p], pr2.mor_map[p]) == p
                         fp, gp = compose_functors(f, pr1), compose_functors(g, pr2)
                         assert fp.obj_map == gp.obj_map and fp.mor_map == gp.mor_map
+                        assert_composites_by_definition(P, pr1, pr2)
                         assert validate_groupoid(P) == []
+
+
+def test_universal_map_self_pullback_composites():
+    p = build_universe(("a", "b")).p.map
+    P, pr1, pr2 = pullback(p, p)
+    assert_composites_by_definition(P, pr1, pr2)
+
+
+def all_pairs_composites(P, pr1, pr2) -> dict:
+    """A pullback's compose table by its definition: every composable pair
+    of P's morphisms in morphism order, composed componentwise."""
+    A, B = pr1.cod, pr2.cod
+    return {
+        (p1, p2): pair_id(A.comp(pr1.mor_map[p1], pr1.mor_map[p2]),
+                          B.comp(pr2.mor_map[p1], pr2.mor_map[p2]))
+        for p1 in P.morphisms for p2 in P.morphisms if P.tgt(p2) == P.src(p1)
+    }
+
+
+def assert_lookups_agree(compose, want, mids):
+    for p1 in mids:
+        for p2 in mids:
+            key = (p1, p2)
+            if key in want:
+                assert compose[key] == compose.get(key) == want[key] and key in compose
+            else:
+                try:
+                    compose[key]
+                except KeyError:
+                    pass
+                else:
+                    pytest.fail(f"{key} is not composable, yet has a composite")
+                assert compose.get(key) is None and key not in compose
+
+
+def assert_composites_by_definition(P, pr1, pr2):
+    """Lookups agree with the definition before and after the first full
+    walk, and the walk lists it in its key order."""
+    want = all_pairs_composites(P, pr1, pr2)
+    assert_lookups_agree(P.compose, want, P.morphisms)
+    assert list(P.compose.items()) == list(want.items())
+    assert len(P.compose) == len(want) and P.compose == want
+    assert_lookups_agree(P.compose, want, P.morphisms)
 
 
 def test_colliding_pair_ids_are_malformed():

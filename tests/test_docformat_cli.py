@@ -1,12 +1,14 @@
 """Document format round-trips and the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import invgpd
 from invgpd import docformat
 from invgpd.cli import bundled_document, main
 from invgpd.core import validate_groupoid
@@ -168,9 +170,13 @@ def test_document_roundtrip():
 
 
 def run_cli(*argv) -> tuple[int, str]:
+    # the child imports the same package as the tests, installed or not
+    src = str(Path(invgpd.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "invgpd.cli", *argv],
-        capture_output=True, text=True,
+        env=env, capture_output=True, text=True,
     )
     return proc.returncode, proc.stdout
 
@@ -202,6 +208,15 @@ def test_cli_budget_exceeded_exit_3():
     for budget in ("10", "0"):
         code, _ = run_cli("universe", "--base", "3", "--budget", budget)
         assert code == 3, budget
+
+
+@pytest.mark.parametrize("budget, units", [("34838", "34839"), ("20000", "20001")])
+def test_cli_universe_budget_stops_at_the_same_unit(budget, units, capsys):
+    """build_universe at |V|=3 spends 34,839 units. Its composites are
+    charged one row at a time; 20,000 falls inside those rows, and the
+    bulk charge stops at the same unit as one charge per composite."""
+    assert main(["universe", "--base", "3", "--budget", budget]) == 3
+    assert f"({units} > {budget} candidates)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

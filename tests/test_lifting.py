@@ -227,8 +227,11 @@ def test_factorize_icheck_fibrant_replacement():
 
 
 def test_factorize_iteration_cap():
+    # the cap is hit before the step it would discard is built or charged
+    b = Budget()
     with pytest.raises(IterationCapExceeded):
-        factorize(icheck_to_point(), StructureTag.INJECTIVE, max_gluing_steps=0)
+        factorize(icheck_to_point(), StructureTag.INJECTIVE, max_gluing_steps=0, budget=b)
+    assert b.used == 0
 
 
 @pytest.mark.parametrize("f, tag", [

@@ -61,33 +61,44 @@ def test_universe_over_two_elements():
     assert b.u_morphism_id(A, A, {"a": "b", "b": "a"}) is not None
 
 
-def test_universe_tables_match_their_definition():
+@pytest.mark.parametrize("V", [("a", "b"), ("a", "b", "c")], ids=len)
+def test_universe_tables_match_their_definition(V):
     """U's compose table and Utilde's morphism and compose tables equal the
     brute-force definitions, key order included."""
-    b = build_universe(("a", "b"))
+    b = build_universe(V)
     GU, GUt = b.U.base, b.Utilde.base
+    # u_morphism_id, as one dict lookup
+    mid_of = {(s, t, tuple(sorted(b.u_morphisms[mid].items()))): mid
+              for mid, (s, t) in GU.morphisms.items()}
+    u_out = {}
+    for mid, (s, _) in GU.morphisms.items():
+        u_out.setdefault(s, []).append(mid)
     compose = {}
     for m1, (s1, t1) in GU.morphisms.items():
-        for m2, (s2, t2) in GU.morphisms.items():
-            if s2 == t1:
-                rho = {k: b.u_morphisms[m2][v] for k, v in b.u_morphisms[m1].items()}
-                compose[(m2, m1)] = b.u_morphism_id(s1, t2, rho)
+        for m2 in u_out[t1]:
+            rho = {k: b.u_morphisms[m2][v] for k, v in b.u_morphisms[m1].items()}
+            compose[(m2, m1)] = mid_of[(s1, GU.tgt(m2), tuple(sorted(rho.items())))]
     assert list(GU.compose.items()) == list(compose.items())
     # one pointed morphism rho@a: o1@a -> o2@c per U-morphism rho: o1 -> o2
     # with rho0[a] == c
+    u_hom = {}
+    for mid, st in GU.morphisms.items():
+        u_hom.setdefault(st, []).append(mid)
     morphisms, decode = {}, {}
     for po1, (o1, a) in b.ut_objects.items():
         for po2, (o2, c) in b.ut_objects.items():
-            for mid, st in GU.morphisms.items():
-                if st == (o1, o2) and b.u_morphisms[mid][a] == c:
+            for mid in u_hom.get((o1, o2), ()):
+                if b.u_morphisms[mid][a] == c:
                     morphisms[f"{mid}@{a}"] = (po1, po2)
                     decode[f"{mid}@{a}"] = mid
+    ut_out = {}
+    for pm, (s, _) in morphisms.items():
+        ut_out.setdefault(s, []).append(pm)
     ut_compose = {}
     for p1, (s1, t1) in morphisms.items():
-        for p2, (s2, _) in morphisms.items():
-            if s2 == t1:
-                c = GU.compose[(decode[p2], decode[p1])]
-                ut_compose[(p2, p1)] = f"{c}@{b.ut_objects[s1][1]}"
+        for p2 in ut_out.get(t1, ()):
+            c = GU.compose[(decode[p2], decode[p1])]
+            ut_compose[(p2, p1)] = f"{c}@{b.ut_objects[s1][1]}"
     assert list(GUt.morphisms.items()) == list(morphisms.items())
     assert list(GUt.compose.items()) == list(ut_compose.items())
     assert b.p.map.mor_map == decode
