@@ -42,7 +42,6 @@ from .equivariant import (
     swap_double,
     terminal_map,
     trivial_action,
-    underlying,
     validate_equivariant,
     validate_involutive,
 )
@@ -84,7 +83,6 @@ from .lifting import (
     is_fibrant,
     projective_classify,
     solve_lifting,
-    square,
 )
 from .pi import (
     PiBundle,

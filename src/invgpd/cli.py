@@ -20,10 +20,11 @@ Global flags: --budget K, --max-gluing-steps K, --format {human|json},
 --seed S, --file EXTRA_DOCUMENT.
 
 Exit codes: 0 all checks pass; 1 a check failed (with witness);
-2 malformed input (a ``--file`` document that ``validate`` rejects is
-malformed input); 3 budget or iteration cap exceeded. Reports are
-emitted as {check, verdict, witness?, steps?, budget_used} records;
-JSON output is byte-stable for a fixed seed and budget.
+2 malformed input (a ``--file`` document that ``validate`` rejects, and
+a file that cannot be read as UTF-8 text, are malformed input); 3 budget
+or iteration cap exceeded. Reports are emitted as {check, verdict,
+witness?, steps?, budget_used} records; JSON output is byte-stable for a
+fixed seed and budget.
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ from functools import cache
 from . import docformat
 from .budget import Budget, ensure_budget
 from .core import classify_functor
-from .equivariant import REGISTRY, EquivariantFunctor, eq_identity, terminal_map
+from .equivariant import (
+    REGISTRY,
+    EquivariantFunctor,
+    eq_identity,
+    equivariant_pullback,
+    terminal_map,
+)
 from .errors import BudgetExceeded, InvgpdError, IterationCapExceeded, MalformedDocument
 from .homotopy import path_object
 from .lifting import (
@@ -63,7 +70,6 @@ from .universe import (
     check_univalence,
     default_closure_samples,
     equivalence_space,
-    pullback_of_universal,
     universe_closure_checks,
 )
 
@@ -322,7 +328,7 @@ def seeded_closure_samples(bundle, seed: int):
         if not maps:
             continue
         g = EquivariantFunctor(Bp, bundle.U, rng.choice(maps))
-        PB, prB = pullback_of_universal(bundle, g)
+        _, prB, _ = equivariant_pullback(g, bundle.p)
         out.append((f"seeded{k}", prB))
     return out
 
@@ -520,7 +526,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, IterationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InvgpdError, FileNotFoundError) as exc:
+    except (InvgpdError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     return rep.emit()

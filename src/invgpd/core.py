@@ -21,9 +21,11 @@ Conventions
   is sound only because values are immutable after construction: tables
   must not be edited once a groupoid or functor is built.
 * One construction per concept. A product is the pullback of the two
-  functors to the point (:func:`terminal_functor`), and :func:`subgroupoid`
+  functors to the point (:func:`terminal_functor`), :func:`subgroupoid`
   is the one restriction to a set of objects and morphisms (full, fixed
-  and fiber subgroupoids are all built with it).
+  and fiber subgroupoids are all built with it), and
+  ``equivariant.diagonal`` is the one diagonal of a map into its
+  self-pullback.
 * Pullbacks name each pair ``(a,b)`` with :func:`pair_id`. Pair IDs are
   labels only: nothing parses them back, the projections ``pr1``/``pr2``
   decode them. Names containing ``,`` or parentheses can make two pairs
@@ -415,7 +417,7 @@ def require_valid_functor(F: Functor) -> None:
 
 def lifts_of(F: Functor, h: str, x: str) -> list[str]:
     """All morphisms of dom(F) with source ``x`` mapping to ``h``."""
-    return [m for m in F.dom.mor_ids() if F.dom.src(m) == x and F.mor_map[m] == h]
+    return [m for m in sorted(F.dom.out(x)) if F.mor_map[m] == h]
 
 
 def classify_functor(F: Functor) -> FunctorReport:

@@ -134,10 +134,6 @@ def trivial_action(G: Groupoid) -> InvolutiveGroupoid:
     return InvolutiveGroupoid(G, identity_functor(G))
 
 
-def underlying(X: InvolutiveGroupoid) -> Groupoid:
-    return X.base
-
-
 def swap_double(G: Groupoid) -> InvolutiveGroupoid:
     """G ⊔ G with the involution swapping the two copies."""
     C, inl, inr = coproduct(G, G)
@@ -329,6 +325,13 @@ def equivariant_pullback(f: EquivariantFunctor, g: EquivariantFunctor):
 
 def eq_pairing(f: EquivariantFunctor, g: EquivariantFunctor, prod: InvolutiveGroupoid) -> EquivariantFunctor:
     return EquivariantFunctor(f.dom, prod, pairing(f.map, g.map, prod.base))
+
+
+def diagonal(f: EquivariantFunctor) -> EquivariantFunctor:
+    """The diagonal A -> A x_C A of f: A -> C; its codomain is the
+    self-pullback of f."""
+    PB, _, _ = equivariant_pullback(f, f)
+    return eq_pairing(eq_identity(f.dom), eq_identity(f.dom), PB)
 
 
 # -- cell attachments ----------------------------------------------------------

@@ -16,7 +16,7 @@ fibrations over the universe) and are deterministic functions of their
 from __future__ import annotations
 
 import random
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 from .budget import Budget, ensure_budget
 from .core import (
@@ -50,6 +50,11 @@ def partitions(n: int):
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
     yield from rec(n, n)
+
+
+def _blocks(names, part) -> list[tuple[str, ...]]:
+    """``names`` cut into consecutive blocks of the sizes in ``part``."""
+    return [tuple(names[end - size:end]) for size, end in zip(part, accumulate(part))]
 
 
 def z2_component(objs) -> Groupoid:
@@ -92,11 +97,7 @@ def plain_catalog(max_objects: int = 3, vertex_z2: bool = False) -> list[Groupoi
     for n in range(max_objects + 1):
         for part in partitions(n):
             names = list(OBJ_NAMES[:n])
-            blocks = []
-            k = 0
-            for size in part:
-                blocks.append(tuple(names[k:k + size]))
-                k += size
+            blocks = _blocks(names, part)
             for kind_choice in iproduct(kinds, repeat=len(blocks)):
                 out.append(assemble(names, list(zip(blocks, kind_choice))))
     return out
@@ -142,18 +143,14 @@ def equivariant_functors(X: InvolutiveGroupoid, Y: InvolutiveGroupoid,
 
 
 def random_involutive(rng: random.Random, max_objects: int = 4,
-                      vertex_z2: bool = True, nonempty: bool = True) -> InvolutiveGroupoid:
-    n = rng.randint(1 if nonempty else 0, max_objects)
+                      vertex_z2: bool = True) -> InvolutiveGroupoid:
+    """A random nonempty catalog groupoid with a random involution."""
+    n = rng.randint(1, max_objects)
     parts = list(partitions(n))
     part = rng.choice(parts)
     names = list(OBJ_NAMES[:n])
-    blocks = []
-    k = 0
-    for size in part:
-        blocks.append(tuple(names[k:k + size]))
-        k += size
     kinds = ("cod", "z2") if vertex_z2 else ("cod",)
-    G = assemble(names, [(b, rng.choice(kinds)) for b in blocks])
+    G = assemble(names, [(b, rng.choice(kinds)) for b in _blocks(names, part)])
     invs = involutions_of(G)
     return InvolutiveGroupoid(G, rng.choice(invs))
 

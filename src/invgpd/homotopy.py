@@ -2,10 +2,13 @@
 
 The canonical path object of a map f: A -> C has as objects the triples
 (x, y, phi) with phi an isomorphism of A over an identity of C, and as
-morphisms the pairs (sigma, tau) conjugating one triple into another. It
-factors the diagonal A -> A x_C A as an injective-on-objects levelwise
-equivalence followed by a map with the right lifting property against the
-injective generators.
+morphisms the pairs (sigma, tau) conjugating one triple into another. A
+:class:`PathFactorization` holds it as ``path`` (P) with its two legs:
+``delta1``: A -> P sends x to (x, x, id), an injective-on-objects
+levelwise equivalence, and ``delta2``: P -> A x_C A sends (x, y, phi) to
+(x, y), a map with the right lifting property against the injective
+generators. Their composite is the diagonal ``equivariant.diagonal(f)``,
+and ``delta2.cod`` is A x_C A.
 
 Right homotopies are always searched against this single construction;
 existence does not depend on the choice of path object because all the
@@ -17,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
-from .core import Functor, Groupoid, classify_functor, functors_equal, pair_id, subgroupoid
+from .core import Functor, Groupoid, classify_functor, pair_id, subgroupoid
 from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
+    diagonal,
     eq_compose,
     eq_identity,
     eq_pairing,
@@ -34,14 +38,9 @@ from .search import iter_functors
 
 @dataclass
 class PathFactorization:
-    source_map: EquivariantFunctor          # f: A -> C
     path: InvolutiveGroupoid                # P_C A
     delta1: EquivariantFunctor              # A -> P_C A
     delta2: EquivariantFunctor              # P_C A -> A x_C A
-    product: InvolutiveGroupoid             # A x_C A
-    pr1: EquivariantFunctor
-    pr2: EquivariantFunctor
-    diagonal: EquivariantFunctor            # A -> A x_C A
 
 
 @dataclass
@@ -68,17 +67,16 @@ def path_object(f: EquivariantFunctor) -> PathFactorization:
 
     objs = [m for m in GA.mor_ids() if C.base.is_identity(f.on_mor(m))]
     objects = tuple(sorted(po(m) for m in objs))
+    out = {x: sorted(GA.out(x)) for x in GA.objects}  # in ID order
 
     morphisms: dict[str, tuple[str, str]] = {}
     data: dict[str, tuple[str, str, str, str]] = {}  # (phi, sigma, tau, phi of the target)
     by_src: dict[str, list[str]] = {}                  # phi -> morphisms out of po(phi)
     for phi in objs:
         x, y = GA.morphisms[phi]
-        for sigma in GA.mor_ids():
-            if GA.src(sigma) != x:
-                continue
-            for tau in GA.mor_ids():
-                if GA.src(tau) != y or f.on_mor(sigma) != f.on_mor(tau):
+        for sigma in out[x]:
+            for tau in out[y]:
+                if f.on_mor(sigma) != f.on_mor(tau):
                     continue
                 phi2 = GA.comp(GA.comp(tau, phi), GA.inv(sigma))
                 mid = pm(phi, sigma, tau)
@@ -101,7 +99,7 @@ def path_object(f: EquivariantFunctor) -> PathFactorization:
     )
     IP = InvolutiveGroupoid(P, inv)
 
-    product, pr1, pr2 = equivariant_pullback(f, f)
+    product, _, _ = equivariant_pullback(f, f)
     d1 = EquivariantFunctor(
         A, IP,
         Functor(
@@ -118,17 +116,12 @@ def path_object(f: EquivariantFunctor) -> PathFactorization:
             {m: pair_id(d[1], d[2]) for m, d in data.items()},
         ),
     )
-    diag = eq_pairing(eq_identity(A), eq_identity(A), product)
-    return PathFactorization(
-        source_map=f, path=IP, delta1=d1, delta2=d2,
-        product=product, pr1=pr1, pr2=pr2, diagonal=diag,
-    )
+    return PathFactorization(path=IP, delta1=d1, delta2=d2)
 
 
-def path_factorization(over: EquivariantFunctor, tag=None,
-                       budget: Budget | int | None = None,
-                       max_gluing_steps: int = 8) -> PathFactorization:
-    """A path object for the requested structure.
+def path_factorization(over: EquivariantFunctor,
+                       budget: Budget | int | None = None) -> PathFactorization:
+    """A path object for the projective structure.
 
     The explicit tuple construction is a path object for the injective
     structure (and for plain groupoids, where there is no fixed-point
@@ -141,16 +134,8 @@ def path_factorization(over: EquivariantFunctor, tag=None,
     ``find_right_homotopy`` does not build this object; it stays as the
     reference that the test suite checks that search against.
     """
-    if tag is not None and tag == StructureTag.PROJECTIVE:
-        product, pr1, pr2 = equivariant_pullback(over, over)
-        A = over.dom
-        diag = eq_pairing(eq_identity(A), eq_identity(A), product)
-        fact = factorize(diag, StructureTag.PROJECTIVE, max_gluing_steps, budget)
-        return PathFactorization(
-            source_map=over, path=fact.j.cod, delta1=fact.j, delta2=fact.q,
-            product=product, pr1=pr1, pr2=pr2, diagonal=diag,
-        )
-    return path_object(over)
+    fact = factorize(diagonal(over), StructureTag.PROJECTIVE, budget=budget)
+    return PathFactorization(path=fact.j.cod, delta1=fact.j, delta2=fact.q)
 
 
 def homotopy_against(pf: PathFactorization, f: EquivariantFunctor,
@@ -158,7 +143,7 @@ def homotopy_against(pf: PathFactorization, f: EquivariantFunctor,
                      budget: Budget | int | None = None) -> HomotopyWitness | None:
     """Search H: A -> P with delta2∘H = <f, g> against a fixed path object."""
     budget = ensure_budget(budget)
-    target = eq_pairing(f, g, pf.product)
+    target = eq_pairing(f, g, pf.delta2.cod)
     for H in iter_functors(
         f.dom.base, pf.path.base,
         post=(pf.delta2.map, target.map),
@@ -172,16 +157,15 @@ def homotopy_against(pf: PathFactorization, f: EquivariantFunctor,
 def find_natural_iso(
     f: EquivariantFunctor,
     g: EquivariantFunctor,
-    over: EquivariantFunctor,
     strict_fixed: bool,
     budget: Budget | int | None = None,
 ) -> dict[str, str] | None:
-    """An equivariant natural isomorphism f => g over the base, if any.
+    """An equivariant natural isomorphism f => g, if any.
 
-    Components live over identities of the base; with ``strict_fixed``
-    the component at every fixed object must be an identity. Naturality
-    makes components propagate along morphisms, so the search assigns one
-    component per connected piece and derives the rest.
+    With ``strict_fixed`` the component at every fixed object must be an
+    identity. Naturality makes components propagate along morphisms, so
+    the search assigns one component per connected piece and derives the
+    rest.
     """
     budget = ensure_budget(budget)
     A, X = f.dom, f.cod
@@ -190,8 +174,6 @@ def find_natural_iso(
 
     def ok(a: str, m: str) -> bool:
         if GX.morphisms[m] != (f.on_obj(a), g.on_obj(a)):
-            return False
-        if not over.cod.base.is_identity(over.on_mor(m)):
             return False
         if strict_fixed and A.eta_obj(a) == a and not GX.is_identity(m):
             return False
@@ -212,11 +194,9 @@ def find_natural_iso(
             trail.append(a)
             partner = (A.eta_obj(a), X.eta_mor(m))
             stack.append(partner)
-            for alpha in GA.mor_ids():
-                if GA.src(alpha) == a:
-                    a2 = GA.tgt(alpha)
-                    forced = GX.comp(GX.comp(g.on_mor(alpha), m), GX.inv(f.on_mor(alpha)))
-                    stack.append((a2, forced))
+            for alpha in sorted(GA.out(a)):
+                forced = GX.comp(GX.comp(g.on_mor(alpha), m), GX.inv(f.on_mor(alpha)))
+                stack.append((GA.tgt(alpha), forced))
         return True
 
     def solve(order: list[str]) -> bool:
@@ -239,9 +219,10 @@ def find_natural_iso(
 
 
 def witness_from_iso(f: EquivariantFunctor, g: EquivariantFunctor,
-                     over: EquivariantFunctor, nu: dict[str, str]) -> HomotopyWitness:
-    """Package a natural isomorphism as a map into the tuple path object."""
-    pf = path_object(over)
+                     nu: dict[str, str]) -> HomotopyWitness:
+    """Package a natural isomorphism as a map into the tuple path object of
+    f's codomain over the point."""
+    pf = path_object(terminal_map(f.cod))
     GA = f.dom.base
     obj_map = {a: po(nu[a]) for a in GA.objects}
     mor_map = {alpha: pm(nu[GA.src(alpha)], f.on_mor(alpha), g.on_mor(alpha))
@@ -253,20 +234,18 @@ def witness_from_iso(f: EquivariantFunctor, g: EquivariantFunctor,
 def find_right_homotopy(
     f: EquivariantFunctor,
     g: EquivariantFunctor,
-    over: EquivariantFunctor | None = None,
     tag=None,
     budget: Budget | int | None = None,
 ) -> HomotopyWitness | None:
-    """Search for a right homotopy from f to g over the base.
+    """Search for a right homotopy from f to g (over the point).
 
-    ``over`` is the structure map B -> C (terminal by default); f and g
-    must agree after composing with it. ``tag`` selects the structure the
-    homotopy lives in (projective by default, matching the theorems this
-    feeds); existence is independent of the choice of path object within
-    a fixed structure because all relevant objects are fibrant.
+    ``tag`` selects the structure the homotopy lives in (projective by
+    default, matching the theorems this feeds); existence is independent
+    of the choice of path object within a fixed structure because all
+    relevant objects are fibrant.
 
     A homotopy into any path object is the same data as an equivariant
-    natural isomorphism over the base; for the projective structure its
+    natural isomorphism; for the projective structure its
     components at fixed objects must additionally be identities, because
     the glued path object has no fixed points outside the diagonal. The
     search runs on that characterization directly, and the returned
@@ -277,16 +256,11 @@ def find_right_homotopy(
         tag = StructureTag.PROJECTIVE
     if f.dom.base != g.dom.base or f.cod.base != g.cod.base:
         raise CodomainMismatch("homotopy needs parallel maps")
-    if over is None:
-        over = terminal_map(f.cod)
-    if not functors_equal(eq_compose(over, f).map, eq_compose(over, g).map):
-        raise CodomainMismatch("maps do not agree over the base")
     budget = ensure_budget(budget)
-    nu = find_natural_iso(f, g, over, strict_fixed=(tag == StructureTag.PROJECTIVE),
-                          budget=budget)
+    nu = find_natural_iso(f, g, strict_fixed=(tag == StructureTag.PROJECTIVE), budget=budget)
     if nu is None:
         return None
-    return witness_from_iso(f, g, over, nu)
+    return witness_from_iso(f, g, nu)
 
 
 def full_fixed_isomorphism(f: EquivariantFunctor) -> bool:

@@ -91,12 +91,6 @@ class LiftingProblem:
             raise NonCommutingSquare("p∘top != bottom∘i")
 
 
-def square(left, right, top, bottom) -> LiftingProblem:
-    return LiftingProblem(
-        as_equivariant(left), as_equivariant(right), as_equivariant(top), as_equivariant(bottom)
-    )
-
-
 def _seeds(left: EquivariantFunctor, obj_image: dict[str, str], mor_image: dict[str, str]):
     """The seeds that force ``h∘left`` to send each object a of left's domain
     to ``obj_image[a]`` and each morphism m to ``mor_image[m]``, or None

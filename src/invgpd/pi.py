@@ -327,11 +327,6 @@ def lift_independent(bundle: PiBundle, budget: Budget | int | None = None) -> bo
 # -- the adjunction -------------------------------------------------------------
 
 
-def pullback_along(g: EquivariantFunctor, h: EquivariantFunctor):
-    """g*h: the pullback of h: D -> B along g: A -> B, projecting to A."""
-    return equivariant_pullback(g, h)
-
-
 def check_slice_over(m: EquivariantFunctor, a: EquivariantFunctor, b: EquivariantFunctor) -> None:
     """Require b∘m = a (m is a slice morphism from a to b)."""
     if not functors_equal(compose_functors(b.map, m.map), a.map):
@@ -342,11 +337,11 @@ def adjunction_forward(bundle: PiBundle, h: EquivariantFunctor,
                        v: EquivariantFunctor) -> EquivariantFunctor:
     """Transpose a slice morphism v: g*h -> f over A to h -> Pi_g f over B.
 
-    v's domain must be the pullback of h along g with pair-ID objects
-    (as produced by ``pullback_along``).
+    v's domain must be the pullback g*h of h along g with pair-ID objects
+    (as produced by ``equivariant_pullback(g, h)``).
     """
     g, f = bundle.g, bundle.f
-    P, prA, _ = pullback_along(g, h)
+    P, prA, _ = equivariant_pullback(g, h)
     if v.dom.base != P.base:
         raise MalformedSliceMorphism("v must be defined on the pullback of h along g")
     check_slice_over(v, prA, f)
@@ -391,7 +386,7 @@ def adjunction_backward(bundle: PiBundle, h: EquivariantFunctor,
     if k.cod.base != bundle.dom_pi.base:
         raise MalformedSliceMorphism("k must land in the dependent product")
     check_slice_over(k, h, bundle.projection)
-    P, prA, prD = pullback_along(g, h)
+    P, prA, prD = equivariant_pullback(g, h)
 
     obj_map: dict[str, str] = {}
     for o in P.base.objects:

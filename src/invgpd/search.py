@@ -311,7 +311,3 @@ def find_isomorphism(G: Groupoid, H: Groupoid, budget: Budget | int | None = Non
     for F in iter_functors(G, H, bijective=True, obj_seed=obj_seed, budget=budget):
         return F
     return None
-
-
-def count_functors(dom: Groupoid, cod: Groupoid, **kw) -> int:
-    return sum(1 for _ in iter_functors(dom, cod, **kw))

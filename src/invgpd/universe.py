@@ -43,8 +43,8 @@ from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
     REGISTRY,
+    diagonal,
     eq_compose,
-    eq_pairing,
     eq_identity,
     equivariant_pullback,
     terminal_map,
@@ -66,7 +66,7 @@ from .lifting import (
     injective_classify,
     is_fibrant,
 )
-from .pi import PiBundle, pi_of
+from .pi import pi_of
 
 
 def _set_id(elems) -> str:
@@ -78,6 +78,16 @@ def _bij_id(bij: dict) -> str:
     return ";".join(f"{k}>{bij[k]}" for k in sorted(bij))
 
 
+def _object_id(A0, A1, phi: dict) -> str:
+    """The ID of the U-object (A0, A1, phi)."""
+    return f"[{_set_id(A0)}|{_set_id(A1)}|{_bij_id(phi)}]"
+
+
+def _morphism_id(src: str, tgt: str, rho0: dict) -> str:
+    """The ID of the U-morphism src -> tgt with first component rho0."""
+    return f"<{src}->{tgt}:{_bij_id(rho0)}>"
+
+
 @dataclass
 class UniverseBundle:
     base: tuple[str, ...]
@@ -85,23 +95,19 @@ class UniverseBundle:
     Utilde: InvolutiveGroupoid
     p: EquivariantFunctor
     # object/morphism decodings
-    u_objects: dict[str, tuple[frozenset, frozenset, dict]]
     u_morphisms: dict[str, dict]            # id -> the first-component bijection
     ut_objects: dict[str, tuple[str, str]]  # id -> (U object id, marked point)
 
     def u_object_id(self, A0, A1, phi: dict) -> str | None:
-        key = (frozenset(A0), frozenset(A1))
-        for oid, (B0, B1, psi) in self.u_objects.items():
-            if (B0, B1) == key and psi == phi:
-                return oid
-        return None
+        """The U-object (A0, A1, phi) for subsets A0, A1 of the base and a
+        bijection phi between them, or None if it is no object of U."""
+        oid = _object_id(A0, A1, phi)
+        return oid if oid in self.U.base.identity else None
 
     def u_morphism_id(self, src: str, tgt: str, rho0: dict) -> str | None:
-        G = self.U.base
-        for mid, r in self.u_morphisms.items():
-            if G.morphisms[mid] == (src, tgt) and r == rho0:
-                return mid
-        return None
+        """The U-morphism src -> tgt with first component rho0, or None."""
+        mid = _morphism_id(src, tgt, rho0)
+        return mid if mid in self.U.base.morphisms else None
 
 
 def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
@@ -124,13 +130,11 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
             for image in permutations(A1):
                 budget.spend()
                 phi = dict(zip(A0, image))
-                oid = f"[{_set_id(A0)}|{_set_id(A1)}|{_bij_id(phi)}]"
-                u_objects[oid] = (frozenset(A0), frozenset(A1), phi)
+                u_objects[_object_id(A0, A1, phi)] = (frozenset(A0), frozenset(A1), phi)
 
     def u_inv_obj(oid: str) -> str:
         A0, A1, phi = u_objects[oid]
-        inv_phi = {v: k for k, v in phi.items()}
-        return f"[{_set_id(A1)}|{_set_id(A0)}|{_bij_id(inv_phi)}]"
+        return _object_id(A1, A0, {v: k for k, v in phi.items()})
 
     # each (src, tgt) block of morphisms is in permutations order, and
     # by_src lists an object's blocks by target in object order
@@ -148,7 +152,7 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
             for j, image in enumerate(permutations(sorted(B0))):
                 budget.spend()
                 rho0 = dict(zip(sorted(A0), image))
-                mid = f"<{src}->{tgt}:{_bij_id(rho0)}>"
+                mid = _morphism_id(src, tgt, rho0)
                 u_morphisms[mid] = rho0
                 morphisms[mid] = (src, tgt)
                 out.append(mid)
@@ -162,11 +166,8 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
         inv_phi = {v: k for k, v in phi.items()}
         return {a1: psi[rho0[inv_phi[a1]]] for a1 in inv_phi}
 
-    def u_mid(src: str, tgt: str, rho0: dict) -> str:
-        return f"<{src}->{tgt}:{_bij_id(rho0)}>"
-
     identity = {
-        oid: u_mid(oid, oid, {a: a for a in sorted(data[0])})
+        oid: _morphism_id(oid, oid, {a: a for a in sorted(data[0])})
         for oid, data in u_objects.items()
     }
     # As permutations of positions, rho2∘rho1 is perms[j2]∘perms[j1], so the
@@ -188,12 +189,12 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
                                     row_places[(len(u_objects[s1][0]), place[m1])]))
         compose.update(zip(zip(out, repeat(m1)), row))
     inverse = {
-        mid: u_mid(t, s, {v: k for k, v in u_morphisms[mid].items()})
+        mid: _morphism_id(t, s, {v: k for k, v in u_morphisms[mid].items()})
         for mid, (s, t) in morphisms.items()
     }
     GU = Groupoid(tuple(u_objects), morphisms, identity, compose, inverse)
     inv_mor = {
-        mid: u_mid(u_inv_obj(s), u_inv_obj(t), derived_rho1(mid))
+        mid: _morphism_id(u_inv_obj(s), u_inv_obj(t), derived_rho1(mid))
         for mid, (s, t) in morphisms.items()
     }
     U = InvolutiveGroupoid(GU, Functor(GU, GU, {o: u_inv_obj(o) for o in GU.objects}, inv_mor))
@@ -251,8 +252,7 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
                 {pm: ut_decode[pm] for pm in ut_morphisms}),
     )
     return UniverseBundle(
-        base=V, U=U, Utilde=Ut, p=p,
-        u_objects=u_objects, u_morphisms=u_morphisms, ut_objects=ut_objects,
+        base=V, U=U, Utilde=Ut, p=p, u_morphisms=u_morphisms, ut_objects=ut_objects,
     )
 
 
@@ -363,34 +363,14 @@ def classify_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle,
     return SmallClassification(classifying=g, pullback=PB, pullback_map=prB, chi=chi)
 
 
-def pullback_of_universal(bundle: UniverseBundle, g: EquivariantFunctor):
-    """The small fibration classified by g: B' -> U."""
-    PB, prB, _ = equivariant_pullback(g, bundle.p)
-    return PB, prB
-
-
 # -- the space of equivalences and the univalence verdicts ----------------------
 
 
-@dataclass
-class EquivalenceSpace:
-    E: InvolutiveGroupoid
-    q: EquivariantFunctor        # E -> U x U
-    delta1: EquivariantFunctor   # U -> E
-    fact: PathFactorization
-
-    def decode(self, eid: str) -> tuple[str, str, str]:
-        """(source type, target type, equivalence) of an E-object."""
-        U = self.delta1.dom.base
-        m = next(m for m in U.morphisms if po(m) == eid)
-        return (U.src(m), U.tgt(m), m)
-
-
-def equivalence_space(bundle: UniverseBundle) -> EquivalenceSpace:
-    """E = the canonical path object of U over the point; its fiber over
-    (A, B) is the set of isomorphisms A -> B in U."""
-    fact = path_object(terminal_map(bundle.U))
-    return EquivalenceSpace(E=fact.path, q=fact.delta2, delta1=fact.delta1, fact=fact)
+def equivalence_space(bundle: UniverseBundle) -> PathFactorization:
+    """The canonical path object of U over the point: ``path`` is E, whose
+    fiber over (A, B) is the set of isomorphisms A -> B in U (the object
+    ``po(rho)`` is rho); ``delta1``: U -> E and ``delta2``: E -> U x U."""
+    return path_object(terminal_map(bundle.U))
 
 
 @dataclass
@@ -404,7 +384,7 @@ class UnivalenceReport:
 
 
 def projective_univalence_witness(bundle: UniverseBundle,
-                                  space: EquivalenceSpace | None = None) -> str:
+                                  space: PathFactorization | None = None) -> str:
     """The least fixed point of E outside the image of delta1.
 
     Raises BaseTooSmall when every fixed equivalence is an identity
@@ -412,20 +392,22 @@ def projective_univalence_witness(bundle: UniverseBundle,
     """
     space = space or equivalence_space(bundle)
     image = set(space.delta1.map.obj_map.values())
-    for eid in space.E.base.objects:
-        if space.E.eta_obj(eid) == eid and eid not in image:
+    E = space.path
+    for eid in E.base.objects:
+        if E.eta_obj(eid) == eid and eid not in image:
             return eid
     raise BaseTooSmall("no non-identity fixed equivalence exists over this base")
 
 
 def check_univalence(bundle: UniverseBundle, tag: StructureTag,
                      budget: Budget | int | None = None,
-                     space: EquivalenceSpace | None = None) -> UnivalenceReport:
+                     space: PathFactorization | None = None) -> UnivalenceReport:
     """Decide whether the identity-equivalence map U -> E is a homotopy
     equivalence for the given structure.
 
-    ``space`` is E as built by ``equivalence_space(bundle)``; pass it to
-    share one build between the two structures.
+    ``space`` is E with its two legs, as built by
+    ``equivalence_space(bundle)``; pass it to share one build between the
+    two structures.
     """
     budget = ensure_budget(budget)
     space = space or equivalence_space(bundle)
@@ -442,7 +424,9 @@ def check_univalence(bundle: UniverseBundle, tag: StructureTag,
                 },
             )
         witness_id = projective_univalence_witness(bundle, space)
-        A, B, rho = space.decode(witness_id)
+        GU = bundle.U.base
+        rho = next(m for m in GU.morphisms if po(m) == witness_id)
+        A, B = GU.morphisms[rho]
         return UnivalenceReport(
             structure="projective", verdict="FAILS",
             witness={
@@ -457,11 +441,11 @@ def check_univalence(bundle: UniverseBundle, tag: StructureTag,
     gens = generating_trivial_cofibrations(StructureTag.INJECTIVE)
     checks = {
         "delta1_trivial_cofibration": injective_classify(d1, budget).trivial_cofibration,
-        "delta2_fibration": has_rlp(space.q, gens, budget).ok,
+        "delta2_fibration": has_rlp(space.delta2, gens, budget).ok,
         "p_fibration": has_rlp(bundle.p, gens, budget).ok,
         "U_fibrant": is_fibrant(bundle.U, StructureTag.INJECTIVE, budget),
         "Utilde_fibrant": is_fibrant(bundle.Utilde, StructureTag.INJECTIVE, budget),
-        "E_fibrant": is_fibrant(space.E, StructureTag.INJECTIVE, budget),
+        "E_fibrant": is_fibrant(space.path, StructureTag.INJECTIVE, budget),
     }
     verdict = "HOLDS" if all(checks.values()) else "FAILS"
     return UnivalenceReport(structure="injective", verdict=verdict, witness=checks)
@@ -478,7 +462,6 @@ class FunextReport:
     terminal_fixed_points: int
     pi_is_homotopy_equivalence: bool
     verdict: str
-    bundle: PiBundle
 
     def to_dict(self) -> dict:
         return {
@@ -516,17 +499,10 @@ def check_funext_counterexample(budget: Budget | int | None = None) -> FunextRep
         terminal_fixed_points=one_fixed,
         pi_is_homotopy_equivalence=he_out,
         verdict=verdict,
-        bundle=bundle,
     )
 
 
 # -- universe closure -----------------------------------------------------------
-
-
-def diagonal_map(f: EquivariantFunctor):
-    """The diagonal of f into its self-pullback."""
-    PB, pr1, pr2 = equivariant_pullback(f, f)
-    return eq_pairing(eq_identity(f.dom), eq_identity(f.dom), PB), PB
 
 
 @dataclass
@@ -582,8 +558,7 @@ def universe_closure_checks(bundle: UniverseBundle,
             entries.append({"kind": "composite", "inputs": [n2, n1], "verdict": v, "witness": w})
 
     for name, f in samples:
-        diag, _ = diagonal_map(f)
-        v, w = _closure_verdict(diag, bundle)
+        v, w = _closure_verdict(diagonal(f), bundle)
         entries.append({"kind": "diagonal", "inputs": [name], "verdict": v, "witness": w})
 
     for n1, f in samples:

@@ -35,7 +35,7 @@ from invgpd.equivariant import equivariant_product, fixed_points, terminal_map
 from invgpd.errors import CodomainMismatch, MalformedDocument, MalformedFunctor
 from invgpd.generators import involutive_catalog, plain_catalog
 from invgpd.pi import fiber_groupoid
-from invgpd.search import count_functors, find_isomorphism, iter_functors
+from invgpd.search import find_isomorphism, iter_functors
 from invgpd.universe import build_universe
 
 
@@ -346,7 +346,7 @@ def test_functor_search_respects_budget():
     big1 = codiscrete(tuple(f"a{i}" for i in range(4)))
     big2 = codiscrete(tuple(f"b{i}" for i in range(4)))
     with pytest.raises(BudgetExceeded):
-        count_functors(big1, big2, budget=50)
+        list(iter_functors(big1, big2, budget=50))
 
 
 def test_functor_search_releases_groupoids_without_gc():

@@ -19,7 +19,6 @@ from invgpd.equivariant import (
     fixed_points,
     swap_double,
     trivial_action,
-    underlying,
     validate_equivariant,
     validate_involutive,
 )
@@ -56,7 +55,7 @@ def test_three_functors():
     assert trivial_action(unit()).fixed_objects() == ("*",)
     S1 = swap_double(unit())
     assert S1.base.n_objects == 2 and S1.fixed_objects() == ()
-    assert underlying(REGISTRY.shape("Icheck")) == interval()
+    assert REGISTRY.shape("Icheck").base == interval()
 
 
 def test_fixed_points_commute_with_equivariant_isomorphisms():

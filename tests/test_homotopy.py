@@ -6,6 +6,7 @@ from invgpd.core import Functor, classify_functor
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
+    diagonal,
     eq_compose,
     eq_identity,
     terminal_map,
@@ -96,8 +97,9 @@ def test_delta_factorization_properties():
     for X in (REGISTRY.shape("Icheck"), REGISTRY.shape("SI"), REGISTRY.shape("nabla")):
         pf = path_object(terminal_map(X))
         d21 = eq_compose(pf.delta2, pf.delta1)
-        assert d21.map.obj_map == pf.diagonal.map.obj_map
-        assert d21.map.mor_map == pf.diagonal.map.mor_map
+        diag = diagonal(terminal_map(X))
+        assert d21.map.obj_map == diag.map.obj_map
+        assert d21.map.mor_map == diag.map.mor_map
         assert injective_classify(pf.delta1).trivial_cofibration
         gens = generating_trivial_cofibrations(StructureTag.INJECTIVE)
         assert has_rlp(pf.delta2, gens).ok
@@ -217,7 +219,7 @@ def test_projective_homotopy_agrees_with_glued_path_object():
 
     s1, ic = REGISTRY.shape("S1"), REGISTRY.shape("Icheck")
     for X in (s1, ic):
-        pf = path_factorization(terminal_map(X), StructureTag.PROJECTIVE)
+        pf = path_factorization(terminal_map(X))
         # the glued object has the same fixed points as X (none here)
         assert len(pf.path.fixed_objects()) == len(X.fixed_objects())
         for A in (s1, ic, REGISTRY.shape("1!")):

@@ -1,7 +1,8 @@
 """Source hygiene: every import in the package and the tests is used,
-every public function and class is used somewhere, no invariant check
-is an ``assert`` (``python -O`` would drop it), and every function the
-benchmark's tracer wraps still exists."""
+every public function and class is used somewhere, every dataclass field
+is read somewhere, no invariant check is an ``assert`` (``python -O``
+would drop it), and every function the benchmark's tracer wraps still
+exists."""
 
 import ast
 import importlib
@@ -46,18 +47,23 @@ def test_no_unused_imports():
     assert found == {}
 
 
-def references(node: ast.AST) -> set[str]:
-    """Names a piece of code uses: variables, attributes, and strings that
-    are a bare name (the tracer wraps functions it names as strings)."""
+def references(node: ast.AST, strings: bool = False) -> set[str]:
+    """Names a piece of code uses: variables and attributes, and with
+    ``strings`` every string constant too (the benchmark's tracer names
+    the functions it wraps as strings)."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             out.add(sub.value)
     return out
+
+
+def parsed(paths) -> list[ast.AST]:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
 
 
 def test_every_public_definition_is_used():
@@ -68,8 +74,11 @@ def test_every_public_definition_is_used():
         path: ast.parse(path.read_text(encoding="utf-8")).body
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
     }
-    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    outside = set().union(*(references(ast.parse(p.read_text(encoding="utf-8"))) for p in others))
+    outside = set().union(
+        *(references(tree) for tree in parsed(sorted((ROOT / "tests").glob("*.py")))),
+        *(references(tree, strings=True)
+          for tree in parsed(sorted((ROOT / "perfbench").glob("*.py")))),
+    )
     uses = {path: [references(node) for node in body] for path, body in modules.items()}
     unused = []
     for path, body in modules.items():
@@ -80,6 +89,35 @@ def test_every_public_definition_is_used():
             if node.name not in used.union(*uses[path][:k], *uses[path][k + 1:]):
                 unused.append(f"{path.name}: {node.name}")
     assert unused == []
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads as an attribute, in the package, the tests
+    # or the benchmark, is dead weight on every record built; a class that
+    # reads self.__dict__ (a to_dict of every field) reads them all
+    package = parsed(sorted(PACKAGE.glob("*.py")))
+    others = parsed(sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
+    read = {node.attr for tree in package + others for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for tree in package:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or not is_dataclass(node):
+                continue
+            if "__dict__" in references(node):
+                continue
+            unread += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                       and stmt.target.id not in read]
+    assert unread == []
 
 
 def test_no_assert_statements():

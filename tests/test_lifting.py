@@ -266,8 +266,8 @@ def catalog_maps():
 def base2_maps():
     bundle = build_universe(cli.base_elements(2))
     space = equivalence_space(bundle)
-    return [bundle.p, space.q, space.delta1,
-            *(terminal_map(X) for X in (bundle.U, bundle.Utilde, space.E))]
+    return [bundle.p, space.delta2, space.delta1,
+            *(terminal_map(X) for X in (bundle.U, bundle.Utilde, space.path))]
 
 
 @pytest.mark.parametrize("tag", list(StructureTag), ids=lambda tag: tag.value)

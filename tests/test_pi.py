@@ -15,6 +15,7 @@ from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
     eq_identity,
+    equivariant_pullback,
     terminal_map,
     validate_equivariant,
     validate_involutive,
@@ -33,7 +34,6 @@ from invgpd.pi import (
     enumerate_slice_homs,
     lift_independent,
     pi_of,
-    pullback_along,
 )
 from invgpd.search import find_isomorphism
 from invgpd.universe import funext_instance
@@ -89,7 +89,7 @@ def test_pi_preserves_fibrations():
 
 def adjunction_roundtrip(g, f, h) -> tuple[int, int]:
     bundle = pi_of(g, f)
-    P, prA, _ = pullback_along(g, h)
+    P, prA, _ = equivariant_pullback(g, h)
     homs_A = enumerate_slice_homs(prA, f)
     homs_B = enumerate_slice_homs(h, bundle.projection)
     assert len(homs_A) == len(homs_B)
@@ -140,8 +140,8 @@ def test_adjunction_naturality_in_h():
     ws = equivariant_functors(s1, ic)
     assert ws
     w = ws[0]
-    P, prA, prD = pullback_along(g, h)
-    P2, prA2, prD2 = pullback_along(g, h2)
+    P, prA, prD = equivariant_pullback(g, h)
+    P2, prA2, prD2 = equivariant_pullback(g, h2)
     from invgpd.core import compose_functors, pair_id
     for v in enumerate_slice_homs(prA, f):
         k = adjunction_forward(bundle, h, v)

@@ -152,7 +152,7 @@ def test_identity_charge_matches_the_generic_walk(runs, monkeypatch):
 @pytest.fixture(scope="module")
 def base2_maps():
     bundle = build_universe(cli.base_elements(2))
-    return {"q": equivalence_space(bundle).q, "p": bundle.p}
+    return {"q": equivalence_space(bundle).delta2, "p": bundle.p}
 
 
 def rlp_trace(f, monkeypatch) -> tuple[str, dict]:

@@ -8,13 +8,16 @@ from invgpd.core import classify_functor
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
+    diagonal,
     eq_compose,
+    equivariant_pullback,
     terminal_map,
     validate_equivariant,
     validate_involutive,
 )
 from invgpd.errors import BaseTooSmall, InvariantViolated, NotSmall
 from invgpd.generators import random_involutive
+from invgpd.homotopy import po
 from invgpd.lifting import StructureTag
 from invgpd.search import iter_functors
 from invgpd.universe import (
@@ -23,13 +26,11 @@ from invgpd.universe import (
     check_univalence,
     classify_small_fibration,
     default_closure_samples,
-    diagonal_map,
     double_cover_of_interval,
     equivalence_space,
     funext_instance,
     is_small_fibration,
     projective_univalence_witness,
-    pullback_of_universal,
     universe_closure_checks,
 )
 
@@ -189,7 +190,7 @@ def test_classification_roundtrip_on_seeded_pullbacks():
         if not maps:
             continue
         g = EquivariantFunctor(Bp, b.U, rng.choice(maps))
-        PB, prB = pullback_of_universal(b, g)
+        _, prB, _ = equivariant_pullback(g, b.p)
         assert is_small_fibration(prB, b)
         cls = classify_small_fibration(prB, b)
         # chi: PB -> pullback along the recovered classifying map, over Bp
@@ -199,23 +200,29 @@ def test_classification_roundtrip_on_seeded_pullbacks():
         done += 1
 
 
+def decode(b, eid):
+    """(source type, target type, equivalence) of an object of E."""
+    rho = next(m for m in b.U.base.morphisms if po(m) == eid)
+    return (*b.U.base.morphisms[rho], rho)
+
+
 def test_equivalence_space_fibers():
     b = build_universe(("a", "b"))
-    sp = equivalence_space(b)
-    assert sp.E.base.n_objects == b.U.base.n_morphisms
+    E = equivalence_space(b).path
+    assert E.base.n_objects == b.U.base.n_morphisms
     A = b.u_object_id(("a", "b"), ("a", "b"), {"a": "a", "b": "b"})
-    fib = [e for e in sp.E.base.objects if sp.decode(e)[:2] == (A, A)]
+    fib = [e for e in E.base.objects if decode(b, e)[:2] == (A, A)]
     assert len(fib) == 2  # identity and the swap
     # the swap equivalence is a fixed point of E
-    swap = [e for e in fib if sp.decode(e)[2] != b.U.base.ident(A)]
-    assert len(swap) == 1 and sp.E.eta_obj(swap[0]) == swap[0]
+    swap = [e for e in fib if decode(b, e)[2] != b.U.base.ident(A)]
+    assert len(swap) == 1 and E.eta_obj(swap[0]) == swap[0]
 
 
 def test_projective_witness_structure():
     b = build_universe(("a", "b"))
     sp = equivalence_space(b)
     wid = projective_univalence_witness(b, sp)
-    A, B, rho = sp.decode(wid)
+    A, B, rho = decode(b, wid)
     assert A == B == b.u_object_id(("a", "b"), ("a", "b"), {"a": "a", "b": "b"})
     assert b.u_morphisms[rho] == {"a": "b", "b": "a"}
     # no witness exists over small bases
@@ -271,8 +278,7 @@ def test_closure_rejects_non_small_samples():
 def test_diagonal_of_small_fibration_is_small():
     b = build_universe(("a", "b"))
     cover = double_cover_of_interval()
-    diag, _ = diagonal_map(cover)
-    assert is_small_fibration(diag, b)
+    assert is_small_fibration(diagonal(cover), b)
 
 
 def test_projective_injective_dichotomy_same_delta1():
