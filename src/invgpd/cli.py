@@ -526,7 +526,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, IterationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InvgpdError, OSError, UnicodeDecodeError) as exc:
+    except (InvgpdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     return rep.emit()

@@ -1,9 +1,10 @@
 """Finite groupoids and functors, with a decidable predicate suite.
 
 Everything is enumerated explicitly: a :class:`Groupoid` has full
-composition, identity and inverse tables (a pullback's composition table
-is computed from its factors, see below), so every predicate downstream
-(equivalence, isofibration, lifting, ...) is decided by finite search.
+composition, identity and inverse tables (the composition tables of
+pullbacks and cell attachments are computed, see below), so every
+predicate downstream (equivalence, isofibration, lifting, ...) is decided
+by finite search.
 Values are treated as immutable after construction; all operations are
 pure functions of their inputs.
 
@@ -30,16 +31,21 @@ Conventions
   labels only: nothing parses them back, the projections ``pr1``/``pr2``
   decode them. Names containing ``,`` or parentheses can make two pairs
   share an ID; the construction then raises ``MalformedDocument``.
-* A pullback's ``compose`` is a read-only ``Mapping`` that computes each
-  composite from the two factors' tables when it is looked up, and
-  tabulates them all on its first full walk (iteration, ``len``,
-  ``items``, ``dict(...)``, equality). Its pair IDs and key order are
-  those of the all-pairs table; a reader that looks up a few composites
+* The ``compose`` of a pullback, and of a cell attachment
+  (``equivariant.attach_cells``), is a :class:`ComputedComposites`: a
+  read-only ``Mapping`` that computes each composite from the tables it
+  was built from when it is looked up, and tabulates them all on its
+  first full walk (iteration, ``len``, ``items``, ``dict(...)``,
+  equality). Its IDs and key order are those of the all-pairs table. The
+  functor search reads composites by rows (``composite_table``), and a
+  computed table builds each row the first time it is read, so a reader
+  that looks up a few composites, or a search that reads a few rows,
   never pays for the rest.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -54,8 +60,10 @@ class Groupoid:
     morphisms  -- morphism ID -> (src object, tgt object)
     identity   -- object ID -> its identity morphism ID
     compose    -- (g, f) -> g∘f, total on composable pairs: a dict, or
-                  any read-only Mapping (a pullback's computes each
-                  composite from its factors on lookup)
+                  any read-only Mapping (a ComputedComposites, as
+                  pullbacks and cell attachments have, computes each
+                  composite on lookup and each row of
+                  ``composite_table`` when it is first read)
     inverse    -- morphism ID -> inverse morphism ID
     """
 
@@ -114,14 +122,24 @@ class Groupoid:
         return self._out[x]
 
     def composite_table(self) -> dict[str, dict[str, str]]:
-        """``g -> {f: g∘f}`` for every morphism g; built on first use."""
+        """``g -> {f: g∘f}``, read as ``table[g]`` for a morphism g.
+
+        Made on first use. A stored ``dict`` compose is split into rows in
+        one pass; a :class:`ComputedComposites` gives a table that builds
+        row g from ``compose.row(g)`` the first time ``table[g]`` is read,
+        so a search that reads a few rows never pays for the rest.
+        """
         if self._composites is None:
-            table: dict[str, dict[str, str]] = {m: {} for m in self.morphisms}
-            for (g, f), h in self.compose.items():
-                row = table.get(g)
-                if row is not None:
-                    row[f] = h
-            self._composites = table
+            compose = self.compose
+            if isinstance(compose, ComputedComposites):
+                self._composites = _ComputedRows(compose.row)
+            else:
+                table: dict[str, dict[str, str]] = {m: {} for m in self.morphisms}
+                for (g, f), h in compose.items():
+                    row = table.get(g)
+                    if row is not None:
+                        row[f] = h
+                self._composites = table
         return self._composites
 
     def identities_are_units(self) -> bool:
@@ -143,7 +161,12 @@ class Groupoid:
                 return False
         for m, (s, t) in mor.items():
             i, j = ident.get(s), ident.get(t)
-            if i is None or j is None or comp.get((m, i)) != m or comp.get((j, m)) != m:
+            if i is None or j is None:
+                return False
+            try:
+                if comp[(m, i)] != m or comp[(j, m)] != m:
+                    return False
+            except KeyError:
                 return False
         return True
 
@@ -527,53 +550,33 @@ def coproduct(G: Groupoid, H: Groupoid) -> tuple[Groupoid, Functor, Functor]:
     return C, inl, inr
 
 
-class _PairComposites(Mapping):
-    """The compose table of a pullback, read off its two factors.
+class ComputedComposites(Mapping):
+    """A compose table computed from other tables instead of stored.
 
-    ``[(p1, p2)]`` decodes both pair IDs and pairs the factors'
-    composites; it raises ``KeyError`` unless tgt(p2) == src(p1). The
-    first full walk (iteration, ``len``, ``keys``, ``items``,
-    ``dict(...)``, equality) tabulates every composite once, in the order of the
-    all-pairs loop: p1 in morphism order, then every p2 into src(p1) in
-    morphism order. Lookups after that read the table.
+    ``[(g, f)]`` computes g∘f and raises ``KeyError`` unless tgt(f) ==
+    src(g); ``get`` and ``in`` follow. ``row(g)`` is ``{f: g∘f}`` over
+    every f composable with g, which the functor search reads through
+    ``Groupoid.composite_table``. The first full walk (iteration,
+    ``len``, ``keys``, ``items``, ``dict(...)``, equality) tabulates
+    every composite once, in the key order of the all-pairs table. A
+    table supplies ``__getitem__``, ``row`` and ``_walk`` (the full
+    table, in key order).
     """
 
-    __slots__ = ("_pairs", "_morphisms", "_a_comp", "_b_comp", "_table")
+    __slots__ = ("_table",)
 
-    def __init__(self, pairs: dict[str, tuple[str, str]],
-                 morphisms: dict[str, tuple[str, str]],
-                 a_comp: Mapping[tuple[str, str], str],
-                 b_comp: Mapping[tuple[str, str], str]):
-        self._pairs, self._morphisms = pairs, morphisms
-        self._a_comp, self._b_comp = a_comp, b_comp
+    def __init__(self):
         self._table: dict[tuple[str, str], str] | None = None
 
-    def __getitem__(self, key) -> str:
-        table = self._table
-        if table is not None:
-            return table[key]
-        try:
-            p1, p2 = key
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        pairs, morphisms = self._pairs, self._morphisms
-        if p1 in pairs and p2 in pairs and morphisms[p2][1] == morphisms[p1][0]:
-            (m1, n1), (m2, n2) = pairs[p1], pairs[p2]
-            return pair_id(self._a_comp[(m1, m2)], self._b_comp[(n1, n2)])
-        raise KeyError(key)
+    @abstractmethod
+    def row(self, g: str) -> dict[str, str]: ...
+
+    @abstractmethod
+    def _walk(self) -> dict[tuple[str, str], str]: ...
 
     def _tabulated(self) -> dict[tuple[str, str], str]:
         if self._table is None:
-            pairs, morphisms = self._pairs, self._morphisms
-            A_comp, B_comp = self._a_comp, self._b_comp
-            by_tgt: dict[str, list[tuple[str, str, str]]] = {}
-            for p, (m, n) in pairs.items():
-                by_tgt.setdefault(morphisms[p][1], []).append((p, m, n))
-            table = {}
-            for p1, (m1, n1) in pairs.items():
-                for p2, m2, n2 in by_tgt.get(morphisms[p1][0], ()):
-                    table[(p1, p2)] = pair_id(A_comp[(m1, m2)], B_comp[(n1, n2)])
-            self._table = table
+            self._table = self._walk()
         return self._table
 
     def __iter__(self):
@@ -587,6 +590,69 @@ class _PairComposites(Mapping):
 
     def items(self):
         return self._tabulated().items()
+
+
+class _ComputedRows(dict):
+    """A computed table's ``g -> {f: g∘f}``: a row is built from
+    ``row(g)`` the first time it is read. It holds the table's bound
+    ``row``, not the groupoid, so it forms no reference cycle."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row):
+        super().__init__()
+        self._row = row
+
+    def __missing__(self, g: str) -> dict[str, str]:
+        row = self[g] = self._row(g)
+        return row
+
+
+class _PairComposites(ComputedComposites):
+    """The compose table of a pullback, read off its two factors.
+
+    ``[(p1, p2)]`` decodes both pair IDs and pairs the factors'
+    composites. ``row(p1)`` pairs them for every p2 into src(p1), in
+    morphism order; the full walk is the rows in morphism order, the
+    order of the all-pairs loop.
+    """
+
+    __slots__ = ("_pairs", "_morphisms", "_a_comp", "_b_comp", "_by_tgt")
+
+    def __init__(self, pairs: dict[str, tuple[str, str]],
+                 morphisms: dict[str, tuple[str, str]],
+                 a_comp: Mapping[tuple[str, str], str],
+                 b_comp: Mapping[tuple[str, str], str]):
+        super().__init__()
+        self._pairs, self._morphisms = pairs, morphisms
+        self._a_comp, self._b_comp = a_comp, b_comp
+        self._by_tgt: dict[str, list[tuple[str, str, str]]] | None = None
+
+    def __getitem__(self, key) -> str:
+        try:
+            p1, p2 = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        pairs, morphisms = self._pairs, self._morphisms
+        if p1 in pairs and p2 in pairs and morphisms[p2][1] == morphisms[p1][0]:
+            (m1, n1), (m2, n2) = pairs[p1], pairs[p2]
+            return pair_id(self._a_comp[(m1, m2)], self._b_comp[(n1, n2)])
+        raise KeyError(key)
+
+    def row(self, p1: str) -> dict[str, str]:
+        by_tgt = self._by_tgt
+        if by_tgt is None:
+            by_tgt = self._by_tgt = {}
+            morphisms = self._morphisms
+            for p, (m, n) in self._pairs.items():
+                by_tgt.setdefault(morphisms[p][1], []).append((p, m, n))
+        m1, n1 = self._pairs[p1]
+        A_comp, B_comp = self._a_comp, self._b_comp
+        return {p2: pair_id(A_comp[(m1, m2)], B_comp[(n1, n2)])
+                for p2, m2, n2 in by_tgt.get(self._morphisms[p1][0], ())}
+
+    def _walk(self) -> dict[tuple[str, str], str]:
+        return {(p1, p2): h for p1 in self._pairs for p2, h in self.row(p1).items()}
 
 
 def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:

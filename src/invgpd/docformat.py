@@ -386,7 +386,11 @@ def loads(text: str) -> Document:
 
 def load(path: str) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedDocument(f"{path}: not UTF-8 text ({exc})") from None
+    return loads(text)
 
 
 def _groupoid_lines(name: str, G: Groupoid) -> list[str]:

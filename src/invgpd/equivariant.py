@@ -22,8 +22,10 @@ keeps the original morphism IDs, each new object carries an anchor in the
 old groupoid, and every hom-set touching a new object is a relabelled copy
 of the anchored hom-set. This makes the inclusion a full embedding by
 construction and keeps IDs deterministic (they depend only on the names
-supplied by the caller). A gluing step attaches all of its cells in one
-pushout, ``attach_cells``; ``attach_cell`` is its one-cell case.
+supplied by the caller). The composites are not stored: each is read off
+the old groupoid's through the conjugation when it is looked up. A gluing
+step attaches all of its cells in one pushout, ``attach_cells``;
+``attach_cell`` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    ComputedComposites,
     Functor,
     Groupoid,
     compose_functors,
@@ -386,6 +389,83 @@ def _cell_objects(X: InvolutiveGroupoid, kind: str, data, name: str):
     return [(n0, y, n1, base.ident(ey)), (n1, ey, n0, base.ident(y))]
 
 
+class _CellComposites(ComputedComposites):
+    """The compose table of a cell attachment Y of X, read off X's.
+
+    Every morphism of Y has a core triple ``(u, v, core)``: an old
+    ``m: s -> t`` is ``(s, t, m)``, a new one is the triple it was named
+    from. With f = ``(u, v, c1)`` and g = ``(v, w, c2)``, g∘f is the
+    morphism u -> w whose core is c2∘c1 in X; when X is itself an
+    attachment, that lookup is computed the same way. ``row(g)`` reads
+    X's row of c2. The full walk lists X's composites first, then the
+    pairs that touch a new object, in the order an all-pairs loop (old
+    morphisms first, then the new ones, each paired with its composable
+    partners) adds them.
+    """
+
+    __slots__ = ("_base", "_ids", "_triple", "_into")
+
+    def __init__(self, base: Groupoid, ids: dict[str, dict[str, dict[str, str]]],
+                 cores: dict[str, tuple[str, str, str]]):
+        super().__init__()
+        # ids[u][v] maps each core to the morphism u -> v that copies it
+        self._base, self._ids = base, ids
+        self._triple = {m: (s, t, m) for m, (s, t) in base.morphisms.items()}
+        self._triple.update(cores)
+        self._into: dict[str, list[tuple[dict, str, str]]] | None = None
+
+    def __getitem__(self, key) -> str:
+        triple = self._triple
+        try:
+            g, f = key
+            u, v, c1 = triple[f]
+            v2, w, c2 = triple[g]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if v != v2:
+            raise KeyError(key)
+        return self._ids[u][w][self._base.compose[(c2, c1)]]
+
+    def row(self, g: str) -> dict[str, str]:
+        into = self._into
+        if into is None:
+            # v -> (ids[u], c1, f) for every morphism f: u -> v with core c1
+            into = self._into = {}
+            ids = self._ids
+            for f, (u, v, c1) in self._triple.items():
+                into.setdefault(v, []).append((ids[u], c1, f))
+        v, w, c2 = self._triple[g]
+        after_c2 = self._base.composite_table()[c2]
+        return {f: named[w][after_c2[c1]] for named, c1, f in into[v]}
+
+    def _walk(self) -> dict[tuple[str, str], str]:
+        # Morphisms f: u -> v and f': u' -> v with one core meet the same
+        # partners g: v -> w with the same composite cores, so those are
+        # looked up once per (v, core).
+        b_comp, ids = self._base.compose, self._ids
+        compose = dict(b_comp.items())
+        rows = [(u, v, core, mid) for mid, (u, v, core) in self._triple.items()]
+        n_old = self._base.n_morphisms
+        old_rows, new_rows = rows[:n_old], rows[n_old:]
+        new_from: dict[str, list[tuple[str, str, str]]] = {}
+        all_from: dict[str, list[tuple[str, str, str]]] = {}
+        for u, v, core, mid in new_rows:
+            new_from.setdefault(u, []).append((v, core, mid))
+        for u, v, core, mid in rows:
+            all_from.setdefault(u, []).append((v, core, mid))
+        for partners, firsts in ((new_from, old_rows), (all_from, new_rows)):
+            after: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+            for u, v, c1, f in firsts:
+                row = after.get((v, c1))
+                if row is None:
+                    row = after[(v, c1)] = [(w, b_comp[(c2, c1)], g)
+                                            for w, c2, g in partners.get(v, ())]
+                named = ids[u]
+                for w, core, g in row:
+                    compose[(g, f)] = named[w][core]
+        return compose
+
+
 def attach_cells(X: InvolutiveGroupoid, cells,
                  fresh: str) -> tuple[InvolutiveGroupoid, EquivariantFunctor, CellInfo]:
     """Pushout of X along a coproduct of generating trivial cofibrations.
@@ -404,9 +484,8 @@ def attach_cells(X: InvolutiveGroupoid, cells,
     Returns the attached groupoid, the inclusion (a full embedding) and
     the bookkeeping needed to extend maps out of X over the new cells.
     Every new object is anchored in X. A cell's objects are named from
-    its ``name``, every new morphism from ``fresh``. X's tables are
-    copied once; only the composites that touch a new object are
-    computed, read straight off X's tables.
+    its ``name``, every new morphism from ``fresh``. The composites are
+    not stored: each is computed from X's on lookup (``_CellComposites``).
     """
     base = X.base
     old, b_comp, b_inv, b_eta = base.identity, base.compose, base.inverse, X.involution.mor_map
@@ -447,32 +526,8 @@ def attach_cells(X: InvolutiveGroupoid, cells,
     for (u, v, core), mid in triples.items():
         inverse[mid] = ids[v][u][b_inv[core]]
 
-    # X's own composites are copied; only pairs touching a new object are
-    # added, in the order an all-pairs loop (old morphisms first, then the
-    # new ones, each paired with its composable partners) would add them.
-    # Morphisms f: u -> v and f': u' -> v with one core meet the same
-    # partners g: v -> w with the same composite cores, so those are looked
-    # up once per (v, core).
-    compose = dict(b_comp)
-    old_rows = [(s, t, m, m) for m, (s, t) in base.morphisms.items()]
-    new_rows = [(u, v, core, mid) for (u, v, core), mid in triples.items()]
-    new_from: dict[str, list[tuple[str, str, str]]] = {}
-    all_from: dict[str, list[tuple[str, str, str]]] = {}
-    for u, v, core, mid in new_rows:
-        new_from.setdefault(u, []).append((v, core, mid))
-    for u, v, core, mid in old_rows + new_rows:
-        all_from.setdefault(u, []).append((v, core, mid))
-    for partners, firsts in ((new_from, old_rows), (all_from, new_rows)):
-        after: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
-        for u, v, c1, f in firsts:
-            row = after.get((v, c1))
-            if row is None:
-                row = after[(v, c1)] = [(w, b_comp[(c2, c1)], g)
-                                        for w, c2, g in partners.get(v, ())]
-            named = ids[u]
-            for w, core, g in row:
-                compose[(g, f)] = named[w][core]
-
+    cores = {mid: tr for tr, mid in triples.items()}
+    compose = _CellComposites(base, ids, cores)
     Y = Groupoid(objects, morphisms, identity, compose, inverse)
     inv_mor = dict(b_eta)
     for (u, v, core), mid in triples.items():
@@ -485,7 +540,7 @@ def attach_cells(X: InvolutiveGroupoid, cells,
     info = CellInfo(
         new_objects=tuple(tuple(n for n, _, _, _ in cell) for cell in per_cell),
         struct_isos=tuple(tuple(ids[a][n][old[a]] for n, a, _, _ in cell) for cell in per_cell),
-        cores={mid: tr for tr, mid in triples.items()},
+        cores=cores,
     )
     return IY, incl, info
 

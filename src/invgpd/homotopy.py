@@ -60,8 +60,12 @@ def pm(phi: str, sigma: str, tau: str) -> str:
     return f"pm({phi},{sigma},{tau})"
 
 
-def path_object(f: EquivariantFunctor) -> PathFactorization:
-    """The canonical path object of f, with delta2∘delta1 = diagonal."""
+def _path_groupoid(f: EquivariantFunctor):
+    """The groupoid of the canonical path object of f, with its involution.
+
+    Also returns the φ of each object and, for each morphism, its data
+    (φ, σ, τ, φ of the target).
+    """
     A, C = f.dom, f.cod
     GA = A.base
 
@@ -97,8 +101,14 @@ def path_object(f: EquivariantFunctor) -> PathFactorization:
         {po(phi): po(A.eta_mor(phi)) for phi in objs},
         {m: pm(A.eta_mor(d[0]), A.eta_mor(d[1]), A.eta_mor(d[2])) for m, d in data.items()},
     )
-    IP = InvolutiveGroupoid(P, inv)
+    return InvolutiveGroupoid(P, inv), objs, data
 
+
+def path_object(f: EquivariantFunctor) -> PathFactorization:
+    """The canonical path object of f, with delta2∘delta1 = diagonal."""
+    IP, objs, data = _path_groupoid(f)
+    A, P = f.dom, IP.base
+    GA = A.base
     product, _, _ = equivariant_pullback(f, f)
     d1 = EquivariantFunctor(
         A, IP,
@@ -221,13 +231,14 @@ def find_natural_iso(
 def witness_from_iso(f: EquivariantFunctor, g: EquivariantFunctor,
                      nu: dict[str, str]) -> HomotopyWitness:
     """Package a natural isomorphism as a map into the tuple path object of
-    f's codomain over the point."""
-    pf = path_object(terminal_map(f.cod))
+    f's codomain over the point. Only the path groupoid is built: the
+    witness never reads the legs or the product they map to."""
+    path, _, _ = _path_groupoid(terminal_map(f.cod))
     GA = f.dom.base
     obj_map = {a: po(nu[a]) for a in GA.objects}
     mor_map = {alpha: pm(nu[GA.src(alpha)], f.on_mor(alpha), g.on_mor(alpha))
                for alpha in GA.morphisms}
-    H = EquivariantFunctor(f.dom, pf.path, Functor(GA, pf.path.base, obj_map, mor_map))
+    H = EquivariantFunctor(f.dom, path, Functor(GA, path.base, obj_map, mor_map))
     return HomotopyWitness(H=H, f=f, g=g)
 
 

@@ -81,8 +81,10 @@ def iter_functors(
     ed_mor, ec_mor = (ed.mor_map, ec.mor_map) if ed is not None else (None, None)
 
     # set at the first seed stage, which many searches never reach: the
-    # composite tables, and whether identity pops are charged, not walked
-    # (they only confirm images when the unit laws hold; module docstring)
+    # composite tables (a computed compose builds each row the first time
+    # it is read, so only the rows the search reads are built), and whether
+    # identity pops are charged, not walked (they only confirm images when
+    # the unit laws hold; module docstring)
     dom_after = cod_after = None
     charge_identities = False
     identity_units = dom.n_objects * (2 if ed is None else 3)

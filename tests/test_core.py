@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import invgpd
+from composites import assert_computed_composites
 from invgpd.core import (
     Functor,
     Groupoid,
@@ -178,30 +179,9 @@ def all_pairs_composites(P, pr1, pr2) -> dict:
     }
 
 
-def assert_lookups_agree(compose, want, mids):
-    for p1 in mids:
-        for p2 in mids:
-            key = (p1, p2)
-            if key in want:
-                assert compose[key] == compose.get(key) == want[key] and key in compose
-            else:
-                try:
-                    compose[key]
-                except KeyError:
-                    pass
-                else:
-                    pytest.fail(f"{key} is not composable, yet has a composite")
-                assert compose.get(key) is None and key not in compose
-
-
 def assert_composites_by_definition(P, pr1, pr2):
-    """Lookups agree with the definition before and after the first full
-    walk, and the walk lists it in its key order."""
-    want = all_pairs_composites(P, pr1, pr2)
-    assert_lookups_agree(P.compose, want, P.morphisms)
-    assert list(P.compose.items()) == list(want.items())
-    assert len(P.compose) == len(want) and P.compose == want
-    assert_lookups_agree(P.compose, want, P.morphisms)
+    """Lookups, rows and the full walk agree with the definition."""
+    assert_computed_composites(P, all_pairs_composites(P, pr1, pr2))
 
 
 def test_colliding_pair_ids_are_malformed():

@@ -329,7 +329,8 @@ def test_cli_non_composable_compose_line_is_malformed(tmp_path, capsys):
 
 def test_cli_unreadable_file_is_malformed(tmp_path, capsys):
     """A directory or a file that is not UTF-8 text is malformed input,
-    like a missing file: exit 2 with a one-line message, no traceback."""
+    like a missing file: exit 2 with a one-line message that names the
+    file, no traceback."""
     binary = tmp_path / "binary.gpd"
     binary.write_bytes(b"groupoid G\n  objects \xff\n")
     for path in (tmp_path, binary, tmp_path / "missing.gpd"):
@@ -339,6 +340,7 @@ def test_cli_unreadable_file_is_malformed(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+            assert str(path) in captured.err, argv
 
 
 # an involution and a functor that send a morphism to a name G does not declare

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from composites import assert_computed_composites
 from hypothesis import given, settings, strategies as st
 
 from invgpd.core import interval, unit
@@ -252,9 +253,9 @@ def _all_pairs_compose(X, info):
 
 
 def test_attach_cell_compose_matches_all_pairs_definition():
-    """Every i, Si and iprime cell on the catalog: the compose table built
-    from X's copied table plus the new pairs equals the all-pairs table,
-    key order included, and the attachment is a valid involutive groupoid."""
+    """Every i, Si and iprime cell on the catalog: the computed compose
+    table agrees with the all-pairs table on every lookup, row and key of
+    its walk, and the attachment is a valid involutive groupoid."""
     cases = 0
     for X in involutive_catalog(3, vertex_z2=True):
         cells = [("i", y) for y in X.fixed_objects()]
@@ -264,7 +265,7 @@ def test_attach_cell_compose_matches_all_pairs_definition():
                   and X.eta_mor(m) == X.base.inv(m)]
         for kind, data in cells:
             Y, incl, info = attach_cell(X, kind, data, "c0")
-            assert list(Y.base.compose.items()) == list(_all_pairs_compose(X, info).items())
+            assert_computed_composites(Y.base, _all_pairs_compose(X, info))
             assert validate_involutive(Y) == [] and validate_equivariant(incl) == []
             cases += 1
     assert cases == 471
@@ -274,9 +275,12 @@ def test_attach_cell_compose_matches_all_pairs_definition():
 def test_attach_cells_matches_attaching_one_cell_at_a_time(tag):
     """The cells of a real gluing step (the first step of factorize on maps
     of the catalog), attached at once: a valid involutive groupoid whose
-    compose table is the all-pairs one, with the counts of attaching the
-    cells one at a time and an equivariant isomorphism to that groupoid
-    fixing X; the map extends over it."""
+    computed compose table agrees with the all-pairs one, with the counts
+    of attaching the cells one at a time and an equivariant isomorphism to
+    that groupoid fixing X; the map extends over it. The first injective
+    case also glues the second step factorize would glue onto a copy of
+    the first step's middle that was never walked, so its lookups and
+    rows go through two computed tables."""
     small = involutive_catalog(2, vertex_z2=True)
     cases = 0
     for f in (f for X in small for Y in small for f in equivariant_functors(X, Y)):
@@ -285,9 +289,19 @@ def test_attach_cells_matches_attaching_one_cell_at_a_time(tag):
             continue
         X = f.dom
         cells = [(name, data, f"c{k}") for k, (name, data, _, _) in enumerate(squares)]
+        images = [(x, v) for _, _, x, v in squares]
         Y, incl, info = attach_cells(X, cells, "c")
+        assert_computed_composites(Y.base, _all_pairs_compose(X, info))
         assert validate_involutive(Y) == [] and validate_equivariant(incl) == []
-        assert list(Y.base.compose.items()) == list(_all_pairs_compose(X, info).items())
+        if cases == 0 and tag == StructureTag.INJECTIVE:
+            Y1, _, info1 = attach_cells(X, cells, "c")
+            q1 = extend_over_cell(f, Y1, info1, images)
+            cells2 = [(name, data, f"d{k}")
+                      for k, (name, data, _, _) in enumerate(generator_squares(q1, tag))]
+            assert cells2
+            Y2, _, info2 = attach_cells(Y1, cells2, "d")
+            assert_computed_composites(Y2.base, _all_pairs_compose(Y, info2))
+            assert validate_involutive(Y2) == []
         Z = X
         for name, data, fresh in cells:
             Z, _, _ = attach_cell(Z, name, data, fresh)
@@ -300,7 +314,7 @@ def test_attach_cells_matches_attaching_one_cell_at_a_time(tag):
             equiv=(Y.involution, Z.involution),
         ), None)
         assert iso is not None
-        q = extend_over_cell(f, Y, info, [(x, v) for _, _, x, v in squares])
+        q = extend_over_cell(f, Y, info, images)
         assert validate_equivariant(q) == []
         assert eq_compose(q, incl).map == f.map
         cases += 1

@@ -11,12 +11,14 @@ from invgpd.core import Functor, classify_functor, identity_functor, unit
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
+    InvolutiveGroupoid,
     attach_cell,
     eq_compose,
     eq_identity,
     equivariant_pullback,
     extend_over_cell,
     terminal_map,
+    trivial_action,
 )
 from invgpd.errors import (
     BudgetExceeded,
@@ -25,7 +27,9 @@ from invgpd.errors import (
     NotTrivialCofibration,
 )
 from invgpd.generators import (
+    assemble,
     equivariant_functors,
+    involutions_of,
     involutive_catalog,
     random_equivariant,
     random_involutive,
@@ -232,6 +236,29 @@ def test_factorize_iteration_cap():
     with pytest.raises(IterationCapExceeded):
         factorize(icheck_to_point(), StructureTag.INJECTIVE, max_gluing_steps=0, budget=b)
     assert b.used == 0
+
+
+def test_checking_a_factorization_computes_only_the_rows_it_reads():
+    """The largest middle that factorize builds in the catalog-mix
+    benchmark (three points with two-element vertex groups, sent to the
+    fixed point with a two-element vertex group beside Icheck's swapped
+    pair): checking that q is a fibration and j a trivial cofibration
+    computes the composites those searches read, never the whole table."""
+    dom = trivial_action(assemble(("a", "b", "c"), [(("a",), "z2"), (("b",), "z2"),
+                                                    (("c",), "z2")]))
+    G = assemble(("x", "y", "z"), [(("x", "y"), "cod"), (("z",), "z2")])
+    swap = next(F for F in involutions_of(G)
+                if F.obj_map["x"] == "y" and all(F.mor_map[m] == m for m in G.hom("z", "z")))
+    to_z = Functor(dom.base, G, {a: "z" for a in dom.objects},
+                   {m: G.ident("z") for m in dom.base.morphisms})
+    f = EquivariantFunctor(dom, InvolutiveGroupoid(G, swap), to_z)
+    fact = factorize(f, StructureTag.INJECTIVE)
+    middle = fact.j.cod.base
+    assert (middle.n_objects, middle.n_morphisms) == (27, 486)
+    assert is_trivial_cofibration(fact.j, StructureTag.INJECTIVE)
+    assert has_rlp(fact.q, generating_trivial_cofibrations(StructureTag.INJECTIVE)).ok
+    assert len(middle.composite_table()) < middle.n_morphisms
+    assert middle.compose._table is None  # never fully walked
 
 
 @pytest.mark.parametrize("f, tag", [
