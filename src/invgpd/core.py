@@ -16,11 +16,11 @@ Conventions
 * All iteration orders are sorted by ID, so searches are deterministic and
   "least witness" always means lexicographically least.
 * Derived indexes (a groupoid's hom-sets, the morphisms out of each
-  object, its per-morphism composite table and whether its identities
-  obey the unit laws; whether a functor
-  preserves identities) are built once per value and cached on it. That
-  is sound only because values are immutable after construction: tables
-  must not be edited once a groupoid or functor is built.
+  object, its non-identity morphisms in ID order, its per-morphism
+  composite table and whether its identities obey the unit laws; whether
+  a functor preserves identities) are built once per value and cached on
+  it. That is sound only because values are immutable after construction:
+  tables must not be edited once a groupoid or functor is built.
 * One construction per concept. A product is the pullback of the two
   functors to the point (:func:`terminal_functor`), :func:`subgroupoid`
   is the one restriction to a set of objects and morphisms (full, fixed
@@ -81,6 +81,9 @@ class Groupoid:
     _composites: dict[str, dict[str, str]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    _non_identities: tuple[str, ...] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
     _unital: bool | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -120,6 +123,13 @@ class Groupoid:
                 out[s].extend(self._hom[(s, t)])
             self._out = {y: tuple(ms) for y, ms in out.items()}
         return self._out[x]
+
+    def non_identities(self) -> tuple[str, ...]:
+        """The morphisms that are not identities, in ID order; built on
+        first use."""
+        if self._non_identities is None:
+            self._non_identities = tuple(m for m in self.mor_ids() if not self.is_identity(m))
+        return self._non_identities
 
     def composite_table(self) -> dict[str, dict[str, str]]:
         """``g -> {f: g∘f}``, read as ``table[g]`` for a morphism g.

@@ -43,6 +43,22 @@ and cod to be a distinct endomorphism of x, its own inverse and a
 two-sided unit (``Groupoid.identities_are_units``), and ``ed``/``ec`` to be endofunctors
 of dom/cod that send identities to identities. Otherwise the identities
 are queued and walked like any other morphism.
+
+Under the same conditions the identities are not walked as partners
+either. They are then never queued, and every other morphism is mapped
+after them, so every pop is a non-identity m and the identities are the
+first |dom objects| entries of ``mmap`` (they are on the seed stage's
+trail, which is undone after every later one). Of those, exactly two
+compose with m: ``id(src m)`` on one side and ``id(tgt m)`` on the other
+(one identity twice when m is an endomorphism). By the unit laws both
+composites are m, and both images' composites are m's image, so they
+never fail and never assign: each pop charges their 2 units and walks
+only the mapped morphisms after the identity prefix, a slice of
+``mapped`` (``mmap``'s items in insertion order). Otherwise each pop
+walks every mapped morphism. In either case the seed stage maps the
+identities in one pass, checking each as ``assign_mor`` would (endpoints,
+``post``, ``bijective``) at one unit per identity, before it seeds
+``mor_seed``.
 """
 
 from __future__ import annotations
@@ -72,6 +88,9 @@ def iter_functors(
 
     omap: dict[str, str] = {}
     mmap: dict[str, str] = {}
+    # mmap's items in insertion order, cut back with it by undo_mor; the
+    # walk in propagate reads its slices
+    mapped: list[tuple[str, str]] = []
     used_obj: set[str] = set()
     used_mor: set[str] = set()
 
@@ -83,14 +102,17 @@ def iter_functors(
     # set at the first seed stage, which many searches never reach: the
     # composite tables (a computed compose builds each row the first time
     # it is read, so only the rows the search reads are built), and whether
-    # identity pops are charged, not walked (they only confirm images when
-    # the unit laws hold; module docstring)
+    # identities are charged, not walked (they only confirm images when the
+    # unit laws hold; module docstring). When they are, each pop's walk
+    # skips the identity prefix of ``mapped`` and charges its two identity
+    # partners instead.
     dom_after = cod_after = None
     charge_identities = False
     identity_units = dom.n_objects * (2 if ed is None else 3)
+    skip = partner_units = 0
 
-    obj_order = list(dom.objects)
-    mor_order = [m for m in dom.mor_ids() if not dom.is_identity(m)]
+    obj_order = dom.objects
+    mor_order = dom.non_identities()
 
     def set_obj(x: str, c: str, trail: list[str]) -> bool:
         budget.spend()
@@ -128,6 +150,7 @@ def iter_functors(
                 return False
             used_mor.add(n)
         mmap[m] = n
+        mapped.append((m, n))
         trail.append(m)
         queue.append(m)
         return True
@@ -143,6 +166,8 @@ def iter_functors(
             if bijective:
                 used_mor.discard(mmap[m])
             del mmap[m]
+        # the trail holds the last len(trail) assignments
+        del mapped[len(mapped) - len(trail):]
 
     # propagate and seed_morphism_stage never yield: they count one unit per
     # queued morphism and per assignment tried, as set_mor would spend, and
@@ -170,11 +195,13 @@ def iter_functors(
                             return False
                     elif w != y:
                         return False
+                # the identity partners, when charged (module docstring)
+                units += partner_units
                 # a composite table row holds exactly the composable
                 # partners, so a lookup both tests composability and finds
                 # the composite
                 m_after, n_after = dom_after[m], cod_after[n]
-                for k, v in list(mmap.items()):
+                for k, v in mapped[skip:]:
                     x = m_after.get(k)
                     if x is not None:
                         units += 1
@@ -200,7 +227,7 @@ def iter_functors(
             budget.spend(units)
 
     def seed_morphism_stage(trail: list[str]) -> bool:
-        nonlocal dom_after, cod_after, charge_identities
+        nonlocal dom_after, cod_after, charge_identities, skip, partner_units
         if dom_after is None:
             dom_after, cod_after = dom.composite_table(), cod.composite_table()
             charge_identities = (
@@ -209,23 +236,45 @@ def iter_functors(
                                     and ed.preserves_identities()
                                     and ec.preserves_identities()))
             )
+            if charge_identities:
+                skip, partner_units = dom.n_objects, 2
         queue: list[str] = []
-        # when identities are charged, not walked, they are assigned but
-        # not queued (see the module docstring)
-        ident_queue: list[str] = [] if charge_identities else queue
-        seeds = [(dom_ident[x], cod_ident[omap[x]], ident_queue) for x in dom.objects]
-        if mor_seed:
-            seeds += [(m, n, queue) for m, n in mor_seed.items()]
         units = 0
         try:
-            for m, n, into in seeds:
+            # the identities in one pass, each checked and mapped as
+            # assign_mor would; when they are charged, not walked, they are
+            # not queued (see the module docstring)
+            for x in obj_order:
                 units += 1
+                m, n = dom_ident[x], cod_ident[omap[x]]
                 w = mmap.get(m)
-                if w is None:
-                    if not assign_mor(m, n, trail, into):
+                if w is not None:
+                    if w != n:
                         return False
-                elif w != n:
+                    continue
+                s, t = dom_mor[m]
+                if cod_mor.get(n) != (omap[s], omap[t]):
                     return False
+                if q is not None and q_mor[n] != r_mor[m]:
+                    return False
+                if bijective:
+                    if n in used_mor:
+                        return False
+                    used_mor.add(n)
+                mmap[m] = n
+                mapped.append((m, n))
+                trail.append(m)
+                if not charge_identities:
+                    queue.append(m)
+            if mor_seed:
+                for m, n in mor_seed.items():
+                    units += 1
+                    w = mmap.get(m)
+                    if w is None:
+                        if not assign_mor(m, n, trail, queue):
+                            return False
+                    elif w != n:
+                        return False
         finally:
             budget.spend(units)
         if not propagate(queue, trail):

@@ -8,7 +8,10 @@ of assignments, to the yielded maps (insertion order included) or to the
 spend count shows up here. The limit sweep was recorded from the search
 that charged one unit per ``spend()`` call, before stretches that cannot
 yield were charged in bulk: a bulk charge that stops at another unit, or
-lets one more functor out, shows up there.
+lets one more functor out, shows up there. The ``rlp`` and ``llp`` runs,
+the square and filler searches that ``has_rlp`` and ``has_llp`` make, were
+recorded from the search that still walked each pop's identity partners and
+seeded the identities one ``assign_mor`` call at a time.
 """
 
 import hashlib
@@ -17,11 +20,17 @@ import pytest
 
 from invgpd import cli, docformat, lifting
 from invgpd.budget import Budget
-from invgpd.core import Groupoid
-from invgpd.equivariant import InvolutiveGroupoid
+from invgpd.core import Functor, Groupoid, identity_functor
+from invgpd.equivariant import InvolutiveGroupoid, terminal_map
 from invgpd.errors import BudgetExceeded
 from invgpd.generators import equivariant_functors, involutions_of, plain_catalog
-from invgpd.lifting import StructureTag, generating_trivial_cofibrations, has_rlp
+from invgpd.lifting import (
+    StructureTag,
+    generating_trivial_cofibrations,
+    has_llp,
+    has_rlp,
+    sample_trivial_fibrations,
+)
 from invgpd.search import iter_functors
 from invgpd.universe import build_universe, equivalence_space
 
@@ -74,12 +83,45 @@ def post_runs():
     ]
 
 
+def recorded_runs(check) -> list:
+    """The ``(dom, cod, kwargs)`` of every search that ``check(f)`` makes,
+    for f each terminal map of the involutive catalog and one equivariant
+    map between each ordered pair of it. Square searches carry ``equiv``
+    and the seeds; filler searches carry ``obj_seed``, ``mor_seed``,
+    ``post`` and ``equiv`` together."""
+    maps = [terminal_map(X) for X in INVOLUTIVE] + [
+        g for X in INVOLUTIVE for Y in INVOLUTIVE for g in equivariant_functors(X, Y, limit=1)
+    ]
+    runs = []
+
+    def recording(dom, cod, *, budget, **kw):
+        runs.append((dom, cod, kw))
+        return iter_functors(dom, cod, budget=budget, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifting, "iter_functors", recording)
+        for f in maps:
+            check(f)
+    return runs
+
+
+def rlp_runs():
+    gens = generating_trivial_cofibrations(StructureTag.INJECTIVE)
+    return recorded_runs(lambda f: has_rlp(f, gens))
+
+
+def llp_runs():
+    return recorded_runs(lambda f: has_llp(f, sample_trivial_fibrations()))
+
+
 @pytest.mark.parametrize("runs, expected", [
     (plain_runs, "58afc05b6762ccd7c4283af8248394d4ebeb06727e444937158c4ff3ceec9521"),
     (bijective_runs, "fb0811572c87c30adaa2f6bd1189f07ecfc8b4816d60bf1d9fd5552d5e4cdb2f"),
     (equivariant_runs, "edc74721598f9caa91b497f316c52f04b4fa79cb063d0cc33172aa18349c45f1"),
     (post_runs, "ee5bb95484ab30666b543ae22a461ff0f3e6c43b0967a66379f1957ca762a986"),
-], ids=["plain", "bijective", "equiv", "post"])
+    (rlp_runs, "2d7a932d894745cce58efe9d684f0f0c04ff2b78aee9d4d0491dae4b36b99fad"),
+    (llp_runs, "fcfaefbe34f17998958692fb8c1e4930567b4fdb0066df2281ec50295747f205"),
+], ids=["plain", "bijective", "equiv", "post", "rlp", "llp"])
 def test_search_order_and_budget_are_pinned(runs, expected):
     assert catalog_digest(runs()) == expected
 
@@ -123,7 +165,9 @@ def sweep_digest(runs, stride=11, points=16) -> str:
 @pytest.mark.parametrize("runs, expected", [
     (equivariant_runs, "75faaa20e14238004d62698673f66528eaa61ffb58d0f37e4ca1a80041d918ce"),
     (post_runs, "ba961245db5e86e307557c257a0fb508c8abd419fd04718535c82c2ae6954a73"),
-], ids=["equiv", "post"])
+    (rlp_runs, "4bb86675c27946e0cc291a4df9585032450813fd6febd2f574d868dc88d7658d"),
+    (llp_runs, "13daf74e3490c66d5983a525b124dfb96f159e6011007207f5419ce2cdf69946"),
+], ids=["equiv", "post", "rlp", "llp"])
 def test_search_stops_at_the_same_unit_for_every_limit(runs, expected):
     assert sweep_digest(runs()) == expected
 
@@ -139,8 +183,9 @@ def force_generic_walk(monkeypatch):
     monkeypatch.setattr(Groupoid, "identities_are_units", lambda self: False)
 
 
-@pytest.mark.parametrize("runs", [plain_runs, bijective_runs, equivariant_runs, post_runs],
-                         ids=["plain", "bijective", "equiv", "post"])
+@pytest.mark.parametrize("runs", [plain_runs, bijective_runs, equivariant_runs, post_runs,
+                                  rlp_runs, llp_runs],
+                         ids=["plain", "bijective", "equiv", "post", "rlp", "llp"])
 def test_identity_charge_matches_the_generic_walk(runs, monkeypatch):
     assert all(G.identities_are_units() for G in CATALOG)
     assert all(X.involution.preserves_identities() for X in INVOLUTIVE)
@@ -149,10 +194,60 @@ def test_identity_charge_matches_the_generic_walk(runs, monkeypatch):
     assert catalog_digest(runs()) == charged
 
 
+# two z2 vertex groups on o0 ~ o1, and one on o2; its identities are the
+# m(x,x,0), so m(o2,o2,1) is a non-identity endomorphism of o2
+Z2 = CATALOG[14]
+
+
+def seed_conflict_case():
+    # the identity of o2 seeded to a non-identity: a seed stage exit after
+    # the identities are assigned, at the second mor_seed entry
+    return Z2, Z2, {"mor_seed": {"m(o0,o1,1)": "m(o0,o1,1)", "m(o2,o2,0)": "m(o2,o2,1)"}}
+
+
+def post_rejects_identity_case():
+    # r sends the identity of o2 to a non-identity, so q∘F = r rejects the
+    # image of the last identity the seed stage assigns
+    r = Functor(Z2, Z2, {x: x for x in Z2.objects},
+                {m: "m(o2,o2,1)" if m == "m(o2,o2,0)" else m for m in Z2.morphisms})
+    return Z2, Z2, {"post": (identity_functor(Z2), r)}
+
+
+def bijective_case():
+    # the seed stage adds each identity's image to used_mor
+    return Z2, Z2, {"bijective": True, "mor_seed": {"m(o0,o1,0)": "m(o1,o0,1)"}}
+
+
+# recorded from the search that seeded the identities one assign_mor call
+# at a time
+@pytest.mark.parametrize("case, expected", [
+    (seed_conflict_case, "824136755fa3f26b723ce6bfd0bd7eef6d8d11fcfc630def1a1d1bb15563b9c2"),
+    (post_rejects_identity_case,
+     "6140e7da77510c9addb106bbbed3cdab3e626e2fcf9128ec19b9b438bbfa5ca2"),
+    (bijective_case, "2a97659efa1182a8d4fc224051c091088f6da1e614254d239f1b3d9e5752cd9c"),
+], ids=["mor_seed", "post", "bijective"])
+def test_identity_seeding_exits_match_the_generic_walk(case, expected, monkeypatch):
+    dom, cod, kw = case()
+    assert dom.identities_are_units() and cod.identities_are_units()
+    # stride 1 and more points than units: a stop at every limit from 0 to
+    # the full spend, so at every unit of every seed stage
+    charged = sweep_digest([(dom, cod, kw)], stride=1, points=10**9)
+    assert charged == expected
+    force_generic_walk(monkeypatch)
+    assert sweep_digest([(dom, cod, kw)], stride=1, points=10**9) == charged
+
+
 @pytest.fixture(scope="module")
 def base2_maps():
     bundle = build_universe(cli.base_elements(2))
-    return {"q": equivalence_space(bundle).delta2, "p": bundle.p}
+    space = equivalence_space(bundle)
+    return {
+        "q": space.delta2,
+        "p": bundle.p,
+        "U": terminal_map(bundle.U),
+        "Utilde": terminal_map(bundle.Utilde),
+        "E": terminal_map(space.path),
+    }
 
 
 def rlp_trace(f, monkeypatch) -> tuple[str, dict]:
@@ -174,7 +269,8 @@ def rlp_trace(f, monkeypatch) -> tuple[str, dict]:
     return h.hexdigest(), {**report.to_dict(), "budget_used": budget.used}
 
 
-@pytest.mark.parametrize("name", ["q", "p"])
+# q and p as in check_univalence; U, Utilde and E as its is_fibrant checks
+@pytest.mark.parametrize("name", ["q", "p", "U", "Utilde", "E"])
 def test_base2_rlp_searches_match_the_generic_walk(base2_maps, name, monkeypatch):
     f = base2_maps[name]
     assert f.dom.base.identities_are_units() and f.cod.base.identities_are_units()
