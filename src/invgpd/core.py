@@ -13,8 +13,11 @@ Conventions
 * ``compose[(g, f)]`` is the composite ``g after f``; it is defined exactly
   on the composable pairs ``tgt(f) == src(g)``. The functor search relies
   on this: a lookup in ``compose`` is its composability test.
-* All iteration orders are sorted by ID, so searches are deterministic and
-  "least witness" always means lexicographically least.
+* The indexes that searches iterate (``objects``, ``hom``, ``out``,
+  ``non_identities``) are sorted by ID, so searches are deterministic and
+  "least witness" always means lexicographically least. The key order of
+  a table, stored or computed, is deterministic but not otherwise
+  promised; JSON output is written with sorted keys.
 * Derived indexes (a groupoid's hom-sets, the morphisms out of each
   object, its non-identity morphisms in ID order, its per-morphism
   composite table and whether its identities obey the unit laws; whether
@@ -34,9 +37,9 @@ Conventions
 * The ``compose`` of a pullback, and of a cell attachment
   (``equivariant.attach_cells``), is a :class:`ComputedComposites`: a
   read-only ``Mapping`` that computes each composite from the tables it
-  was built from when it is looked up, and tabulates them all on its
-  first full walk (iteration, ``len``, ``items``, ``dict(...)``,
-  equality). Its IDs and key order are those of the all-pairs table. The
+  was built from when it is looked up, and computes them all again on
+  each full walk (iteration, ``len``, ``items``, ``dict(...)``,
+  equality). Its IDs and contents are those of the all-pairs table. The
   functor search reads composites by rows (``composite_table``), and a
   computed table builds each row the first time it is read, so a reader
   that looks up a few composites, or a search that reads a few rows,
@@ -46,7 +49,7 @@ Conventions
 from __future__ import annotations
 
 from abc import abstractmethod
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 
 from .errors import CodomainMismatch, MalformedDocument, MalformedFunctor
@@ -59,11 +62,11 @@ class Groupoid:
     objects    -- sorted tuple of object IDs
     morphisms  -- morphism ID -> (src object, tgt object)
     identity   -- object ID -> its identity morphism ID
-    compose    -- (g, f) -> g∘f, total on composable pairs: a dict, or
-                  any read-only Mapping (a ComputedComposites, as
-                  pullbacks and cell attachments have, computes each
-                  composite on lookup and each row of
-                  ``composite_table`` when it is first read)
+    compose    -- (g, f) -> g∘f, total on composable pairs, keys in no
+                  promised order: a dict, or any read-only Mapping (a
+                  ComputedComposites, as pullbacks and cell attachments
+                  have, computes each composite on lookup and each row
+                  of ``composite_table`` when it is first read)
     inverse    -- morphism ID -> inverse morphism ID
     """
 
@@ -566,40 +569,27 @@ class ComputedComposites(Mapping):
     ``[(g, f)]`` computes g∘f and raises ``KeyError`` unless tgt(f) ==
     src(g); ``get`` and ``in`` follow. ``row(g)`` is ``{f: g∘f}`` over
     every f composable with g, which the functor search reads through
-    ``Groupoid.composite_table``. The first full walk (iteration,
-    ``len``, ``keys``, ``items``, ``dict(...)``, equality) tabulates
-    every composite once, in the key order of the all-pairs table. A
-    table supplies ``__getitem__``, ``row`` and ``_walk`` (the full
-    table, in key order).
+    ``Groupoid.composite_table``. A full walk (iteration, ``len``,
+    ``items``, ``dict(...)``, equality) reads the row of each morphism,
+    in the order given to ``__init__``, and stores nothing. A table
+    supplies ``__getitem__`` and ``row``.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_order",)
 
-    def __init__(self):
-        self._table: dict[tuple[str, str], str] | None = None
+    def __init__(self, order: Collection[str]):
+        self._order = order
 
     @abstractmethod
     def row(self, g: str) -> dict[str, str]: ...
 
-    @abstractmethod
-    def _walk(self) -> dict[tuple[str, str], str]: ...
-
-    def _tabulated(self) -> dict[tuple[str, str], str]:
-        if self._table is None:
-            self._table = self._walk()
-        return self._table
-
     def __iter__(self):
-        return iter(self._tabulated())
+        for g in self._order:
+            for f in self.row(g):
+                yield g, f
 
     def __len__(self) -> int:
-        return len(self._tabulated())
-
-    def keys(self):
-        return self._tabulated().keys()
-
-    def items(self):
-        return self._tabulated().items()
+        return sum(len(self.row(g)) for g in self._order)
 
 
 class _ComputedRows(dict):
@@ -623,8 +613,7 @@ class _PairComposites(ComputedComposites):
 
     ``[(p1, p2)]`` decodes both pair IDs and pairs the factors'
     composites. ``row(p1)`` pairs them for every p2 into src(p1), in
-    morphism order; the full walk is the rows in morphism order, the
-    order of the all-pairs loop.
+    morphism order.
     """
 
     __slots__ = ("_pairs", "_morphisms", "_a_comp", "_b_comp", "_by_tgt")
@@ -633,7 +622,7 @@ class _PairComposites(ComputedComposites):
                  morphisms: dict[str, tuple[str, str]],
                  a_comp: Mapping[tuple[str, str], str],
                  b_comp: Mapping[tuple[str, str], str]):
-        super().__init__()
+        super().__init__(pairs)
         self._pairs, self._morphisms = pairs, morphisms
         self._a_comp, self._b_comp = a_comp, b_comp
         self._by_tgt: dict[str, list[tuple[str, str, str]]] | None = None
@@ -660,9 +649,6 @@ class _PairComposites(ComputedComposites):
         A_comp, B_comp = self._a_comp, self._b_comp
         return {p2: pair_id(A_comp[(m1, m2)], B_comp[(n1, n2)])
                 for p2, m2, n2 in by_tgt.get(self._morphisms[p1][0], ())}
-
-    def _walk(self) -> dict[tuple[str, str], str]:
-        return {(p1, p2): h for p1 in self._pairs for p2, h in self.row(p1).items()}
 
 
 def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:

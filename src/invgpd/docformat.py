@@ -393,11 +393,20 @@ def load(path: str) -> Document:
     return loads(text)
 
 
+def _token(i: str) -> str:
+    """An object or morphism ID as one token of a line: ``loads`` splits
+    lines at whitespace and drops what follows ``#``."""
+    if i.split() != [i] or "#" in i:
+        raise MalformedDocument(
+            f"cannot write ID {i!r}: it is empty or contains whitespace or '#'")
+    return i
+
+
 def _groupoid_lines(name: str, G: Groupoid) -> list[str]:
-    lines = [f"groupoid {name}", "  objects " + " ".join(G.objects)]
+    lines = [f"groupoid {name}", "  objects " + " ".join(map(_token, G.objects))]
     for m in G.mor_ids():
         s, t = G.morphisms[m]
-        lines.append(f"  morphism {m} : {s} -> {t}")
+        lines.append(f"  morphism {_token(m)} : {s} -> {t}")
     for x in G.objects:
         if G.ident(x) != f"id({x})":
             lines.append(f"  identity {x} = {G.ident(x)}")
@@ -410,7 +419,9 @@ def _groupoid_lines(name: str, G: Groupoid) -> list[str]:
 
 
 def dumps(doc: Document) -> str:
-    """Serialize a document; load(dumps(d)) reproduces the structures."""
+    """Serialize a document; load(dumps(d)) reproduces the structures.
+    An object or morphism ID that is empty or contains whitespace or
+    ``#`` cannot be written and raises ``MalformedDocument``."""
     lines: list[str] = []
     for name, G in doc.groupoids.items():
         lines += _groupoid_lines(name, G)
@@ -433,9 +444,9 @@ def dumps(doc: Document) -> str:
         lines.append(f"functor {name} : {dname} -> {cname}")
         fmap = F.map if isinstance(F, EquivariantFunctor) else F
         for x in fmap.dom.objects:
-            lines.append(f"  object {x} -> {fmap.obj_map[x]}")
+            lines.append(f"  object {_token(x)} -> {_token(fmap.obj_map[x])}")
         for m in fmap.dom.mor_ids():
-            lines.append(f"  morphism {m} -> {fmap.mor_map[m]}")
+            lines.append(f"  morphism {_token(m)} -> {_token(fmap.mor_map[m])}")
         lines.append("")
     for name, sq in doc.squares.items():
         lines.append(f"square {name}")

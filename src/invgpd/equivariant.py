@@ -397,21 +397,19 @@ class _CellComposites(ComputedComposites):
     from. With f = ``(u, v, c1)`` and g = ``(v, w, c2)``, g∘f is the
     morphism u -> w whose core is c2∘c1 in X; when X is itself an
     attachment, that lookup is computed the same way. ``row(g)`` reads
-    X's row of c2. The full walk lists X's composites first, then the
-    pairs that touch a new object, in the order an all-pairs loop (old
-    morphisms first, then the new ones, each paired with its composable
-    partners) adds them.
+    X's row of c2. The full walk reads the rows of X's morphisms, then
+    those of the new ones.
     """
 
     __slots__ = ("_base", "_ids", "_triple", "_into")
 
     def __init__(self, base: Groupoid, ids: dict[str, dict[str, dict[str, str]]],
                  cores: dict[str, tuple[str, str, str]]):
-        super().__init__()
         # ids[u][v] maps each core to the morphism u -> v that copies it
         self._base, self._ids = base, ids
         self._triple = {m: (s, t, m) for m, (s, t) in base.morphisms.items()}
         self._triple.update(cores)
+        super().__init__(self._triple)
         self._into: dict[str, list[tuple[dict, str, str]]] | None = None
 
     def __getitem__(self, key) -> str:
@@ -437,33 +435,6 @@ class _CellComposites(ComputedComposites):
         v, w, c2 = self._triple[g]
         after_c2 = self._base.composite_table()[c2]
         return {f: named[w][after_c2[c1]] for named, c1, f in into[v]}
-
-    def _walk(self) -> dict[tuple[str, str], str]:
-        # Morphisms f: u -> v and f': u' -> v with one core meet the same
-        # partners g: v -> w with the same composite cores, so those are
-        # looked up once per (v, core).
-        b_comp, ids = self._base.compose, self._ids
-        compose = dict(b_comp.items())
-        rows = [(u, v, core, mid) for mid, (u, v, core) in self._triple.items()]
-        n_old = self._base.n_morphisms
-        old_rows, new_rows = rows[:n_old], rows[n_old:]
-        new_from: dict[str, list[tuple[str, str, str]]] = {}
-        all_from: dict[str, list[tuple[str, str, str]]] = {}
-        for u, v, core, mid in new_rows:
-            new_from.setdefault(u, []).append((v, core, mid))
-        for u, v, core, mid in rows:
-            all_from.setdefault(u, []).append((v, core, mid))
-        for partners, firsts in ((new_from, old_rows), (all_from, new_rows)):
-            after: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
-            for u, v, c1, f in firsts:
-                row = after.get((v, c1))
-                if row is None:
-                    row = after[(v, c1)] = [(w, b_comp[(c2, c1)], g)
-                                            for w, c2, g in partners.get(v, ())]
-                named = ids[u]
-                for w, core, g in row:
-                    compose[(g, f)] = named[w][core]
-        return compose
 
 
 def attach_cells(X: InvolutiveGroupoid, cells,

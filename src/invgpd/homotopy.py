@@ -71,15 +71,14 @@ def _path_groupoid(f: EquivariantFunctor):
 
     objs = [m for m in GA.mor_ids() if C.base.is_identity(f.on_mor(m))]
     objects = tuple(sorted(po(m) for m in objs))
-    out = {x: sorted(GA.out(x)) for x in GA.objects}  # in ID order
 
     morphisms: dict[str, tuple[str, str]] = {}
     data: dict[str, tuple[str, str, str, str]] = {}  # (phi, sigma, tau, phi of the target)
     by_src: dict[str, list[str]] = {}                  # phi -> morphisms out of po(phi)
     for phi in objs:
         x, y = GA.morphisms[phi]
-        for sigma in out[x]:
-            for tau in out[y]:
+        for sigma in GA.out(x):
+            for tau in GA.out(y):
                 if f.on_mor(sigma) != f.on_mor(tau):
                     continue
                 phi2 = GA.comp(GA.comp(tau, phi), GA.inv(sigma))

@@ -204,28 +204,24 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
     for oid, (A0, _, _) in u_objects.items():
         for a in sorted(A0):
             ut_objects[f"{oid}@{a}"] = (oid, a)
-    ut_rank = {po: k for k, po in enumerate(ut_objects)}
     ut_morphisms: dict[str, tuple[str, str]] = {}
     ut_decode: dict[str, str] = {}  # pointed morphism -> underlying U morphism
-    ut_out: dict[str, tuple[list[str], list[int]]] = {}  # po -> (out(po), places in by_src)
+    ut_out: dict[str, list[str]] = {}  # po -> out(po), aligned with by_src[o]
     for po1, (o1, a) in ut_objects.items():
         # one pointed morphism per U-morphism rho out of o1, landing at
-        # tgt@rho0[a]; a stable sort by target keeps the table's order
+        # tgt@rho0[a]
         out = by_src[o1]
-        tgts = [f"{morphisms[mid][1]}@{u_morphisms[mid][a]}" for mid in out]
-        order = sorted(range(len(out)), key=lambda i: ut_rank[tgts[i]])
         budget.spend(len(out))
-        pms = [f"{out[i]}@{a}" for i in order]
-        ut_out[po1] = (pms, order)
-        for pmid, i in zip(pms, order):
-            ut_morphisms[pmid] = (po1, tgts[i])
-            ut_decode[pmid] = out[i]
+        pms = ut_out[po1] = [f"{mid}@{a}" for mid in out]
+        for pmid, mid in zip(pms, out):
+            ut_morphisms[pmid] = (po1, f"{morphisms[mid][1]}@{u_morphisms[mid][a]}")
+            ut_decode[pmid] = mid
     ut_identity = {po: f"{identity[o]}@{a}" for po, (o, a) in ut_objects.items()}
     ut_compose = {}
     for p1, (s1, t1) in ut_morphisms.items():
-        pms, order = ut_out[t1]
-        row, suffix = u_rows[ut_decode[p1]], "@" + ut_objects[s1][1]
-        ut_compose.update(zip(zip(pms, repeat(p1)), [row[i] + suffix for i in order]))
+        suffix = "@" + ut_objects[s1][1]
+        ut_compose.update(zip(zip(ut_out[t1], repeat(p1)),
+                              [c + suffix for c in u_rows[ut_decode[p1]]]))
     ut_inverse = {
         p: f"{inverse[ut_decode[p]]}@{ut_objects[t][1]}"
         for p, (s, t) in ut_morphisms.items()

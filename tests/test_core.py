@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import invgpd
-from composites import assert_computed_composites
+from composites import assert_computed_composites, assert_lookups_agree
 from invgpd.core import (
     Functor,
     Groupoid,
@@ -162,6 +162,38 @@ def test_pullback_contract_on_catalog_cospans():
                         assert validate_groupoid(P) == []
 
 
+def with_one_composite_changed(G: Groupoid) -> dict:
+    table = dict(G.compose)
+    key = next(iter(table))
+    table[key] = next(m for m in G.morphisms if m != table[key])
+    return table
+
+
+def test_lookup_check_catches_a_changed_composite():
+    """The lookup contract check fails on a wrong table, also under
+    ``python -O`` (conftest.py has pytest rewrite the helper's asserts)."""
+    P, _, _ = pullback(bang(interval()), bang(interval()))
+    with pytest.raises(AssertionError):
+        assert_lookups_agree(P.compose, with_one_composite_changed(P), P.morphisms)
+
+
+def test_computed_tables_compare_by_contents():
+    """Equality walks a computed table: two pullbacks of one cospan are
+    equal groupoids, so composing functors across them passes the
+    codomain check; a table equals the dict of its contents, and one
+    changed composite makes them unequal."""
+    f = bang(interval())
+    P, pr1, _ = pullback(f, f)
+    Q, _, _ = pullback(f, f)
+    assert P.compose is not Q.compose and P == Q
+    assert compose_functors(pr1, identity_functor(Q)).cod is pr1.cod
+    table = dict(P.compose)
+    assert P.compose == table and table == P.compose
+    changed = with_one_composite_changed(P)
+    assert P.compose != changed and changed != P.compose
+    assert P != Groupoid(P.objects, P.morphisms, P.identity, changed, P.inverse)
+
+
 def test_universal_map_self_pullback_composites():
     p = build_universe(("a", "b")).p.map
     P, pr1, pr2 = pullback(p, p)
@@ -278,18 +310,51 @@ print(json.dumps(tables))
 """
 
 
-def test_subgroupoid_order_does_not_depend_on_the_hash_seed():
-    """The strict fixed and the fiber subgroupoid come out in the same key
-    order under two string-hash seeds (the core determinism promise)."""
+TABLE_ORDER = """
+import json
+from invgpd.core import pullback
+from invgpd.equivariant import REGISTRY, attach_cell, terminal_map
+from invgpd.homotopy import path_object
+from invgpd.universe import build_universe
+
+b = build_universe(("a", "b"))
+X = REGISTRY.shape("Icheck")
+Y, _, _ = attach_cell(X, "Si", X.base.objects[0], "c0")
+Y, _, _ = attach_cell(Y, "Si", Y.base.objects[-1], "c1")
+E = path_object(terminal_map(b.U)).path.base
+tables = [list(pullback(b.p.map, b.p.map)[0].compose), list(Y.base.compose)]
+for G in (b.Utilde.base, E):
+    tables += [list(G.morphisms), list(G.compose)]
+print(json.dumps(tables))
+"""
+
+
+def outputs_under_two_hash_seeds(script: str) -> list[str]:
     src = str(Path(invgpd.__file__).resolve().parents[1])
     outs = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", SUBGROUPOID_ORDER], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
+    return outs
+
+
+def test_subgroupoid_order_does_not_depend_on_the_hash_seed():
+    """The strict fixed and the fiber subgroupoid come out in the same key
+    order under two string-hash seeds (the core determinism promise)."""
+    outs = outputs_under_two_hash_seeds(SUBGROUPOID_ORDER)
+    assert outs[0] == outs[1]
+
+
+def test_table_walks_do_not_depend_on_the_hash_seed():
+    """Key order is not promised, but it is deterministic: the walks of a
+    pullback's and of a twice-attached groupoid's computed compose, and
+    the morphism and compose keys of Ũ and E at |V| = 2, list the same
+    keys under two string-hash seeds."""
+    outs = outputs_under_two_hash_seeds(TABLE_ORDER)
     assert outs[0] == outs[1]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 import invgpd
 from invgpd import docformat
 from invgpd.cli import bundled_document, main
-from invgpd.core import validate_groupoid
+from invgpd.core import codiscrete, discrete, validate_groupoid
 from invgpd.equivariant import REGISTRY
 from invgpd.errors import MalformedDocument
 from invgpd.generators import plain_catalog
@@ -167,6 +168,18 @@ def test_document_roundtrip():
             Y = doc2.involutives[name]
             assert X.involution.obj_map == Y.involution.obj_map
             assert X.involution.mor_map == Y.involution.mor_map
+
+
+@pytest.mark.parametrize("G, bad", [
+    (discrete(("a b",)), "a b"),
+    (codiscrete(("x#1", "y")), "x#1"),
+    (discrete(("",)), ""),
+], ids=["space", "hash", "empty"])
+def test_dumps_rejects_ids_the_text_cannot_carry(G, bad):
+    # loads splits lines at whitespace and drops what follows '#'; the
+    # bundled document's IDs round-trip (test_document_roundtrip)
+    with pytest.raises(MalformedDocument, match=re.escape(repr(bad))):
+        docformat.dumps(docformat.Document(groupoids={"G": G}))
 
 
 def run_cli(*argv) -> tuple[int, str]:

@@ -271,6 +271,21 @@ def test_attach_cell_compose_matches_all_pairs_definition():
     assert cases == 471
 
 
+def test_attachments_of_one_cell_compare_equal():
+    """Equality walks an attachment's computed table: two attachments of
+    one cell are equal, and one changed composite makes the table unequal
+    to the dict of its contents."""
+    X = REGISTRY.shape("SI")
+    Y1, _, _ = attach_cell(X, "Si", X.base.objects[0], "c0")
+    Y2, _, _ = attach_cell(X, "Si", X.base.objects[0], "c0")
+    assert Y1.base.compose is not Y2.base.compose and Y1 == Y2
+    table = dict(Y1.base.compose)
+    assert Y1.base.compose == table
+    key = next(iter(table))
+    table[key] = next(m for m in Y1.base.morphisms if m != table[key])
+    assert Y1.base.compose != table
+
+
 @pytest.mark.parametrize("tag", list(StructureTag), ids=lambda tag: tag.value)
 def test_attach_cells_matches_attaching_one_cell_at_a_time(tag):
     """The cells of a real gluing step (the first step of factorize on maps

@@ -60,13 +60,13 @@ def test_path_object_compose_matches_all_pairs_definition():
     U = build_universe(("a", "b")).U
     E = path_object(terminal_map(U)).path.base
     assert (E.n_objects, E.n_morphisms) == (25, 385)
-    assert list(E.compose.items()) == list(all_pairs_compose(terminal_map(U)).items())
+    assert E.compose == all_pairs_compose(terminal_map(U))
     catalog = involutive_catalog(2, vertex_z2=True)
     maps = [g for X in catalog for Y in catalog for g in equivariant_functors(X, Y)]
     maps += [terminal_map(X) for X in involutive_catalog()]
     for f in maps:
         P = path_object(f).path.base
-        assert list(P.compose.items()) == list(all_pairs_compose(f).items())
+        assert P.compose == all_pairs_compose(f)
 
 
 def test_path_object_of_discrete_over_point():

@@ -1,8 +1,8 @@
 """Source hygiene: every import in the package and the tests is used,
 every public function and class is used somewhere, every dataclass field
 is read somewhere, no invariant check is an ``assert`` (``python -O``
-would drop it), and every function the benchmark's tracer wraps still
-exists."""
+would drop it), every test helper that asserts has its asserts rewritten,
+and every function the benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -128,6 +128,25 @@ def test_no_assert_statements():
         if lines:
             found[path.name] = lines
     assert found == {}
+
+
+def test_test_helpers_that_assert_are_rewritten():
+    # a helper module under tests/ keeps its asserts under ``python -O``
+    # only if conftest.py registers it with pytest.register_assert_rewrite
+    conftest = ast.parse((ROOT / "tests" / "conftest.py").read_text(encoding="utf-8"))
+    registered = {arg.value for node in ast.walk(conftest)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "register_assert_rewrite"
+                  for arg in node.args if isinstance(arg, ast.Constant)}
+    unregistered = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name.startswith("test_") or path.name == "conftest.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem not in registered and any(isinstance(node, ast.Assert)
+                                               for node in ast.walk(tree)):
+            unregistered.append(path.name)
+    assert unregistered == []
 
 
 def test_tracer_layers_name_package_functions():

@@ -65,7 +65,7 @@ def test_universe_over_two_elements():
 @pytest.mark.parametrize("V", [("a", "b"), ("a", "b", "c")], ids=len)
 def test_universe_tables_match_their_definition(V):
     """U's compose table and Utilde's morphism and compose tables equal the
-    brute-force definitions, key order included."""
+    brute-force definitions; U's compose table in key order too."""
     b = build_universe(V)
     GU, GUt = b.U.base, b.Utilde.base
     # u_morphism_id, as one dict lookup
@@ -100,8 +100,8 @@ def test_universe_tables_match_their_definition(V):
         for p2 in ut_out.get(t1, ()):
             c = GU.compose[(decode[p2], decode[p1])]
             ut_compose[(p2, p1)] = f"{c}@{b.ut_objects[s1][1]}"
-    assert list(GUt.morphisms.items()) == list(morphisms.items())
-    assert list(GUt.compose.items()) == list(ut_compose.items())
+    assert GUt.morphisms == morphisms
+    assert GUt.compose == ut_compose
     assert b.p.map.mor_map == decode
 
 
