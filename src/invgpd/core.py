@@ -525,10 +525,8 @@ def _require_distinct_ids(n_ids: int, n_pairs: int) -> None:
         )
 
 
-def terminal_functor(G: Groupoid, point: Groupoid | None = None) -> Functor:
-    """The unique functor from G to the point (``unit()`` unless given)."""
-    if point is None:
-        point = unit()
+def terminal_functor(G: Groupoid, point: Groupoid) -> Functor:
+    """The unique functor from G to ``point``, whose one object is ``*``."""
     return Functor(G, point, {x: "*" for x in G.objects}, {m: "id(*)" for m in G.morphisms})
 
 

@@ -27,6 +27,12 @@ A document is UTF-8 text made of sections::
       top id_icheck
       bottom nabla_to_point
 
+The shape of every line (its names and the fixed tokens between them) is
+one entry of ``_SHAPES``, keyed by section kind and head, and one code
+path checks each line against it. One document defines each name at most
+once per section kind, a line holds no tokens past its shape, and every
+syntax error names its line (``line N: ...``).
+
 A document's sections name only what the document defines: the standard
 shapes (``Icheck``, ``nabla`` and so on) live in ``equivariant.REGISTRY``,
 not in a text document, so a user document that needs one defines its
@@ -101,95 +107,136 @@ class Document:
         return out
 
 
-def _tokens(line: str) -> list[str]:
-    line = line.split("#", 1)[0].strip()
-    return line.split() if line else []
+# The shape of every line, keyed by (section kind, head): the tokens after
+# the head, where a one-letter token stands for a name and any other token
+# must appear as written. The kind None holds the section headers, which
+# may open a section anywhere; "..." is any number of names.
+_SHAPES = {
+    (None, "groupoid"): "N",
+    (None, "involutive"): "N",
+    (None, "functor"): "N : D -> C",
+    (None, "square"): "N",
+    ("groupoid", "objects"): "...",
+    ("groupoid", "morphism"): "m : x -> y",
+    ("groupoid", "compose"): "g . f = h",
+    ("groupoid", "identity"): "x = m",
+    ("groupoid", "inverse"): "m = w",
+    ("involutive", "base"): "G",
+    ("involutive", "object"): "x -> y",
+    ("involutive", "morphism"): "m -> w",
+    ("functor", "object"): "x -> y",
+    ("functor", "morphism"): "m -> w",
+    **{("square", corner): "F" for corner in ("left", "right", "top", "bottom")},
+}
 
 
-class _GroupoidDraft:
-    def __init__(self, name):
-        self.name = name
-        self.objects: list[str] = []
-        self.morphisms: dict[str, tuple[str, str]] = {}
-        self.identity: dict[str, str] = {}
-        self.compose: dict[tuple[str, str], str] = {}
-        self.inverse: dict[str, str] = {}
+def _names(toks: list[str], shape: str) -> tuple[str, ...] | None:
+    """The names on a line of this shape, or None if a fixed token is wrong
+    or the line is too long. Tokens are read left to right; a line that
+    ends before its shape does raises IndexError."""
+    if shape == "...":
+        return tuple(toks[1:])
+    want = shape.split()
+    names = []
+    for i, w in enumerate(want, 1):
+        if w.isalpha():
+            names.append(toks[i])
+        elif toks[i] != w:
+            return None
+    return tuple(names) if len(toks) == len(want) + 1 else None
 
-    def build(self) -> Groupoid:
-        objects = list(dict.fromkeys(self.objects))
-        morphisms = dict(self.morphisms)
-        for m, (s, t) in morphisms.items():
-            if s not in objects or t not in objects:
-                raise MalformedDocument(
-                    f"groupoid {self.name}: morphism {m} references unknown object"
-                )
-        for x in self.identity:
-            if x not in objects:
-                raise MalformedDocument(
-                    f"groupoid {self.name}: identity entry for unknown object {x}"
-                )
-        identity = {}
-        for x in objects:
-            mid = self.identity.get(x, f"id({x})")
-            if mid in morphisms and morphisms[mid] != (x, x):
-                raise MalformedDocument(f"groupoid {self.name}: {mid} is not a loop at {x}")
-            morphisms.setdefault(mid, (x, x))
-            identity[x] = mid
-        inverse = dict(self.inverse)
-        for m, w in inverse.items():
-            if m not in morphisms or w not in morphisms:
-                raise MalformedDocument(
-                    f"groupoid {self.name}: inverse entry {m} = {w} references unknown morphism"
-                )
-        for x in objects:
-            inverse.setdefault(identity[x], identity[x])
-        for m, w in list(inverse.items()):  # symmetric closure of explicit pairs
+
+@dataclass
+class _Section:
+    """A section as written: its kind, the names on its header (a
+    functor's are its name, domain and codomain) and, for each head, the
+    names on each of its entry lines in document order."""
+    kind: str
+    header: tuple[str, ...]
+    lines: dict[str, list[tuple[str, ...]]] = field(default_factory=dict)
+
+    def rows(self, head: str) -> list[tuple[str, ...]]:
+        return self.lines.get(head, [])
+
+
+def _groupoid(name: str, sec: _Section) -> Groupoid:
+    objects = list(dict.fromkeys(x for row in sec.rows("objects") for x in row))
+    morphisms = {m: (s, t) for m, s, t in sec.rows("morphism")}
+    for m, (s, t) in morphisms.items():
+        if s not in objects or t not in objects:
+            raise MalformedDocument(f"groupoid {name}: morphism {m} references unknown object")
+    declared = dict(sec.rows("identity"))
+    for x in declared:
+        if x not in objects:
+            raise MalformedDocument(f"groupoid {name}: identity entry for unknown object {x}")
+    identity = {}
+    for x in objects:
+        mid = declared.get(x, f"id({x})")
+        if mid in morphisms and morphisms[mid] != (x, x):
+            raise MalformedDocument(f"groupoid {name}: {mid} is not a loop at {x}")
+        morphisms.setdefault(mid, (x, x))
+        identity[x] = mid
+    inverse = dict(sec.rows("inverse"))
+    for m, w in inverse.items():
+        if m not in morphisms or w not in morphisms:
+            raise MalformedDocument(f"groupoid {name}: inverse entry {m} = {w} "
+                                    "references unknown morphism")
+    for x in objects:
+        inverse.setdefault(identity[x], identity[x])
+    for m, w in list(inverse.items()):  # symmetric closure of explicit pairs
+        inverse.setdefault(w, m)
+    for m in list(morphisms):  # default inverses for the rest
+        if m not in inverse:
+            w = f"inv({m})"
+            s, t = morphisms[m]
+            morphisms.setdefault(w, (t, s))
+            inverse[m] = w
             inverse.setdefault(w, m)
-        for m in list(morphisms):  # default inverses for the rest
-            if m not in inverse:
-                w = f"inv({m})"
-                s, t = morphisms[m]
-                morphisms.setdefault(w, (t, s))
-                inverse[m] = w
-                inverse.setdefault(w, m)
-        # sparse completion of the composition table
-        hom: dict[tuple[str, str], list[str]] = {}
-        for m, st in morphisms.items():
-            hom.setdefault(st, []).append(m)
-        compose = dict(self.compose)
-        for (g, f), h in compose.items():
-            for m in (g, f, h):
-                if m not in morphisms:
-                    raise MalformedDocument(
-                        f"groupoid {self.name}: compose entry references unknown morphism {m}"
-                    )
-            if morphisms[f][1] != morphisms[g][0]:
-                raise MalformedDocument(
-                    f"groupoid {self.name}: compose entry {g} . {f} is not a composable pair"
-                )
-        for g, (gs, gt) in morphisms.items():
-            for f, (fs, ft) in morphisms.items():
-                if ft != gs or (g, f) in compose:
-                    continue
-                if f == identity.get(fs) and fs == ft:
-                    compose[(g, f)] = g
-                elif g == identity.get(gs) and gs == gt:
-                    compose[(g, f)] = f
-                elif inverse.get(f) == g and inverse.get(g) == f and fs == gt:
-                    compose[(g, f)] = identity[fs]
-        for g, (gs, gt) in morphisms.items():
-            for f, (fs, ft) in morphisms.items():
-                if ft != gs or (g, f) in compose:
-                    continue
-                candidates = hom.get((fs, gt), [])
-                if len(candidates) == 1:
-                    compose[(g, f)] = candidates[0]
-                else:
-                    raise MalformedDocument(
-                        f"groupoid {self.name}: ambiguous composition for ({g}, {f}); "
-                        "declare it with a compose line"
-                    )
-        return Groupoid(tuple(objects), morphisms, identity, compose, inverse)
+    # sparse completion of the composition table
+    hom: dict[tuple[str, str], list[str]] = {}
+    for m, st in morphisms.items():
+        hom.setdefault(st, []).append(m)
+    compose = {(g, f): h for g, f, h in sec.rows("compose")}
+    for (g, f), h in compose.items():
+        for m in (g, f, h):
+            if m not in morphisms:
+                raise MalformedDocument(f"groupoid {name}: compose entry references "
+                                        f"unknown morphism {m}")
+        if morphisms[f][1] != morphisms[g][0]:
+            raise MalformedDocument(f"groupoid {name}: compose entry {g} . {f} "
+                                    "is not a composable pair")
+    for g, (gs, gt) in morphisms.items():
+        for f, (fs, ft) in morphisms.items():
+            if ft != gs or (g, f) in compose:
+                continue
+            if f == identity.get(fs) and fs == ft:
+                compose[(g, f)] = g
+            elif g == identity.get(gs) and gs == gt:
+                compose[(g, f)] = f
+            elif inverse.get(f) == g and inverse.get(g) == f and fs == gt:
+                compose[(g, f)] = identity[fs]
+    for g, (gs, gt) in morphisms.items():
+        for f, (fs, ft) in morphisms.items():
+            if ft != gs or (g, f) in compose:
+                continue
+            candidates = hom.get((fs, gt), [])
+            if len(candidates) == 1:
+                compose[(g, f)] = candidates[0]
+            else:
+                raise MalformedDocument(f"groupoid {name}: ambiguous composition for "
+                                        f"({g}, {f}); declare it with a compose line")
+    return Groupoid(tuple(objects), morphisms, identity, compose, inverse)
+
+
+def _close_inverses(mor_map: dict, dom: Groupoid, cod: Groupoid) -> None:
+    """Map inv(m) to inv(F(m)) for every mapped m, until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        for m in dom.mor_ids():
+            if m in mor_map and dom.inv(m) not in mor_map and mor_map[m] in cod.inverse:
+                mor_map[dom.inv(m)] = cod.inv(mor_map[m])
+                changed = True
 
 
 def _complete_involution(name: str, G: Groupoid, omap: dict, mmap: dict) -> Functor:
@@ -199,15 +246,9 @@ def _complete_involution(name: str, G: Groupoid, omap: dict, mmap: dict) -> Func
         if obj_map[x] not in G.identity:
             raise MalformedDocument(f"involutive {name}: image of {x} is not an object")
     mor_map = dict(mmap)
-    changed = True
-    while changed:
-        changed = False
-        for m in G.mor_ids():
-            if m in mor_map:
-                w, v = G.inv(m), mor_map[m]
-                if w not in mor_map and v in G.inverse:
-                    mor_map[w] = G.inv(v)
-                    changed = True
+    # before the identity defaults, unlike a functor: on law-breaking input
+    # the order decides which image an identity gets
+    _close_inverses(mor_map, G, G)
     for x in G.objects:
         mor_map.setdefault(G.ident(x), G.ident(obj_map[x]))
     for m in G.mor_ids():
@@ -216,9 +257,7 @@ def _complete_involution(name: str, G: Groupoid, omap: dict, mmap: dict) -> Func
             if obj_map[s] == s and obj_map[t] == t:
                 mor_map.setdefault(m, m)
             else:
-                raise MalformedDocument(
-                    f"involutive {name}: no image declared for morphism {m}"
-                )
+                raise MalformedDocument(f"involutive {name}: no image declared for morphism {m}")
         if mor_map[m] not in G.morphisms:
             raise MalformedDocument(f"involutive {name}: image of {m} is not a morphism")
     return Functor(G, G, obj_map, mor_map)
@@ -235,13 +274,7 @@ def _complete_functor(name: str, dom: Groupoid, cod: Groupoid,
     mor_map = dict(mmap)
     for x in dom.objects:
         mor_map.setdefault(dom.ident(x), cod.ident(obj_map[x]))
-    changed = True
-    while changed:
-        changed = False
-        for m in dom.mor_ids():
-            if m in mor_map and dom.inv(m) not in mor_map and mor_map[m] in cod.inverse:
-                mor_map[dom.inv(m)] = cod.inv(mor_map[m])
-                changed = True
+    _close_inverses(mor_map, dom, cod)
     mids = dom.mor_ids()
     missing = [m for m in mids if m not in mor_map]
     if missing:
@@ -253,134 +286,68 @@ def _complete_functor(name: str, dom: Groupoid, cod: Groupoid,
 
 
 def loads(text: str) -> Document:
-    doc = Document()
-    drafts: list[tuple] = []
-    current: tuple | None = None
+    sections: dict[tuple[str, str], _Section] = {}  # by (kind, name)
+    current: _Section | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        toks = _tokens(raw)
+        toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
         head = toks[0]
+        opens = (None, head) in _SHAPES
+        if not opens and current is None:
+            raise MalformedDocument(f"line {lineno}: content outside any section")
+        shape = _SHAPES.get((None, head) if opens else (current.kind, head))
+        if shape is None:
+            raise MalformedDocument(f"line {lineno}: unknown entry {head!r}")
         try:
-            if head == "groupoid":
-                current = ("groupoid", _GroupoidDraft(toks[1]))
-                drafts.append(current)
-            elif head == "involutive":
-                current = ("involutive", {"name": toks[1], "base": None, "obj": {}, "mor": {}})
-                drafts.append(current)
-            elif head == "functor":
-                # functor NAME : DOM -> COD
-                if toks[2] != ":" or toks[4] != "->":
-                    raise MalformedDocument("functor header must be 'functor N : D -> C'")
-                current = (
-                    "functor",
-                    {"name": toks[1], "dom": toks[3], "cod": toks[5], "obj": {}, "mor": {}},
-                )
-                drafts.append(current)
-            elif head == "square":
-                current = ("square", {"name": toks[1]})
-                drafts.append(current)
-            elif current is None:
-                raise MalformedDocument(f"line {lineno}: content outside any section")
-            elif current[0] == "groupoid":
-                draft = current[1]
-                if head == "objects":
-                    draft.objects.extend(toks[1:])
-                elif head == "morphism":
-                    # morphism NAME : SRC -> TGT
-                    if toks[2] != ":" or toks[4] != "->":
-                        raise MalformedDocument(f"line {lineno}: bad morphism line")
-                    draft.morphisms[toks[1]] = (toks[3], toks[5])
-                elif head == "compose":
-                    # compose G . F = H
-                    if toks[2] != "." or toks[4] != "=":
-                        raise MalformedDocument(f"line {lineno}: bad compose line")
-                    draft.compose[(toks[1], toks[3])] = toks[5]
-                elif head == "identity":
-                    if toks[2] != "=":
-                        raise MalformedDocument(f"line {lineno}: bad identity line")
-                    draft.identity[toks[1]] = toks[3]
-                elif head == "inverse":
-                    if toks[2] != "=":
-                        raise MalformedDocument(f"line {lineno}: bad inverse line")
-                    draft.inverse[toks[1]] = toks[3]
-                else:
-                    raise MalformedDocument(f"line {lineno}: unknown entry {head!r}")
-            elif current[0] == "involutive":
-                data = current[1]
-                if head == "base":
-                    data["base"] = toks[1]
-                elif head == "object":
-                    if toks[2] != "->":
-                        raise MalformedDocument(f"line {lineno}: bad object line")
-                    data["obj"][toks[1]] = toks[3]
-                elif head == "morphism":
-                    if toks[2] != "->":
-                        raise MalformedDocument(f"line {lineno}: bad morphism line")
-                    data["mor"][toks[1]] = toks[3]
-                else:
-                    raise MalformedDocument(f"line {lineno}: unknown entry {head!r}")
-            elif current[0] == "functor":
-                data = current[1]
-                if head == "object":
-                    if toks[2] != "->":
-                        raise MalformedDocument(f"line {lineno}: bad object line")
-                    data["obj"][toks[1]] = toks[3]
-                elif head == "morphism":
-                    if toks[2] != "->":
-                        raise MalformedDocument(f"line {lineno}: bad morphism line")
-                    data["mor"][toks[1]] = toks[3]
-                else:
-                    raise MalformedDocument(f"line {lineno}: unknown entry {head!r}")
-            elif current[0] == "square":
-                data = current[1]
-                if head in ("left", "right", "top", "bottom"):
-                    data[head] = toks[1]
-                else:
-                    raise MalformedDocument(f"line {lineno}: unknown entry {head!r}")
+            names = _names(toks, shape)
         except IndexError as exc:
             raise MalformedDocument(f"line {lineno}: truncated entry") from exc
+        if names is None:
+            raise MalformedDocument(
+                f"line {lineno}: {head} header must be '{head} {shape}'" if opens
+                else f"line {lineno}: bad {head} line")
+        if not opens:
+            current.lines.setdefault(head, []).append(names)
+        elif (head, names[0]) in sections:
+            raise MalformedDocument(f"line {lineno}: {head} {names[0]} is already defined")
+        else:
+            current = sections[(head, names[0])] = _Section(head, names)
 
     # materialize in order: groupoids, involutives, functors, squares
-    for kind, data in drafts:
+    doc = Document()
+    for (kind, name), sec in sections.items():
         if kind == "groupoid":
-            doc.groupoids[data.name] = data.build()
-    for kind, data in drafts:
+            doc.groupoids[name] = _groupoid(name, sec)
+    for (kind, name), sec in sections.items():
         if kind == "involutive":
-            base = doc.groupoids.get(data["base"])
+            base_name = sec.rows("base")[-1][0] if sec.rows("base") else None
+            base = doc.groupoids.get(base_name)
             if base is None:
-                raise MalformedDocument(
-                    f"involutive {data['name']}: unknown base {data['base']!r}"
-                )
-            inv = _complete_involution(data["name"], base, data["obj"], data["mor"])
-            doc.involutives[data["name"]] = InvolutiveGroupoid(base, inv)
-    for kind, data in drafts:
+                raise MalformedDocument(f"involutive {name}: unknown base {base_name!r}")
+            inv = _complete_involution(
+                name, base, dict(sec.rows("object")), dict(sec.rows("morphism")))
+            doc.involutives[name] = InvolutiveGroupoid(base, inv)
+    for (kind, name), sec in sections.items():
         if kind == "functor":
-            name = data["name"]
-
-            def resolve(n):
-                if n in doc.involutives:
-                    return doc.involutives[n], True
-                if n in doc.groupoids:
-                    return doc.groupoids[n], False
-                raise MalformedDocument(f"functor {name}: unknown groupoid {n!r}")
-
-            dom, dom_inv = resolve(data["dom"])
-            cod, cod_inv = resolve(data["cod"])
-            if dom_inv != cod_inv:
-                raise MalformedDocument(
-                    f"functor {name}: domain and codomain must both be involutive or both plain"
-                )
-            if dom_inv:
-                F = _complete_functor(name, dom.base, cod.base, data["obj"], data["mor"])
-                doc.functors[name] = EquivariantFunctor(dom, cod, F)
+            _, dname, cname = sec.header
+            dom, cod = (doc.involutives.get(n, doc.groupoids.get(n)) for n in (dname, cname))
+            for n, end in ((dname, dom), (cname, cod)):
+                if end is None:
+                    raise MalformedDocument(f"functor {name}: unknown groupoid {n!r}")
+            if isinstance(dom, Groupoid) != isinstance(cod, Groupoid):
+                raise MalformedDocument(f"functor {name}: domain and codomain must both "
+                                        "be involutive or both plain")
+            omap, mmap = dict(sec.rows("object")), dict(sec.rows("morphism"))
+            if isinstance(dom, Groupoid):
+                doc.functors[name] = _complete_functor(name, dom, cod, omap, mmap)
             else:
-                doc.functors[name] = _complete_functor(name, dom, cod, data["obj"], data["mor"])
-            doc.functor_sig[name] = (data["dom"], data["cod"])
-    for kind, data in drafts:
+                F = _complete_functor(name, dom.base, cod.base, omap, mmap)
+                doc.functors[name] = EquivariantFunctor(dom, cod, F)
+            doc.functor_sig[name] = (dname, cname)
+    for (kind, name), sec in sections.items():
         if kind == "square":
-            name = data.pop("name")
-            doc.squares[name] = dict(data)
+            doc.squares[name] = {head: rows[-1][0] for head, rows in sec.lines.items()}
     return doc
 
 
@@ -418,6 +385,13 @@ def _groupoid_lines(name: str, G: Groupoid) -> list[str]:
     return lines
 
 
+def _map_lines(G: Groupoid, F: Functor) -> list[str]:
+    """The object and morphism lines of a map on G, as an involutive or a
+    functor section writes them."""
+    return ([f"  object {_token(x)} -> {_token(F.obj_map[x])}" for x in G.objects]
+            + [f"  morphism {_token(m)} -> {_token(F.mor_map[m])}" for m in G.mor_ids()] + [""])
+
+
 def dumps(doc: Document) -> str:
     """Serialize a document; load(dumps(d)) reproduces the structures.
     An object or morphism ID that is empty or contains whitespace or
@@ -432,22 +406,12 @@ def dumps(doc: Document) -> str:
         if base_name is None:
             base_name = f"{name}.base"
             lines += _groupoid_lines(base_name, X.base)
-        lines.append(f"involutive {name}")
-        lines.append(f"  base {base_name}")
-        for x in X.base.objects:
-            lines.append(f"  object {x} -> {X.eta_obj(x)}")
-        for m in X.base.mor_ids():
-            lines.append(f"  morphism {m} -> {X.eta_mor(m)}")
-        lines.append("")
+        lines += [f"involutive {name}", f"  base {base_name}", *_map_lines(X.base, X.involution)]
     for name, F in doc.functors.items():
         dname, cname = doc.functor_sig.get(name, ("?", "?"))
         lines.append(f"functor {name} : {dname} -> {cname}")
         fmap = F.map if isinstance(F, EquivariantFunctor) else F
-        for x in fmap.dom.objects:
-            lines.append(f"  object {_token(x)} -> {_token(fmap.obj_map[x])}")
-        for m in fmap.dom.mor_ids():
-            lines.append(f"  morphism {_token(m)} -> {_token(fmap.mor_map[m])}")
-        lines.append("")
+        lines += _map_lines(fmap.dom, fmap)
     for name, sq in doc.squares.items():
         lines.append(f"square {name}")
         for k in ("left", "right", "top", "bottom"):

@@ -371,12 +371,8 @@ def equivalence_space(bundle: UniverseBundle) -> PathFactorization:
 
 @dataclass
 class UnivalenceReport:
-    structure: str
     verdict: str                 # "HOLDS" | "FAILS"
     witness: dict
-
-    def to_dict(self) -> dict:
-        return {"structure": self.structure, "verdict": self.verdict, "witness": self.witness}
 
 
 def projective_univalence_witness(bundle: UniverseBundle,
@@ -413,7 +409,7 @@ def check_univalence(bundle: UniverseBundle, tag: StructureTag,
         bij = fixed_point_bijection(d1)
         if lw and bij:
             return UnivalenceReport(
-                structure="projective", verdict="HOLDS",
+                verdict="HOLDS",
                 witness={
                     "note": "identity-equivalence map is bijective on fixed points",
                     "levelwise_equivalence": True,
@@ -424,7 +420,7 @@ def check_univalence(bundle: UniverseBundle, tag: StructureTag,
         rho = next(m for m in GU.morphisms if po(m) == witness_id)
         A, B = GU.morphisms[rho]
         return UnivalenceReport(
-            structure="projective", verdict="FAILS",
+            verdict="FAILS",
             witness={
                 "fixed_equivalence_outside_image": witness_id,
                 "source_type": A,
@@ -444,7 +440,7 @@ def check_univalence(bundle: UniverseBundle, tag: StructureTag,
         "E_fibrant": is_fibrant(space.path, StructureTag.INJECTIVE, budget),
     }
     verdict = "HOLDS" if all(checks.values()) else "FAILS"
-    return UnivalenceReport(structure="injective", verdict=verdict, witness=checks)
+    return UnivalenceReport(verdict=verdict, witness=checks)
 
 
 # -- the function extensionality counterexample ----------------------------------
@@ -460,14 +456,7 @@ class FunextReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "homotopy_equivalence_input": self.homotopy_equivalence_input,
-            "pi_objects": self.pi_objects,
-            "pi_fixed_points": self.pi_fixed_points,
-            "terminal_fixed_points": self.terminal_fixed_points,
-            "pi_is_homotopy_equivalence": self.pi_is_homotopy_equivalence,
-            "verdict": self.verdict,
-        }
+        return dict(self.__dict__)
 
 
 def funext_instance() -> tuple[EquivariantFunctor, EquivariantFunctor]:
@@ -507,9 +496,6 @@ class ClosureReport:
 
     def verdicts(self) -> list[str]:
         return [e["verdict"] for e in self.entries]
-
-    def to_dict(self) -> dict:
-        return {"entries": self.entries}
 
 
 def _closure_verdict(f: EquivariantFunctor, bundle: UniverseBundle) -> tuple[str, dict]:

@@ -182,6 +182,67 @@ def test_dumps_rejects_ids_the_text_cannot_carry(G, bad):
         docformat.dumps(docformat.Document(groupoids={"G": G}))
 
 
+# one section of each kind; DEFINED_TWICE appends a second of one kind at line 12
+ONE_OF_EACH = """groupoid G
+  objects a
+
+involutive X
+  base G
+
+functor F : X -> X
+  object a -> a
+
+square S
+  left F
+"""
+DEFINED_TWICE = {
+    "groupoid": "groupoid G\n  objects a b\n",
+    "involutive": "involutive X\n  base G\n",
+    "functor": "functor F : X -> X\n  object a -> a\n",
+    "square": "square S\n  left F\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFINED_TWICE))
+def test_a_name_defined_twice_is_malformed(kind):
+    # a second section of one kind and name would silently replace the first
+    docformat.loads(ONE_OF_EACH)
+    name = DEFINED_TWICE[kind].split()[1]
+    with pytest.raises(MalformedDocument,
+                       match=re.escape(f"line 12: {kind} {name} is already defined")):
+        docformat.loads(ONE_OF_EACH + DEFINED_TWICE[kind])
+
+
+def test_cli_name_defined_twice_exits_2(tmp_path, capsys):
+    twice = tmp_path / "twice.gpd"
+    twice.write_text(ONE_OF_EACH + DEFINED_TWICE["groupoid"], encoding="utf-8")
+    for argv in (["validate", str(twice)],
+                 ["classify", "F", "--structure", "gpd", "--file", str(twice)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 12: groupoid G is already defined\n", argv
+
+
+@pytest.mark.parametrize("text, message", [
+    ("groupoid G\n  objects a b\n  morphism f : a -> b extra\n", "line 3: bad morphism line"),
+    ("groupoid G\n  objects a\n\nfunctor F : G -> G\n  object a -> a a\n",
+     "line 5: bad object line"),
+    ("square S\n  left F G\n", "line 2: bad left line"),
+    ("groupoid G H\n", "line 1: groupoid header must be 'groupoid N'"),
+], ids=["groupoid-entry", "map-entry", "square-entry", "header"])
+def test_trailing_tokens_are_malformed(text, message):
+    # tokens past a line's shape would otherwise be dropped without a word
+    with pytest.raises(MalformedDocument, match=f"^{re.escape(message)}$"):
+        docformat.loads(text)
+
+
+def test_functor_header_error_names_its_line():
+    with pytest.raises(MalformedDocument, match=re.escape(
+            "line 3: functor header must be 'functor N : D -> C'")):
+        docformat.loads("groupoid G\n  objects a\nfunctor F . G -> G\n")
+
+
 def run_cli(*argv) -> tuple[int, str]:
     # the child imports the same package as the tests, installed or not
     src = str(Path(invgpd.__file__).resolve().parents[1])

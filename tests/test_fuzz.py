@@ -8,6 +8,7 @@ exception escape ``cli.main``.
 """
 
 import contextlib
+import hashlib
 import io
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from invgpd import cli, docformat
+from invgpd.equivariant import EquivariantFunctor
 from invgpd.errors import MalformedDocument
 
 OBJECTS = ["a", "b", "c"]
@@ -109,3 +111,58 @@ def test_generated_documents_load_or_exit_cleanly(doc_path, text):
         code, err = run_main(argv)
         assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err
+
+
+def outcome(text: str) -> tuple:
+    """What loads makes of a document: every table in insertion order, or
+    the error's type and message."""
+    try:
+        doc = docformat.loads(text)
+    except MalformedDocument as exc:
+        return type(exc).__name__, str(exc)
+    groupoids = [(name, G.objects, *(list(t.items()) for t in (
+        G.morphisms, G.identity, G.compose, G.inverse))) for name, G in doc.groupoids.items()]
+    involutives = [(name, [n for n, G in doc.groupoids.items() if G is X.base],
+                    list(X.involution.obj_map.items()), list(X.involution.mor_map.items()))
+                   for name, X in doc.involutives.items()]
+    functors = [(name, isinstance(F, EquivariantFunctor), doc.functor_sig[name],
+                 list(f.obj_map.items()), list(f.mor_map.items()))
+                for name, F in doc.functors.items()
+                for f in [F.map if isinstance(F, EquivariantFunctor) else F]]
+    squares = [(name, list(sq.items())) for name, sq in doc.squares.items()]
+    return groupoids, involutives, functors, squares
+
+
+def loader_corpus() -> list[str]:
+    """300 derandomized draws of documents(), each also with each
+    BROKEN_LINES entry inserted at line 3 (unless the draw already holds
+    that line, which would define a section twice), then the documents of
+    test_docformat_cli.py and the bundled document."""
+    from test_docformat_cli import (AMBIGUOUS_DOC, COLLIDING_DOC, COMMA_DOC, INVALID_DOC,
+                                    NON_COMPOSABLE_DOC, SPARSE_DOC, UNDECLARED_IMAGE_DOCS)
+    texts = []
+
+    @settings(FUZZ, max_examples=300)
+    @given(text=documents())
+    def collect(text):
+        lines = text.split("\n")
+        texts.append(text)
+        texts.extend("\n".join(lines[:3] + [b] + lines[3:]) for b in BROKEN_LINES
+                     if b not in lines)
+
+    collect()
+    return texts + [AMBIGUOUS_DOC, COLLIDING_DOC, COMMA_DOC, INVALID_DOC, NON_COMPOSABLE_DOC,
+                    SPARSE_DOC, *UNDECLARED_IMAGE_DOCS.values(),
+                    docformat.dumps(cli.bundled_document())]
+
+
+def test_loader_outcomes_match_the_recorded_digest():
+    """Every table loads builds and every error message it gives on a fixed
+    corpus, pinned by one digest, so no change to the loader moves them
+    unnoticed. Changing the corpus (the draw count, documents(),
+    BROKEN_LINES or the documents taken from test_docformat_cli.py), or a
+    Hypothesis release that draws differently, needs a new digest."""
+    texts = loader_corpus()
+    digest = hashlib.sha256(repr([outcome(t) for t in texts]).encode()).hexdigest()
+    assert (len(texts), digest) == (
+        4199, "446fed301c45b1916ddf8180b3bfcd8ababb96e93247f0c9bf9b00bb6744420b")
