@@ -20,10 +20,11 @@ Conventions
   promised; JSON output is written with sorted keys.
 * Derived indexes (a groupoid's hom-sets, the morphisms out of each
   object, its non-identity morphisms in ID order, its per-morphism
-  composite table and whether its identities obey the unit laws; whether
-  a functor preserves identities) are built once per value and cached on
-  it. That is sound only because values are immutable after construction:
-  tables must not be edited once a groupoid or functor is built.
+  composite table, its spanning tree and whether its identities obey the
+  unit laws; whether a functor preserves identities) are built once per
+  value and cached on it. That is sound only because values are
+  immutable after construction: tables must not be edited once a
+  groupoid or functor is built.
 * One construction per concept. A product is the pullback of the two
   functors to the point (:func:`terminal_functor`), :func:`subgroupoid`
   is the one restriction to a set of objects and morphisms (full, fixed
@@ -88,6 +89,9 @@ class Groupoid:
         init=False, repr=False, compare=False, default=None
     )
     _unital: bool | None = field(init=False, repr=False, compare=False, default=None)
+    _tree: dict[str, tuple[str, str]] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         self.objects = tuple(sorted(self.objects))
@@ -154,6 +158,22 @@ class Groupoid:
                         row[f] = h
                 self._composites = table
         return self._composites
+
+    def spanning_tree(self) -> dict[str, tuple[str, str]]:
+        """``x -> (r, t)``: the root r of x's connected component, its
+        least object, and a tree arrow t: r -> x, the identity when x is r
+        and otherwise the least morphism of hom(r, x). Built on first use.
+        It reads only hom-sets: in a groupoid that obeys the laws, the
+        objects r reaches by one morphism are its whole component."""
+        if self._tree is None:
+            tree: dict[str, tuple[str, str]] = {}
+            for r in self.objects:
+                if r not in tree:
+                    tree[r] = (r, self.identity[r])
+                    for m in self.out(r):
+                        tree.setdefault(self.morphisms[m][1], (r, m))
+            self._tree = tree
+        return self._tree
 
     def identities_are_units(self) -> bool:
         """Is every identity a distinct endomorphism of its object, its own
@@ -413,7 +433,9 @@ def validate_groupoid(G: Groupoid) -> list[str]:
     return problems
 
 
-def validate_functor(F: Functor) -> list[str]:
+def _endpoint_problems(F: Functor) -> list[str]:
+    """Objects and morphisms that F leaves unmapped, maps outside cod, or
+    maps without their endpoints."""
     problems: list[str] = []
     for x in F.dom.objects:
         if x not in F.obj_map:
@@ -430,6 +452,11 @@ def validate_functor(F: Functor) -> list[str]:
             continue
         if F.cod.morphisms[n] != (F.obj_map.get(s), F.obj_map.get(t)):
             problems.append(f"morphism {m}: source/target not preserved")
+    return problems
+
+
+def validate_functor(F: Functor) -> list[str]:
+    problems = _endpoint_problems(F)
     if problems:
         return problems
     for x in F.dom.objects:
@@ -442,10 +469,53 @@ def validate_functor(F: Functor) -> list[str]:
     return problems
 
 
+def is_functor(F: Functor) -> bool:
+    """Does F preserve endpoints, identities and composites? Decided from
+    dom's spanning tree and vertex groups, without walking dom's compose
+    table. For m: x -> y with tree arrows t_x, t_y out of the root r,
+    g = t_y⁻¹∘m∘t_x lies in Aut(r), and F is a functor iff (a) F is a
+    homomorphism on each Aut(r) and (b) F(m) = F(t_y)∘F(g)∘F(t_x)⁻¹ for
+    every m: then g(n∘m) = g(n)∘g(m) gives F(n∘m) = F(n)∘F(m). Exact
+    when dom and cod obey the groupoid laws (``validate_functor`` makes
+    no such assumption); a table that lacks an entry reads False."""
+    if _endpoint_problems(F) or not F.preserves_identities():
+        return False
+    dom, mor_map = F.dom, F.mor_map
+    d_comp, c_comp, c_inv = dom.compose, F.cod.compose, F.cod.inverse
+    tree = dom.spanning_tree()
+    try:
+        for x, (r, _) in tree.items():  # (a)
+            if x != r:
+                continue
+            aut = dom.hom(r, r)
+            for g in aut:
+                Fg = mor_map[g]
+                for f in aut:
+                    if c_comp[(Fg, mor_map[f])] != mor_map[d_comp[(g, f)]]:
+                        return False
+        legs = {}  # x -> (t_x, t_x⁻¹, F(t_x), F(t_x)⁻¹)
+        for x, (_, t) in tree.items():
+            Ft = mor_map[t]
+            legs[x] = (t, dom.inverse[t], Ft, c_inv[Ft])
+        for m, (x, y) in dom.morphisms.items():  # (b)
+            tx, _, _, Ftx_inv = legs[x]
+            _, ty_inv, Fty, _ = legs[y]
+            g = d_comp[(ty_inv, d_comp[(m, tx)])]
+            if c_comp[(Fty, c_comp[(mor_map[g], Ftx_inv)])] != mor_map[m]:
+                return False
+    except KeyError:
+        return False
+    return True
+
+
 def require_valid_functor(F: Functor) -> None:
-    problems = validate_functor(F)
-    if problems:
-        raise MalformedFunctor("; ".join(problems))
+    """Raise ``MalformedFunctor`` unless F is a functor. The verdict is
+    :func:`is_functor`'s, exact when dom and cod obey the groupoid laws;
+    the message lists the problems ``validate_functor`` finds."""
+    if not is_functor(F):
+        problems = validate_functor(F)
+        if problems:
+            raise MalformedFunctor("; ".join(problems))
 
 
 # -- predicates --------------------------------------------------------------
@@ -457,40 +527,49 @@ def lifts_of(F: Functor, h: str, x: str) -> list[str]:
 
 
 def classify_functor(F: Functor) -> FunctorReport:
-    """Decide the standard predicate flags of a functor by enumeration."""
+    """Decide the standard predicate flags of a functor by enumeration.
+
+    Precondition: dom and cod obey the groupoid laws, as every groupoid
+    the package builds does, and every groupoid of a document that
+    ``cli.merged_document`` accepts (it rejects law-breaking ones). Under
+    it, F is checked to be a functor (``require_valid_functor``) from
+    dom's spanning tree and vertex groups, and full and faithful are
+    decided per component: F is faithful iff it is injective on each
+    vertex group Aut(r), and full iff it maps each Aut(r) onto Aut(F r)
+    and sends distinct components of dom into distinct components of
+    cod. It is essentially surjective iff it meets every component of
+    cod. The fibration flags read the morphisms out of each image F(x).
+    On other input the flags mean nothing.
+    """
     require_valid_functor(F)
     G, H = F.dom, F.cod
+    obj_map, mor_map = F.obj_map, F.mor_map
 
-    inj = len(set(F.obj_map.values())) == len(F.obj_map)
+    inj = len(set(obj_map.values())) == len(obj_map)
 
+    roots = [x for x, (r, _) in G.spanning_tree().items() if x == r]
     full = True
     faithful = True
-    for x in G.objects:
-        for y in G.objects:
-            images = [F.mor_map[m] for m in G.hom(x, y)]
-            if len(set(images)) != len(images):
-                faithful = False
-            target = H.hom(F.obj_map[x], F.obj_map[y])
-            if not set(target) <= set(images):
-                full = False
-
-    fiber: dict[str, list[str]] = {}
-    for x in G.objects:
-        fiber.setdefault(F.obj_map[x], []).append(x)
-
-    ess = all(
-        any(H.hom(F.obj_map[x], c) for x in G.objects) for c in H.objects
-    )
+    for r in roots:
+        images = {mor_map[m] for m in G.hom(r, r)}
+        if len(images) != len(G.hom(r, r)):
+            faithful = False
+        if len(images) != len(H.hom(obj_map[r], obj_map[r])):
+            full = False
+    cod_tree = H.spanning_tree()
+    hit = {cod_tree[obj_map[r]][0] for r in roots}  # the components F meets
+    full = full and len(hit) == len(roots)
+    ess = len(hit) == sum(1 for y, (r, _) in cod_tree.items() if y == r)
 
     lift_count: dict[tuple[str, str], int] = {}
-    for m in G.mor_ids():
-        key = (G.src(m), F.mor_map[m])
+    for m, (s, _) in G.morphisms.items():
+        key = (s, mor_map[m])
         lift_count[key] = lift_count.get(key, 0) + 1
 
     isofib = True
     discrete_fib = True
-    for h in H.mor_ids():
-        for x in fiber.get(H.src(h), ()):
+    for x in G.objects:
+        for h in H.out(obj_map[x]):
             n = lift_count.get((x, h), 0)
             if n == 0:
                 isofib = False

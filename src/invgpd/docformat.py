@@ -397,18 +397,27 @@ def dumps(doc: Document) -> str:
     An object or morphism ID that is empty or contains whitespace or
     ``#`` cannot be written and raises ``MalformedDocument``."""
     lines: list[str] = []
+    written: list[tuple[str, object]] = []  # (section name, structure), in text order
+
+    def name_of(X) -> str | None:
+        return next((n for n, Y in written if Y is X or Y == X), None)
+
     for name, G in doc.groupoids.items():
         lines += _groupoid_lines(name, G)
+        written.append((name, G))
     for name, X in doc.involutives.items():
-        base_name = next(
-            (n for n, G in doc.groupoids.items() if G is X.base or G == X.base), None
-        )
+        base_name = name_of(X.base)
         if base_name is None:
             base_name = f"{name}.base"
             lines += _groupoid_lines(base_name, X.base)
+            written.append((base_name, X.base))
         lines += [f"involutive {name}", f"  base {base_name}", *_map_lines(X.base, X.involution)]
+        written.append((name, X))
     for name, F in doc.functors.items():
-        dname, cname = doc.functor_sig.get(name, ("?", "?"))
+        dname, cname = doc.functor_sig.get(name) or (name_of(F.dom), name_of(F.cod))
+        if dname is None or cname is None:
+            raise MalformedDocument(f"cannot write functor {name}: its domain or codomain "
+                                    "is not a section of the document")
         lines.append(f"functor {name} : {dname} -> {cname}")
         fmap = F.map if isinstance(F, EquivariantFunctor) else F
         lines += _map_lines(fmap.dom, fmap)

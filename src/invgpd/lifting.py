@@ -107,9 +107,15 @@ def _seeds(left: EquivariantFunctor, obj_image: dict[str, str], mor_image: dict[
 
 
 def iter_fillers(P: LiftingProblem, budget: Budget | int | None = None):
-    """All diagonal fillers of the square, in deterministic order."""
+    """All diagonal fillers of the square, in deterministic order; raises
+    ``NonCommutingSquare`` if the square does not commute."""
     P.check_commutes()
-    budget = ensure_budget(budget)
+    yield from _fillers(P, ensure_budget(budget))
+
+
+def _fillers(P: LiftingProblem, budget: Budget):
+    """The fillers ``iter_fillers`` yields, without its commutativity
+    check: for squares that commute by construction."""
     i, p, top, bottom = P.left, P.right, P.top, P.bottom
     seeds = _seeds(i, top.map.obj_map, top.map.mor_map)
     if seeds is None:
@@ -214,7 +220,8 @@ def _orthogonality(pairs, key: str, budget: Budget | int | None) -> Orthogonalit
     for name, left, right in pairs:
         for g, h in iter_squares(left, right, budget):
             checked += 1
-            if solve_lifting(LiftingProblem(left, right, g, h), budget) is None:
+            # iter_squares seeds h from g, so the square commutes
+            if next(_fillers(LiftingProblem(left, right, g, h), budget), None) is None:
                 return OrthogonalityReport(
                     ok=False,
                     squares_checked=checked,

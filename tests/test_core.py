@@ -2,10 +2,11 @@
 
 import gc
 import os
+import random
 import subprocess
 import sys
 import weakref
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from invgpd.core import (
     empty_groupoid,
     identity_functor,
     interval,
+    is_functor,
     pair_id,
     pairing,
     pullback,
@@ -34,7 +36,7 @@ from invgpd.core import (
 )
 from invgpd.equivariant import equivariant_product, fixed_points, terminal_map
 from invgpd.errors import CodomainMismatch, MalformedDocument, MalformedFunctor
-from invgpd.generators import involutive_catalog, plain_catalog
+from invgpd.generators import involutive_catalog, plain_catalog, z2_component
 from invgpd.pi import fiber_groupoid
 from invgpd.search import find_isomorphism, iter_functors
 from invgpd.universe import build_universe
@@ -432,3 +434,122 @@ def test_equivalence_flag_matches_homotopy_inverse_oracle():
         eq = classify_functor(F).equivalence
         inv = find_homotopy_inverse(as_equivariant(F), tag=StructureTag.GPD)
         assert eq == (inv is not None)
+
+
+# -- the spanning-tree functoriality check -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def catalog_functors():
+    """Every functor between two groupoids of the catalog."""
+    catalog = plain_catalog(3, vertex_z2=True)
+    return [F for G in catalog for H in catalog for F in iter_functors(G, H)]
+
+
+def moved(F: Functor, images: dict) -> Functor:
+    """F with some morphism images replaced."""
+    return Functor(F.dom, F.cod, F.obj_map, {**F.mor_map, **images})
+
+
+def assert_check_agrees(F: Functor):
+    """The spanning-tree verdict is the all-pairs walk's, and a rejected
+    functor's MalformedFunctor lists exactly the walk's problems."""
+    problems = validate_functor(F)
+    assert is_functor(F) == (problems == [])
+    if problems:
+        with pytest.raises(MalformedFunctor) as exc:
+            classify_functor(F)
+        assert str(exc.value) == "; ".join(problems)
+    return problems
+
+
+def test_functoriality_check_accepts_every_catalog_functor(catalog_functors):
+    assert len(catalog_functors) > 10_000
+    for F in catalog_functors:
+        assert assert_check_agrees(F) == []
+
+
+def test_functoriality_check_agrees_on_seeded_mutants(catalog_functors):
+    """One or two non-identity images moved, within their hom-sets or
+    anywhere in the codomain (which breaks endpoints)."""
+    rng = random.Random(1512)
+    invalid = 0
+    for F in rng.sample(catalog_functors, 3000):
+        movable = F.dom.non_identities()
+        if not movable:
+            continue
+        images = {}
+        for m in rng.sample(movable, min(len(movable), rng.randint(1, 2))):
+            s, t = (F.obj_map[x] for x in F.dom.morphisms[m])
+            images[m] = rng.choice(F.cod.hom(s, t) if rng.random() < 0.8 else F.cod.mor_ids())
+        invalid += bool(assert_check_agrees(moved(F, images)))
+    assert invalid > 500
+
+
+def klein_point() -> Groupoid:
+    """One object whose vertex group is Z/2 × Z/2."""
+    return binary_product(z2_component(("o0",)), z2_component(("o0",)))[0]
+
+
+def test_functoriality_check_catches_maps_that_break_only_the_vertex_groups():
+    """On a one-object component the tree part is trivial (every tree
+    arrow is an identity), so a map that preserves identities and is no
+    homomorphism breaks only the vertex-group part."""
+    K = klein_point()
+    (r,), ident = K.objects, K.identity[K.objects[0]]
+    others = [m for m in K.mor_ids() if m != ident]
+    broken = 0
+    for H in (K, z2_component(("o0",)), binary_product(K, codiscrete(("a", "b")))[0]):
+        for c in H.objects:
+            targets = H.hom(c, c)
+            for images in product(targets, repeat=len(others)):
+                F = Functor(K, H, {r: c}, {ident: H.identity[c], **dict(zip(others, images))})
+                broken += bool(assert_check_agrees(F))
+    assert broken > 100
+
+
+def test_functoriality_check_catches_maps_that_break_only_the_tree_part(catalog_functors):
+    """Moving the image of an m: x -> y with x != y leaves every vertex
+    group's map as it was, so only the tree part can fail."""
+    mutants = 0
+    for F in catalog_functors:
+        for m, (x, y) in F.dom.morphisms.items():
+            if x == y:
+                continue
+            for n in F.cod.hom(F.obj_map[x], F.obj_map[y]):
+                if n != F.mor_map[m]:
+                    assert assert_check_agrees(moved(F, {m: n}))
+                    mutants += 1
+    assert mutants > 1000
+
+
+def per_pair_report(F: Functor) -> dict:
+    """Every flag by its definition: full and faithful over each ordered
+    pair of objects, essential surjectivity over each object of cod, the
+    fibration flags over each morphism of cod."""
+    G, H = F.dom, F.cod
+    full = faithful = True
+    for x in G.objects:
+        for y in G.objects:
+            images = [F.mor_map[m] for m in G.hom(x, y)]
+            faithful &= len(set(images)) == len(images)
+            full &= set(H.hom(F.obj_map[x], F.obj_map[y])) <= set(images)
+    ess = all(any(H.hom(F.obj_map[x], c) for x in G.objects) for c in H.objects)
+    lifts = [len([m for m in G.out(x) if F.mor_map[m] == h])
+             for h in H.mor_ids() for x in G.objects if F.obj_map[x] == H.src(h)]
+    isofib = all(lifts)
+    return {"injective_on_objects": len(set(F.obj_map.values())) == len(F.obj_map),
+            "full": full, "faithful": faithful, "essentially_surjective": ess,
+            "equivalence": full and faithful and ess, "isofibration": isofib,
+            "discrete_fibration": isofib and all(n == 1 for n in lifts)}
+
+
+def test_component_flags_match_the_per_pair_definition(catalog_functors):
+    K = klein_point()
+    extra = list(iter_functors(K, K)) + list(iter_functors(K, z2_component(("o0",))))
+    seen = set()
+    for F in catalog_functors + extra:
+        rep = classify_functor(F).to_dict()
+        assert rep == per_pair_report(F)
+        seen.add((rep["full"], rep["faithful"], rep["essentially_surjective"]))
+    assert len(seen) == 8

@@ -12,8 +12,8 @@ import pytest
 import invgpd
 from invgpd import docformat
 from invgpd.cli import bundled_document, main
-from invgpd.core import codiscrete, discrete, validate_groupoid
-from invgpd.equivariant import REGISTRY
+from invgpd.core import Functor, codiscrete, discrete, identity_functor, validate_groupoid
+from invgpd.equivariant import REGISTRY, eq_identity, trivial_action
 from invgpd.errors import MalformedDocument
 from invgpd.generators import plain_catalog
 
@@ -168,6 +168,24 @@ def test_document_roundtrip():
             Y = doc2.involutives[name]
             assert X.involution.obj_map == Y.involution.obj_map
             assert X.involution.mor_map == Y.involution.mor_map
+
+
+def test_dumps_names_the_ends_of_a_functor_without_a_signature():
+    G, H, K = discrete(("a",)), codiscrete(("x", "y")), discrete(("k",))
+    X, Y = trivial_action(H), trivial_action(K)  # Y's base is no groupoid of the document
+    doc = docformat.Document(
+        groupoids={"G": G, "H": H}, involutives={"X": X, "Y": Y},
+        functors={"f": Functor(G, H, {"a": "y"}, {"id(a)": "id(y)"}),
+                  "e": eq_identity(X),
+                  "k": Functor(K, G, {"k": "a"}, {"id(k)": "id(a)"})})
+    doc2 = docformat.loads(docformat.dumps(doc))
+    assert doc2.functor_sig == {"f": ("G", "H"), "e": ("X", "X"), "k": ("Y.base", "G")}
+    assert doc2.functors["f"].mor_map == {"id(a)": "id(y)"}
+    assert doc2.functors["e"].map.mor_map == {m: m for m in H.morphisms}
+    assert doc2.functors["k"].dom == K
+    orphan = docformat.Document(groupoids={"G": G}, functors={"g": identity_functor(H)})
+    with pytest.raises(MalformedDocument, match="functor g"):
+        docformat.dumps(orphan)
 
 
 @pytest.mark.parametrize("G, bad", [

@@ -343,6 +343,18 @@ def test_generator_squares_match_the_square_search(catalog_maps, base2_maps, tag
     assert any(found) and not all(found)
 
 
+def test_searched_squares_commute(catalog_maps):
+    # has_rlp and has_llp solve these squares without re-checking them
+    gens = dict(pair for tag in StructureTag for pair in generating_trivial_cofibrations(tag))
+    squares = 0
+    for gen in gens.values():
+        for f in catalog_maps:
+            for g, h in iter_squares(gen, f):
+                LiftingProblem(gen, f, g, h).check_commutes()
+                squares += 1
+    assert squares
+
+
 def factorize_by_search(f, tag, max_gluing_steps=8):
     """The gluing construction with every square found by search and its
     cells attached one at a time: (gluing steps, cells, middle object)."""
