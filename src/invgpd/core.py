@@ -2,9 +2,9 @@
 
 Everything is enumerated explicitly: a :class:`Groupoid` has full
 composition, identity and inverse tables (the composition tables of
-pullbacks and cell attachments are computed, see below), so every
-predicate downstream (equivalence, isofibration, lifting, ...) is decided
-by finite search.
+pullbacks, cell attachments and the universe bundle U and Ũ are computed,
+see below), so every predicate downstream (equivalence, isofibration,
+lifting, ...) is decided by finite search.
 Values are treated as immutable after construction; all operations are
 pure functions of their inputs.
 
@@ -35,16 +35,18 @@ Conventions
   labels only: nothing parses them back, the projections ``pr1``/``pr2``
   decode them. Names containing ``,`` or parentheses can make two pairs
   share an ID; the construction then raises ``MalformedDocument``.
-* The ``compose`` of a pullback, and of a cell attachment
-  (``equivariant.attach_cells``), is a :class:`ComputedComposites`: a
+* The ``compose`` of a pullback, of a cell attachment
+  (``equivariant.attach_cells``) and of the universe's U and Ũ
+  (``universe.build_universe``) is a :class:`ComputedComposites`: a
   read-only ``Mapping`` that computes each composite from the tables it
   was built from when it is looked up, and computes them all again on
   each full walk (iteration, ``len``, ``items``, ``dict(...)``,
   equality). Its IDs and contents are those of the all-pairs table. The
-  functor search reads composites by rows (``composite_table``), and a
-  computed table builds each row the first time it is read, so a reader
-  that looks up a few composites, or a search that reads a few rows,
-  never pays for the rest.
+  functor search, and the constructions built on such a table (a
+  pullback's rows, a path object), read composites by rows
+  (``composite_table``), and a computed table builds each row the first
+  time it is read, so a reader that looks up a few composites, or a search
+  that reads a few rows, never pays for the rest.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ class Groupoid:
     identity   -- object ID -> its identity morphism ID
     compose    -- (g, f) -> g∘f, total on composable pairs, keys in no
                   promised order: a dict, or any read-only Mapping (a
-                  ComputedComposites, as pullbacks and cell attachments
-                  have, computes each composite on lookup and each row
-                  of ``composite_table`` when it is first read)
+                  ComputedComposites, as pullbacks, cell attachments and
+                  the universe's U and Ũ have, computes each composite on
+                  lookup and each row of ``composite_table`` when it is
+                  first read)
     inverse    -- morphism ID -> inverse morphism ID
     """
 
@@ -686,22 +689,20 @@ class _ComputedRows(dict):
 
 
 class _PairComposites(ComputedComposites):
-    """The compose table of a pullback, read off its two factors.
+    """The compose table of a pullback, read off its two factors A and B.
 
     ``[(p1, p2)]`` decodes both pair IDs and pairs the factors'
-    composites. ``row(p1)`` pairs them for every p2 into src(p1), in
-    morphism order.
+    composites. ``row(p1)`` pairs the factors' rows (``composite_table``)
+    for every p2 into src(p1), in morphism order.
     """
 
-    __slots__ = ("_pairs", "_morphisms", "_a_comp", "_b_comp", "_by_tgt")
+    __slots__ = ("_pairs", "_morphisms", "_A", "_B", "_by_tgt")
 
     def __init__(self, pairs: dict[str, tuple[str, str]],
-                 morphisms: dict[str, tuple[str, str]],
-                 a_comp: Mapping[tuple[str, str], str],
-                 b_comp: Mapping[tuple[str, str], str]):
+                 morphisms: dict[str, tuple[str, str]], A: Groupoid, B: Groupoid):
         super().__init__(pairs)
         self._pairs, self._morphisms = pairs, morphisms
-        self._a_comp, self._b_comp = a_comp, b_comp
+        self._A, self._B = A, B
         self._by_tgt: dict[str, list[tuple[str, str, str]]] | None = None
 
     def __getitem__(self, key) -> str:
@@ -712,7 +713,7 @@ class _PairComposites(ComputedComposites):
         pairs, morphisms = self._pairs, self._morphisms
         if p1 in pairs and p2 in pairs and morphisms[p2][1] == morphisms[p1][0]:
             (m1, n1), (m2, n2) = pairs[p1], pairs[p2]
-            return pair_id(self._a_comp[(m1, m2)], self._b_comp[(n1, n2)])
+            return pair_id(self._A.compose[(m1, m2)], self._B.compose[(n1, n2)])
         raise KeyError(key)
 
     def row(self, p1: str) -> dict[str, str]:
@@ -723,8 +724,8 @@ class _PairComposites(ComputedComposites):
             for p, (m, n) in self._pairs.items():
                 by_tgt.setdefault(morphisms[p][1], []).append((p, m, n))
         m1, n1 = self._pairs[p1]
-        A_comp, B_comp = self._a_comp, self._b_comp
-        return {p2: pair_id(A_comp[(m1, m2)], B_comp[(n1, n2)])
+        a_row, b_row = self._A.composite_table()[m1], self._B.composite_table()[n1]
+        return {p2: pair_id(a_row[m2], b_row[n2])
                 for p2, m2, n2 in by_tgt.get(self._morphisms[p1][0], ())}
 
 
@@ -756,7 +757,7 @@ def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
         (sm, tm), (sn, tn) = A_mor[m], B_mor[n]
         morphisms[p] = (pair_id(sm, sn), pair_id(tm, tn))
     identity = {o: pair_id(A.identity[x], B.identity[y]) for o, (x, y) in obj_pairs.items()}
-    compose = _PairComposites(mor_pairs, morphisms, A.compose, B.compose)
+    compose = _PairComposites(mor_pairs, morphisms, A, B)
     inverse = {p: pair_id(A.inv(m), B.inv(n)) for p, (m, n) in mor_pairs.items()}
     P = Groupoid(tuple(obj_pairs), morphisms, identity, compose, inverse)
     pr1 = Functor(P, A, {o: x for o, (x, _) in obj_pairs.items()},

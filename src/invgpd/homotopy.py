@@ -68,6 +68,7 @@ def _path_groupoid(f: EquivariantFunctor):
     """
     A, C = f.dom, f.cod
     GA = A.base
+    after = GA.composite_table()  # g -> {f: g∘f}, read by rows
 
     objs = [m for m in GA.mor_ids() if C.base.is_identity(f.on_mor(m))]
     objects = tuple(sorted(po(m) for m in objs))
@@ -81,7 +82,7 @@ def _path_groupoid(f: EquivariantFunctor):
             for tau in GA.out(y):
                 if f.on_mor(sigma) != f.on_mor(tau):
                     continue
-                phi2 = GA.comp(GA.comp(tau, phi), GA.inv(sigma))
+                phi2 = after[after[tau][phi]][GA.inv(sigma)]
                 mid = pm(phi, sigma, tau)
                 morphisms[mid] = (po(phi), po(phi2))
                 data[mid] = (phi, sigma, tau, phi2)
@@ -92,7 +93,7 @@ def _path_groupoid(f: EquivariantFunctor):
     for m1, (phi1, s1, t1, phi2) in data.items():
         for m2 in by_src.get(phi2, ()):
             _, s2, t2, _ = data[m2]
-            compose[(m2, m1)] = pm(phi1, GA.comp(s2, s1), GA.comp(t2, t1))
+            compose[(m2, m1)] = pm(phi1, after[s2][s1], after[t2][t1])
     inverse = {m1: pm(phi2, GA.inv(s), GA.inv(t)) for m1, (_, s, t, phi2) in data.items()}
     P = Groupoid(objects, morphisms, identity, compose, inverse)
     inv = Functor(

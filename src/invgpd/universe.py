@@ -26,10 +26,12 @@ growth are reported as OVERFLOW, never as failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
+from math import comb, factorial
 
 from .budget import Budget, ensure_budget
 from .core import (
+    ComputedComposites,
     Functor,
     Groupoid,
     classify_functor,
@@ -110,13 +112,115 @@ class UniverseBundle:
         return mid if mid in self.U.base.morphisms else None
 
 
+class _UniverseComposites(ComputedComposites):
+    """U's compose table, computed by permutation arithmetic.
+
+    A morphism ρ: s -> t between objects of fiber size k is the bijection
+    at some place j of ``permutations`` order, and ``out[s]`` lists the
+    morphisms out of s in blocks of k!, one block per object of size k in
+    object order: ρ is ``out[s][offset + j]`` with ``(offset, mult) =
+    block[t]``. As permutations of positions, ρ₂∘ρ₁ sits at place
+    ``mult[j1][j2]``, so it is ``out[s1][offset of t2 + mult[j1][j2]]``.
+    ``row(ρ₂)`` reads that for every ρ₁ into src(ρ₂); the walk reads the
+    rows in morphism order.
+    """
+
+    __slots__ = ("_morphisms", "_out", "_place", "_block", "_into")
+
+    def __init__(self, morphisms: dict[str, tuple[str, str]], out: dict[str, list[str]],
+                 place: dict[str, int], block: dict[str, tuple[int, list[list[int]]]]):
+        super().__init__(morphisms)
+        self._morphisms, self._out, self._place, self._block = morphisms, out, place, block
+        self._into: dict[str, list[tuple[str, list[str], list[int]]]] | None = None
+
+    def __getitem__(self, key) -> str:
+        try:
+            g, f = key
+            s1, t1 = self._morphisms[f]
+            s2, t2 = self._morphisms[g]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if t1 != s2:
+            raise KeyError(key)
+        offset, mult = self._block[t2]
+        return self._out[s1][offset + mult[self._place[f]][self._place[g]]]
+
+    def row(self, g: str) -> dict[str, str]:
+        into = self._into
+        if into is None:
+            # t -> (f, out[s], mult[j]) for every f: s -> t at place j
+            into = self._into = {}
+            out, place, block = self._out, self._place, self._block
+            for f, (s, t) in self._morphisms.items():
+                into.setdefault(t, []).append((f, out[s], block[s][1][place[f]]))
+        s2, t2 = self._morphisms[g]
+        j2, offset = self._place[g], self._block[t2][0]
+        return {f: out_s[offset + mult_j1[j2]] for f, out_s, mult_j1 in into[s2]}
+
+
+class _PointedComposites(ComputedComposites):
+    """Ũ's compose table, read off U's: (ρ₂@b)∘(ρ₁@a) = (ρ₂∘ρ₁)@a.
+
+    ``decode[ρ@a]`` is ``(ρ, "@a")``. ``row(ρ₂@b)`` reads U's row of ρ₂
+    (``composite_table``) for every ρ₁@a into src(ρ₂@b); the walk reads the
+    rows in morphism order.
+    """
+
+    __slots__ = ("_U", "_morphisms", "_decode", "_into")
+
+    def __init__(self, U: Groupoid, morphisms: dict[str, tuple[str, str]],
+                 decode: dict[str, tuple[str, str]]):
+        super().__init__(morphisms)
+        self._U, self._morphisms, self._decode = U, morphisms, decode
+        self._into: dict[str, list[tuple[str, str, str]]] | None = None
+
+    def __getitem__(self, key) -> str:
+        try:
+            g, f = key
+            _, t1 = self._morphisms[f]
+            s2, _ = self._morphisms[g]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if t1 != s2:
+            raise KeyError(key)
+        (m1, at), (m2, _) = self._decode[f], self._decode[g]
+        return self._U.compose[(m2, m1)] + at
+
+    def row(self, g: str) -> dict[str, str]:
+        into = self._into
+        if into is None:
+            # t -> (ρ@a, ρ, "@a") for every pointed morphism ρ@a into t
+            into = self._into = {}
+            decode = self._decode
+            for f, (_, t) in self._morphisms.items():
+                into.setdefault(t, []).append((f, *decode[f]))
+        after = self._U.composite_table()[self._decode[g][0]]
+        return {f: after[m1] + at for f, m1, at in into[self._morphisms[g][0]]}
+
+
 def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
-    """Enumerate the universe of small discrete groupoids over the base V."""
+    """Enumerate the universe of small discrete groupoids over the base V.
+
+    It charges one unit per object and per morphism of U, per composite
+    of U and per pointed morphism out of each object of Ũ, all before it
+    builds anything. With n_k = C(|V|,k)²·k! objects of fiber size k, U
+    has n_k²·k! morphisms and n_k³·(k!)² composites among them, and Ũ has
+    n_k·k objects with n_k·k! morphisms out of each: the charge is
+    Σ_k n_k + n_k²·k! + n_k³·(k!)² + n_k²·k·k!, one k at a time, so a
+    base too large for the budget stops at the first k it cannot pay
+    for (161, 34,839 and 41,632,339 units at |V| = 2, 3, 4). The composites
+    of U and Ũ are computed, not stored (``_UniverseComposites``,
+    ``_PointedComposites``).
+    """
     budget = ensure_budget(budget)
     V = tuple(sorted(V))
     for e in V:
         if any(ch in e for ch in ",()<>;.@|"):
             raise ValueError(f"base element name {e!r} uses a reserved character")
+    for k in range(len(V) + 1):
+        k_fact = factorial(k)
+        n = comb(len(V), k) ** 2 * k_fact
+        budget.spend(n + n * n * k_fact + n ** 3 * k_fact ** 2 + n * n * k * k_fact)
 
     subsets = []
     for k in range(len(V) + 1):
@@ -128,34 +232,44 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
             if len(A0) != len(A1):
                 continue
             for image in permutations(A1):
-                budget.spend()
                 phi = dict(zip(A0, image))
                 u_objects[_object_id(A0, A1, phi)] = (frozenset(A0), frozenset(A1), phi)
 
-    def u_inv_obj(oid: str) -> str:
-        A0, A1, phi = u_objects[oid]
-        return _object_id(A1, A0, {v: k for k, v in phi.items()})
+    u_inv = {  # the involution on objects
+        oid: _object_id(A1, A0, {v: k for k, v in phi.items()})
+        for oid, (A0, A1, phi) in u_objects.items()
+    }
 
-    # each (src, tgt) block of morphisms is in permutations order, and
-    # by_src lists an object's blocks by target in object order
+    # block[o] = (offset, mult): the morphisms into o sit at out[s][offset:
+    # offset + k!] for every s of o's fiber size k, and mult[j1][j2] is the
+    # place of perms[j2]∘perms[j1] among the permutations of range(k)
+    mults: dict[int, list[list[int]]] = {}
+    n_same: dict[int, int] = {}  # fiber size -> objects of that size so far
+    block: dict[str, tuple[int, list[list[int]]]] = {}
+    for oid, (A0, _, _) in u_objects.items():
+        k = len(A0)
+        if k not in mults:
+            perms = list(permutations(range(k)))
+            index = {perm: j for j, perm in enumerate(perms)}
+            mults[k] = [[index[tuple(perm2[i] for i in perm1)] for perm2 in perms]
+                        for perm1 in perms]
+        rank = n_same[k] = n_same.get(k, -1) + 1
+        block[oid] = (rank * len(mults[k]), mults[k])
     u_morphisms: dict[str, dict] = {}
     morphisms: dict[str, tuple[str, str]] = {}
-    by_src: dict[str, list[str]] = {}
-    place: dict[str, int] = {}  # morphism -> its index in its block
-    n_same: dict[int, int] = {}  # fiber size -> number of objects
-    for src, (A0, A1, phi) in u_objects.items():
-        n_same[len(A0)] = n_same.get(len(A0), 0) + 1
-        out = by_src[src] = []
-        for tgt, (B0, B1, psi) in u_objects.items():
-            if len(A0) != len(B0) or len(A1) != len(B1):
+    out: dict[str, list[str]] = {}
+    place: dict[str, int] = {}
+    for src, (A0, _, _) in u_objects.items():
+        mids = out[src] = []
+        for tgt, (B0, _, _) in u_objects.items():
+            if len(A0) != len(B0):
                 continue
             for j, image in enumerate(permutations(sorted(B0))):
-                budget.spend()
                 rho0 = dict(zip(sorted(A0), image))
                 mid = _morphism_id(src, tgt, rho0)
                 u_morphisms[mid] = rho0
                 morphisms[mid] = (src, tgt)
-                out.append(mid)
+                mids.append(mid)
                 place[mid] = j
 
     def derived_rho1(mid: str) -> dict:
@@ -166,78 +280,56 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
         inv_phi = {v: k for k, v in phi.items()}
         return {a1: psi[rho0[inv_phi[a1]]] for a1 in inv_phi}
 
-    identity = {
-        oid: _morphism_id(oid, oid, {a: a for a in sorted(data[0])})
-        for oid, data in u_objects.items()
-    }
-    # As permutations of positions, rho2∘rho1 is perms[j2]∘perms[j1], so the
-    # composites of rho1 (index j1, fiber size k) with every rho2 out of its
-    # target sit at fixed places of by_src[src rho1]: row_places[(k, j1)].
-    row_places: dict[tuple[int, int], list[int]] = {}
-    for k, n_objects in n_same.items():
-        perms = list(permutations(range(k)))
-        index = {perm: j for j, perm in enumerate(perms)}
-        for j1, perm1 in enumerate(perms):
-            col = [index[tuple(perm2[i] for i in perm1)] for perm2 in perms]
-            row_places[(k, j1)] = [b * len(perms) + c for b in range(n_objects) for c in col]
-    compose = {}
-    u_rows: dict[str, list[str]] = {}  # rho1 -> its composites, aligned with by_src[tgt rho1]
-    for m1, (s1, t1) in morphisms.items():
-        out = by_src[t1]
-        budget.spend(len(out))
-        row = u_rows[m1] = list(map(by_src[s1].__getitem__,
-                                    row_places[(len(u_objects[s1][0]), place[m1])]))
-        compose.update(zip(zip(out, repeat(m1)), row))
+    # place 0 is the identity permutation, and row j of mult has the
+    # identity at the place of the inverse of permutation j
+    identity = {oid: out[oid][block[oid][0]] for oid in u_objects}
+    inverse_place = {k: [row.index(0) for row in mult] for k, mult in mults.items()}
     inverse = {
-        mid: _morphism_id(t, s, {v: k for k, v in u_morphisms[mid].items()})
+        mid: out[t][block[s][0] + inverse_place[len(u_objects[s][0])][place[mid]]]
         for mid, (s, t) in morphisms.items()
     }
-    GU = Groupoid(tuple(u_objects), morphisms, identity, compose, inverse)
+    GU = Groupoid(tuple(u_objects), morphisms, identity,
+                  _UniverseComposites(morphisms, out, place, block), inverse)
     inv_mor = {
-        mid: _morphism_id(u_inv_obj(s), u_inv_obj(t), derived_rho1(mid))
+        mid: _morphism_id(u_inv[s], u_inv[t], derived_rho1(mid))
         for mid, (s, t) in morphisms.items()
     }
-    U = InvolutiveGroupoid(GU, Functor(GU, GU, {o: u_inv_obj(o) for o in GU.objects}, inv_mor))
+    U = InvolutiveGroupoid(GU, Functor(GU, GU, {o: u_inv[o] for o in GU.objects}, inv_mor))
 
-    # the pointed variant
+    # the pointed variant: one pointed morphism ρ@a: o1@a -> o2@ρ0[a] per
+    # U-morphism ρ: o1 -> o2 and point a of o1
+    at = {a: "@" + a for a in V}
+    pointed: dict[str, dict[str, str]] = {}  # o -> a -> the ID of o@a
     ut_objects: dict[str, tuple[str, str]] = {}
     for oid, (A0, _, _) in u_objects.items():
+        ids = pointed[oid] = {}
         for a in sorted(A0):
-            ut_objects[f"{oid}@{a}"] = (oid, a)
+            ids[a] = oid + at[a]
+            ut_objects[ids[a]] = (oid, a)
     ut_morphisms: dict[str, tuple[str, str]] = {}
-    ut_decode: dict[str, str] = {}  # pointed morphism -> underlying U morphism
-    ut_out: dict[str, list[str]] = {}  # po -> out(po), aligned with by_src[o]
+    ut_decode: dict[str, tuple[str, str]] = {}  # ρ@a -> (ρ, "@a")
     for po1, (o1, a) in ut_objects.items():
-        # one pointed morphism per U-morphism rho out of o1, landing at
-        # tgt@rho0[a]
-        out = by_src[o1]
-        budget.spend(len(out))
-        pms = ut_out[po1] = [f"{mid}@{a}" for mid in out]
-        for pmid, mid in zip(pms, out):
-            ut_morphisms[pmid] = (po1, f"{morphisms[mid][1]}@{u_morphisms[mid][a]}")
-            ut_decode[pmid] = mid
-    ut_identity = {po: f"{identity[o]}@{a}" for po, (o, a) in ut_objects.items()}
-    ut_compose = {}
-    for p1, (s1, t1) in ut_morphisms.items():
-        suffix = "@" + ut_objects[s1][1]
-        ut_compose.update(zip(zip(ut_out[t1], repeat(p1)),
-                              [c + suffix for c in u_rows[ut_decode[p1]]]))
+        for mid in out[o1]:
+            pmid = mid + at[a]
+            ut_morphisms[pmid] = (po1, pointed[morphisms[mid][1]][u_morphisms[mid][a]])
+            ut_decode[pmid] = (mid, at[a])
+    ut_identity = {po: identity[o] + at[a] for po, (o, a) in ut_objects.items()}
     ut_inverse = {
-        p: f"{inverse[ut_decode[p]]}@{ut_objects[t][1]}"
+        p: inverse[ut_decode[p][0]] + at[ut_objects[t][1]]
         for p, (s, t) in ut_morphisms.items()
     }
-    GUt = Groupoid(tuple(ut_objects), ut_morphisms, ut_identity, ut_compose, ut_inverse)
+    GUt = Groupoid(tuple(ut_objects), ut_morphisms, ut_identity,
+                   _PointedComposites(GU, ut_morphisms, ut_decode), ut_inverse)
 
     def ut_inv_obj(po: str) -> str:
         o, a = ut_objects[po]
-        phi = u_objects[o][2]
-        return f"{u_inv_obj(o)}@{phi[a]}"
+        return pointed[u_inv[o]][u_objects[o][2][a]]
 
     ut_inv_mor = {}
     for p, (s, t) in ut_morphisms.items():
         o, a = ut_objects[s]
         phi = u_objects[o][2]
-        ut_inv_mor[p] = f"{inv_mor[ut_decode[p]]}@{phi[a]}"
+        ut_inv_mor[p] = inv_mor[ut_decode[p][0]] + at[phi[a]]
     Ut = InvolutiveGroupoid(
         GUt, Functor(GUt, GUt, {po: ut_inv_obj(po) for po in GUt.objects}, ut_inv_mor)
     )
@@ -245,7 +337,7 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
     p = EquivariantFunctor(
         Ut, U,
         Functor(GUt, GU, {po: ut_objects[po][0] for po in GUt.objects},
-                {pm: ut_decode[pm] for pm in ut_morphisms}),
+                {pm: mid for pm, (mid, _) in ut_decode.items()}),
     )
     return UniverseBundle(
         base=V, U=U, Utilde=Ut, p=p, u_morphisms=u_morphisms, ut_objects=ut_objects,

@@ -1,5 +1,6 @@
-"""The lookup contract of computed compose tables (pullbacks and cell
-attachments), checked against an all-pairs table."""
+"""The lookup contract of computed compose tables (pullbacks, cell
+attachments and the universe bundle U and Ũ), checked against an
+all-pairs table."""
 
 import pytest
 
@@ -24,14 +25,12 @@ def assert_lookups_agree(compose, want, mids):
                 assert compose.get(key) is None and key not in compose
 
 
-def assert_computed_composites(G, want):
-    """G's compose is computed and agrees with the all-pairs table
-    ``want``: lookups before and after a full walk, ``row(g)`` and
-    ``composite_table()[g]`` for every morphism g, and the walk lists each
-    composite of ``want`` once."""
+def assert_rows_and_walk(G, want):
+    """G's compose is computed, and ``row(g)``, ``composite_table()[g]``
+    and the full walk agree with the all-pairs table ``want``: rows for
+    every morphism g, and the walk lists each composite of ``want`` once."""
     compose = G.compose
     assert isinstance(compose, ComputedComposites)
-    assert_lookups_agree(compose, want, G.morphisms)
     rows = {g: {} for g in G.morphisms}
     for (g, f), h in want.items():
         rows[g][f] = h
@@ -41,4 +40,13 @@ def assert_computed_composites(G, want):
     items = list(compose.items())
     assert len(items) == len(want) and dict(items) == want
     assert len(compose) == len(want) and compose == want
-    assert_lookups_agree(compose, want, G.morphisms)
+
+
+def assert_computed_composites(G, want):
+    """G's compose is computed and agrees with the all-pairs table
+    ``want``: lookups before and after a full walk, and rows and the walk
+    as ``assert_rows_and_walk`` checks them."""
+    assert isinstance(G.compose, ComputedComposites)
+    assert_lookups_agree(G.compose, want, G.morphisms)
+    assert_rows_and_walk(G, want)
+    assert_lookups_agree(G.compose, want, G.morphisms)

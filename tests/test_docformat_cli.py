@@ -304,11 +304,19 @@ def test_cli_budget_exceeded_exit_3():
 
 @pytest.mark.parametrize("budget, units", [("34838", "34839"), ("20000", "20001")])
 def test_cli_universe_budget_stops_at_the_same_unit(budget, units, capsys):
-    """build_universe at |V|=3 spends 34,839 units. Its composites are
-    charged one row at a time; 20,000 falls inside those rows, and the
-    bulk charge stops at the same unit as one charge per composite."""
+    """build_universe at |V|=3 spends 34,839 units, charged in closed form
+    one fiber size at a time before anything is built; 20,000 falls inside
+    the charge for size 3, and a bulk charge stops at the same unit as one
+    charge per object, morphism and composite."""
     assert main(["universe", "--base", "3", "--budget", budget]) == 3
     assert f"({units} > {budget} candidates)" in capsys.readouterr().err
+
+
+def test_cli_universe_too_large_a_base_exits_3_at_once(capsys):
+    """|V| = 8 would need about 10^18 units; the closed-form charge stops
+    at the default budget before any table of it is built."""
+    assert main(["universe", "--base", "8"]) == 3
+    assert "(10000001 > 10000000 candidates)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from composites import assert_computed_composites, assert_rows_and_walk
+from invgpd.budget import Budget
 from invgpd.core import classify_functor
 from invgpd.equivariant import (
     REGISTRY,
@@ -64,8 +66,11 @@ def test_universe_over_two_elements():
 
 @pytest.mark.parametrize("V", [("a", "b"), ("a", "b", "c")], ids=len)
 def test_universe_tables_match_their_definition(V):
-    """U's compose table and Utilde's morphism and compose tables equal the
-    brute-force definitions; U's compose table in key order too."""
+    """U's and Utilde's computed compose tables, and Utilde's morphism
+    table, equal the brute-force definitions by contents: every row, the
+    full walk and, at |V| = 2, the lookup of every ordered pair of
+    morphisms (Utilde alone has 4.1 million at |V| = 3). Key order is not
+    compared."""
     b = build_universe(V)
     GU, GUt = b.U.base, b.Utilde.base
     # u_morphism_id, as one dict lookup
@@ -79,7 +84,6 @@ def test_universe_tables_match_their_definition(V):
         for m2 in u_out[t1]:
             rho = {k: b.u_morphisms[m2][v] for k, v in b.u_morphisms[m1].items()}
             compose[(m2, m1)] = mid_of[(s1, GU.tgt(m2), tuple(sorted(rho.items())))]
-    assert list(GU.compose.items()) == list(compose.items())
     # one pointed morphism rho@a: o1@a -> o2@c per U-morphism rho: o1 -> o2
     # with rho0[a] == c
     u_hom = {}
@@ -98,11 +102,48 @@ def test_universe_tables_match_their_definition(V):
     ut_compose = {}
     for p1, (s1, t1) in morphisms.items():
         for p2 in ut_out.get(t1, ()):
-            c = GU.compose[(decode[p2], decode[p1])]
+            c = compose[(decode[p2], decode[p1])]
             ut_compose[(p2, p1)] = f"{c}@{b.ut_objects[s1][1]}"
     assert GUt.morphisms == morphisms
-    assert GUt.compose == ut_compose
     assert b.p.map.mor_map == decode
+    check = assert_computed_composites if len(V) == 2 else assert_rows_and_walk
+    check(GU, compose)
+    check(GUt, ut_compose)
+
+
+def test_a_fresh_universe_has_built_no_row():
+    """Building the bundle computes no composite row. Reading one row of
+    Utilde builds that row and U's row of the same U-morphism, no more."""
+    b = build_universe(("a", "b", "c"))
+    GU, GUt = b.U.base, b.Utilde.base
+    assert GU._composites is None and GUt._composites is None
+    pm = GUt.non_identities()[0]
+    assert GUt.composite_table()[pm]
+    assert list(GUt._composites) == [pm]
+    assert list(GU._composites) == [b.p.on_mor(pm)]
+
+
+def test_universe_over_four_elements():
+    """The base-4 bundle builds: 41,632,339 units, charged in closed form,
+    and tables whose composites are computed, not stored."""
+    budget = Budget(limit=41_632_339)
+    b = build_universe(("a", "b", "c", "d"), budget)
+    assert budget.used == budget.limit
+    assert (b.U.base.n_objects, b.U.base.n_morphisms) == (209, 79_745)
+    assert (b.Utilde.base.n_objects, b.Utilde.base.n_morphisms) == (544, 242_176)
+
+
+@pytest.mark.parametrize("V, units", [((), 3), (("v",), 7), (("a", "b"), 161),
+                                      (("a", "b", "c"), 34_839)], ids=["0", "1", "2", "3"])
+def test_universe_charges_one_unit_per_object_morphism_and_composite(V, units):
+    """The closed-form charge counts one unit per object and morphism of U,
+    per composite of U, and per morphism out of each object of Utilde."""
+    budget = Budget(limit=10**9)
+    b = build_universe(V, budget)
+    GU = b.U.base
+    composites = sum(len(GU.out(GU.tgt(m))) for m in GU.morphisms)
+    pointed = sum(len(GU.out(o)) for o, _ in b.ut_objects.values())
+    assert units == GU.n_objects + GU.n_morphisms + composites + pointed == budget.used
 
 
 def test_universe_over_three_elements():
