@@ -81,6 +81,7 @@ from .lifting import (
     has_rlp,
     injective_classify,
     is_fibrant,
+    is_injective_fibration,
     projective_classify,
     solve_lifting,
 )

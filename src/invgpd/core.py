@@ -541,7 +541,7 @@ def classify_functor(F: Functor) -> FunctorReport:
     vertex group Aut(r), and full iff it maps each Aut(r) onto Aut(F r)
     and sends distinct components of dom into distinct components of
     cod. It is essentially surjective iff it meets every component of
-    cod. The fibration flags read the morphisms out of each image F(x).
+    cod. The fibration flags read the morphisms out of each root.
     On other input the flags mean nothing.
     """
     require_valid_functor(F)
@@ -564,21 +564,14 @@ def classify_functor(F: Functor) -> FunctorReport:
     full = full and len(hit) == len(roots)
     ess = len(hit) == sum(1 for y, (r, _) in cod_tree.items() if y == r)
 
-    lift_count: dict[tuple[str, str], int] = {}
-    for m, (s, _) in G.morphisms.items():
-        key = (s, mor_map[m])
-        lift_count[key] = lift_count.get(key, 0) + 1
-
-    isofib = True
-    discrete_fib = True
-    for x in G.objects:
-        for h in H.out(obj_map[x]):
-            n = lift_count.get((x, h), 0)
-            if n == 0:
-                isofib = False
-                discrete_fib = False
-            elif n > 1:
-                discrete_fib = False
+    # a tree arrow t: r -> x turns the lifts out of r into those out of x
+    # (m -> m∘t⁻¹), so the lift census at each root decides both flags
+    isofib = discrete_fib = True
+    for r in roots:
+        images = [mor_map[m] for m in G.out(r)]
+        n_out = len(H.out(obj_map[r]))
+        isofib = isofib and len(set(images)) == n_out
+        discrete_fib = discrete_fib and len(images) == n_out
 
     return FunctorReport(
         injective_on_objects=inj,

@@ -174,32 +174,16 @@ def random_isofibration(rng: random.Random, max_objects: int = 3,
     raise RuntimeError("no isofibration found; generator parameters too tight")
 
 
-def components_of(G: Groupoid) -> list[set[str]]:
-    parent = {x: x for x in G.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in G.mor_ids():
-        a, b = find(G.src(m)), find(G.tgt(m))
-        if a != b:
-            parent[a] = b
-    comp: dict[str, set[str]] = {}
-    for x in G.objects:
-        comp.setdefault(find(x), set()).add(x)
-    return list(comp.values())
-
-
 def random_stable_equivalent_subgroupoid(
     rng: random.Random, B: InvolutiveGroupoid
 ) -> EquivariantFunctor:
     """A full, involution-stable subgroupoid meeting every component,
     included into B: an injective trivial cofibration by construction."""
+    comps: dict[str, list[str]] = {}  # tree root -> its component
+    for x, (r, _) in B.base.spanning_tree().items():
+        comps.setdefault(r, []).append(x)
     keep: set[str] = set()
-    for comp in components_of(B.base):
+    for comp in comps.values():
         pick = rng.choice(sorted(comp))
         keep.add(pick)
         keep.add(B.eta_obj(pick))

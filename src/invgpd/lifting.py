@@ -11,7 +11,8 @@ constrained functor search. On top of it sit:
   and fillers amount to (no search); ``iter_squares`` and ``has_rlp``
   are their test oracles,
 * ``projective_classify`` / ``injective_classify`` -- the predicate suites
-  for the two structures on groupoids with involution,
+  for the two structures on groupoids with involution; every injective
+  fibration test goes through ``is_injective_fibration``,
 * ``decompose_trivial_cofibration`` -- the greedy cell decomposition of a
   trivial cofibration (interval cells for plain groupoids, swapped-pair
   and fixed-point cells in the injective structure),
@@ -202,6 +203,12 @@ def has_rlp(p, generators, budget: Budget | int | None = None) -> OrthogonalityR
     return _orthogonality(pairs, "generator", budget)
 
 
+def is_injective_fibration(f, budget: Budget | int | None = None) -> bool:
+    """Is f an injective fibration? Exact: ``has_rlp`` against the
+    swapped-interval and fixed-point generators."""
+    return has_rlp(f, generating_trivial_cofibrations(StructureTag.INJECTIVE), budget).ok
+
+
 def has_llp(i, tests, budget: Budget | int | None = None) -> OrthogonalityReport:
     """Does i have the left lifting property against every test map?
 
@@ -389,11 +396,10 @@ def injective_classify(f, budget: Budget | int | None = None) -> InjectiveReport
     the swapped-interval and fixed-point generators)."""
     f = as_equivariant(f)
     rep = classify_functor(f.map)
-    fib = has_rlp(f, generating_trivial_cofibrations(StructureTag.INJECTIVE), budget).ok
     return InjectiveReport(
         cofibration=rep.injective_on_objects,
         weak_equivalence=rep.equivalence,
-        fibration=fib,
+        fibration=is_injective_fibration(f, budget),
         trivial_cofibration=rep.injective_on_objects and rep.equivalence,
     )
 
@@ -402,7 +408,7 @@ def is_fibrant(X: InvolutiveGroupoid, tag: StructureTag,
                budget: Budget | int | None = None) -> bool:
     if tag in (StructureTag.PROJECTIVE, StructureTag.GPD):
         return True
-    return has_rlp(terminal_map(X), generating_trivial_cofibrations(StructureTag.INJECTIVE), budget).ok
+    return is_injective_fibration(terminal_map(X), budget)
 
 
 def is_trivial_cofibration(f, tag: StructureTag) -> bool:

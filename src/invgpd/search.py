@@ -155,12 +155,6 @@ def iter_functors(
         queue.append(m)
         return True
 
-    def set_mor(m: str, n: str, trail: list[str], queue: list[str]) -> bool:
-        budget.spend()
-        if m in mmap:
-            return mmap[m] == n
-        return assign_mor(m, n, trail, queue)
-
     def undo_mor(trail: list[str]) -> None:
         for m in trail:
             if bijective:
@@ -170,8 +164,8 @@ def iter_functors(
         del mapped[len(mapped) - len(trail):]
 
     # propagate and seed_morphism_stage never yield: they count one unit per
-    # queued morphism and per assignment tried, as set_mor would spend, and
-    # charge the count once (see the module docstring)
+    # queued morphism and per assignment tried, as solve_mor spends on each
+    # candidate it assigns, and charge the count once (see the module docstring)
     def propagate(queue: list[str], trail: list[str]) -> bool:
         units = 0
         try:
@@ -295,9 +289,10 @@ def iter_functors(
             budget.spend()
             if q is not None and q_mor[n] != r_mor[m]:
                 continue
+            budget.spend()
             trail: list[str] = []
             queue: list[str] = []
-            if set_mor(m, n, trail, queue) and propagate(queue, trail):
+            if assign_mor(m, n, trail, queue) and propagate(queue, trail):
                 yield from solve_mor(i + 1)
             undo_mor(trail)
 

@@ -63,10 +63,9 @@ from .homotopy import (
 from .lifting import (
     StructureTag,
     fixed_point_bijection,
-    generating_trivial_cofibrations,
-    has_rlp,
     injective_classify,
     is_fibrant,
+    is_injective_fibration,
 )
 from .pi import pi_of
 
@@ -355,12 +354,22 @@ def _fiber_sizes(f: EquivariantFunctor) -> dict[str, int]:
     return sizes
 
 
+def _closure_verdict(f: EquivariantFunctor, bundle: UniverseBundle) -> tuple[str, dict]:
+    rep = classify_functor(f.map)
+    cap = len(bundle.base)
+    sizes = _fiber_sizes(f)
+    too_big = {y: n for y, n in sizes.items() if n > cap}
+    if not rep.discrete_fibration:
+        return "FAIL", {"discrete_fibration": False}
+    if too_big:
+        worst = max(too_big.values())
+        return "OVERFLOW", {"fiber_sizes": too_big, "largest_fiber": worst, "base_size": cap}
+    return "SMALL", {"largest_fiber": max(sizes.values(), default=0), "base_size": cap}
+
+
 def is_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle) -> bool:
     """Underlying discrete fibration whose fiber object-sets inject into V."""
-    rep = classify_functor(f.map)
-    if not rep.discrete_fibration:
-        return False
-    return max(_fiber_sizes(f).values(), default=0) <= len(bundle.base)
+    return _closure_verdict(f, bundle)[0] == "SMALL"
 
 
 @dataclass
@@ -522,11 +531,10 @@ def check_univalence(bundle: UniverseBundle, tag: StructureTag,
                 "fixed_point_bijection": bij,
             },
         )
-    gens = generating_trivial_cofibrations(StructureTag.INJECTIVE)
     checks = {
         "delta1_trivial_cofibration": injective_classify(d1, budget).trivial_cofibration,
-        "delta2_fibration": has_rlp(space.delta2, gens, budget).ok,
-        "p_fibration": has_rlp(bundle.p, gens, budget).ok,
+        "delta2_fibration": is_injective_fibration(space.delta2, budget),
+        "p_fibration": is_injective_fibration(bundle.p, budget),
         "U_fibrant": is_fibrant(bundle.U, StructureTag.INJECTIVE, budget),
         "Utilde_fibrant": is_fibrant(bundle.Utilde, StructureTag.INJECTIVE, budget),
         "E_fibrant": is_fibrant(space.path, StructureTag.INJECTIVE, budget),
@@ -588,19 +596,6 @@ class ClosureReport:
 
     def verdicts(self) -> list[str]:
         return [e["verdict"] for e in self.entries]
-
-
-def _closure_verdict(f: EquivariantFunctor, bundle: UniverseBundle) -> tuple[str, dict]:
-    rep = classify_functor(f.map)
-    cap = len(bundle.base)
-    sizes = _fiber_sizes(f)
-    too_big = {y: n for y, n in sizes.items() if n > cap}
-    if not rep.discrete_fibration:
-        return "FAIL", {"discrete_fibration": False}
-    if too_big:
-        worst = max(too_big.values())
-        return "OVERFLOW", {"fiber_sizes": too_big, "largest_fiber": worst, "base_size": cap}
-    return "SMALL", {"largest_fiber": max(sizes.values(), default=0), "base_size": cap}
 
 
 def universe_closure_checks(bundle: UniverseBundle,

@@ -34,7 +34,7 @@ from invgpd.core import (
     validate_functor,
     validate_groupoid,
 )
-from invgpd.equivariant import equivariant_product, fixed_points, terminal_map
+from invgpd.equivariant import diagonal, equivariant_product, fixed_points, terminal_map
 from invgpd.errors import CodomainMismatch, MalformedDocument, MalformedFunctor
 from invgpd.generators import involutive_catalog, plain_catalog, z2_component
 from invgpd.pi import fiber_groupoid
@@ -553,3 +553,47 @@ def test_component_flags_match_the_per_pair_definition(catalog_functors):
         assert rep == per_pair_report(F)
         seen.add((rep["full"], rep["faithful"], rep["essentially_surjective"]))
     assert len(seen) == 8
+
+
+# -- the lift census at component roots --------------------------------------
+
+
+def lift_census(F: Functor) -> tuple[bool, bool]:
+    """The two fibration flags by their per-object definition: for every x
+    and every h out of F(x), count the lifts of h out of x."""
+    counts = [sum(F.mor_map[m] == h for m in F.dom.out(x))
+              for x in F.dom.objects for h in F.cod.out(F.obj_map[x])]
+    return all(counts), all(n == 1 for n in counts)
+
+
+def fibration_flags(F: Functor) -> tuple[bool, bool]:
+    rep = classify_functor(F)
+    return rep.isofibration, rep.discrete_fibration
+
+
+def test_fibration_flags_match_the_lift_count_at_every_object():
+    """Up to 20 functors between each pair of catalog groupoids, then p,
+    the terminal maps of U and Ũ, and the diagonal of p at |V| = 2 and 3."""
+    catalog = plain_catalog(3, vertex_z2=True)
+    maps = [F for G in catalog for H in catalog for F in islice(iter_functors(G, H), 20)]
+    assert len(maps) == 6057
+    for V in (("a", "b"), ("a", "b", "c")):
+        b = build_universe(V)
+        maps += [f.map for f in (b.p, terminal_map(b.U), terminal_map(b.Utilde), diagonal(b.p))]
+    seen = []
+    for F in maps:
+        seen.append(fibration_flags(F))
+        assert seen[-1] == lift_census(F)
+    assert seen.count((True, True)) > 300 and seen.count((True, False)) > 1000
+    assert seen.count((False, False)) > 1000
+
+
+def test_fibration_flags_read_every_component():
+    """Maps that lift uniquely out of their first component and fail in
+    the second: there an object has no lift, or a morphism two lifts."""
+    point_and_interval = coproduct(unit(), interval())[0]
+    F = next(F for F in iter_functors(discrete(("a", "b")), point_and_interval)
+             if F.obj_map == {"a": "l:*", "b": "r:0"})
+    assert fibration_flags(F) == lift_census(F) == (False, False)
+    F = bang(coproduct(unit(), z2_component(("o0",)))[0])
+    assert fibration_flags(F) == lift_census(F) == (True, False)

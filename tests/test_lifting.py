@@ -305,6 +305,17 @@ def test_generator_orthogonal_matches_the_square_search(catalog_maps, base2_maps
     assert set(verdicts) == {True, False}
 
 
+def test_projective_orthogonality_is_the_isofibration_flag():
+    """RLP against the projective generators is the underlying isofibration
+    flag, the lift census at component roots, on every catalog map."""
+    small = involutive_catalog(2, vertex_z2=True)
+    maps = [f for X in small for Y in small for f in equivariant_functors(X, Y)]
+    assert len(maps) == 564
+    verdicts = [generator_orthogonal(q, StructureTag.PROJECTIVE) for q in maps]
+    assert verdicts == [classify_functor(q.map).isofibration for q in maps]
+    assert set(verdicts) == {True, False}
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10**6))
 def test_generator_orthogonal_matches_the_square_search_on_random_maps(seed):

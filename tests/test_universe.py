@@ -20,7 +20,7 @@ from invgpd.equivariant import (
 from invgpd.errors import BaseTooSmall, InvariantViolated, NotSmall
 from invgpd.generators import random_involutive
 from invgpd.homotopy import po
-from invgpd.lifting import StructureTag
+from invgpd.lifting import StructureTag, is_injective_fibration
 from invgpd.search import iter_functors
 from invgpd.universe import (
     build_universe,
@@ -308,6 +308,52 @@ def test_closure_checks():
     for e in rep.entries:
         if e["verdict"] == "OVERFLOW":
             assert e["witness"]["largest_fiber"] > e["witness"]["base_size"]
+
+
+# Two namings of V per size whose orders differ where IDs are ranked: "~"
+# sorts after the "}" that closes a set ID and "e1" before it, so the
+# empty set's object moves in U's object order. build_universe sorts V, so
+# reversing one naming would not test anything.
+NAMINGS = {2: (("e0", "e1"), ("!", "~")), 3: (("e0", "e1", "e2"), ("!", "a", "~"))}
+
+
+def empty_set_rank(b) -> int:
+    return b.U.base.objects.index(b.u_object_id((), (), {}))
+
+
+def test_namings_of_V_rank_the_empty_set_differently():
+    for first, second in NAMINGS.values():
+        assert empty_set_rank(build_universe(first)) != empty_set_rank(build_universe(second))
+
+
+@pytest.mark.parametrize("V", NAMINGS[2], ids=str)
+def test_univalence_verdicts_do_not_depend_on_the_naming_of_V(V):
+    b = build_universe(V)
+    space = equivalence_space(b)
+    rep = check_univalence(b, StructureTag.PROJECTIVE, space=space)
+    assert rep.verdict == "FAILS"
+    A, B, rho = (rep.witness[k] for k in ("source_type", "target_type", "equivalence"))
+    assert A == B and rho != b.U.base.ident(A)
+    assert b.U.base.morphisms[rho] == (A, A)
+    rep = check_univalence(b, StructureTag.INJECTIVE, space=space)
+    assert rep.verdict == "HOLDS"
+    assert len(rep.witness) == 6 and all(rep.witness.values())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closure_verdicts_do_not_depend_on_the_naming_of_V(n):
+    verdicts = []
+    for V in NAMINGS[n]:
+        b = build_universe(V)
+        verdicts.append(universe_closure_checks(b, default_closure_samples(b)).verdicts())
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].count("SMALL") == 10 and verdicts[0].count("OVERFLOW") == 2
+
+
+@pytest.mark.parametrize("V", NAMINGS[3], ids=str)
+def test_p_is_an_injective_fibration_under_either_naming_of_V(V):
+    # never equivalence_space here: E has about 1.1 million morphisms at |V| = 3
+    assert is_injective_fibration(build_universe(V).p)
 
 
 def test_closure_rejects_non_small_samples():
