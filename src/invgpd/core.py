@@ -34,14 +34,24 @@ Conventions
 * Pullbacks name each pair ``(a,b)`` with :func:`pair_id`. Pair IDs are
   labels only: nothing parses them back, the projections ``pr1``/``pr2``
   decode them. Names containing ``,`` or parentheses can make two pairs
-  share an ID; the construction then raises ``MalformedDocument``.
+  share an ID; the construction then raises ``MalformedDocument``. Each
+  pair ID is made once, in the pullback's pair index (``{a: {b: ID of (a,
+  b)}}``, kept by its compose table).
+* The groupoids that grow with the universe's base (pullbacks, U and Ũ,
+  path objects) make each ID once. Their tables return the ID the
+  groupoid stores, never an equal copy: the values of ``identity``,
+  ``inverse`` and ``compose``, the endpoints in ``morphisms``, the maps
+  of their involutions, and a :func:`pairing` into a pullback are keys of
+  ``morphisms`` and entries of ``objects``.
 * The ``compose`` of a pullback, of a cell attachment
   (``equivariant.attach_cells``) and of the universe's U and Ũ
   (``universe.build_universe``) is a :class:`ComputedComposites`: a
   read-only ``Mapping`` that computes each composite from the tables it
   was built from when it is looked up, and computes them all again on
-  each full walk (iteration, ``len``, ``items``, ``dict(...)``,
-  equality). Its IDs and contents are those of the all-pairs table. The
+  each full walk (iteration, ``len``, ``items``, ``dict(table.items())``,
+  equality), which reads each row once. Its IDs and contents are those of
+  the all-pairs table, and a row holds no strings of its own: its values
+  are the stored IDs. The
   functor search, and the constructions built on such a table (a
   pullback's rows, a path object), read composites by rows
   (``composite_table``), and a computed table builds each row the first
@@ -52,7 +62,7 @@ Conventions
 from __future__ import annotations
 
 from abc import abstractmethod
-from collections.abc import Collection, Mapping
+from collections.abc import Collection, ItemsView, Mapping
 from dataclasses import dataclass, field
 
 from .errors import CodomainMismatch, MalformedDocument, MalformedFunctor
@@ -591,6 +601,16 @@ def pair_id(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def indexed_pair_id(index: Mapping[str, Mapping[str, str]], a: str, b: str) -> str:
+    """The ID that a pair index ``{a: {b: ID of (a, b)}}`` holds for (a,
+    b), or a new ``pair_id(a, b)`` when it holds none: a pullback or
+    pairing of maps that are not functors names pairs it does not have."""
+    try:
+        return index[a][b]
+    except KeyError:
+        return pair_id(a, b)
+
+
 def _require_distinct_ids(n_ids: int, n_pairs: int) -> None:
     """Pair IDs are labels: two component pairs must not share one."""
     if n_ids != n_pairs:
@@ -643,9 +663,13 @@ class ComputedComposites(Mapping):
     src(g); ``get`` and ``in`` follow. ``row(g)`` is ``{f: g∘f}`` over
     every f composable with g, which the functor search reads through
     ``Groupoid.composite_table``. A full walk (iteration, ``len``,
-    ``items``, ``dict(...)``, equality) reads the row of each morphism,
-    in the order given to ``__init__``, and stores nothing. A table
-    supplies ``__getitem__`` and ``row``.
+    ``items``, ``dict(table.items())``, equality) reads the row of each
+    morphism once, in the order given to ``__init__``, and stores
+    nothing; ``dict(table)`` itself takes the keys and then looks each one
+    up, as Python's ``dict`` does for any ``Mapping``. Every composite is
+    the ID the groupoid's ``morphisms`` holds, not an equal copy, and a
+    row holds no strings of its own. A table supplies ``__getitem__`` and
+    ``row``.
     """
 
     __slots__ = ("_order",)
@@ -663,6 +687,22 @@ class ComputedComposites(Mapping):
 
     def __len__(self) -> int:
         return sum(len(self.row(g)) for g in self._order)
+
+    def items(self) -> ItemsView:
+        return _RowItems(self)
+
+
+class _RowItems(ItemsView):
+    """A computed table's ``items()``: ``((g, f), g∘f)`` read off each row
+    once, with no lookup per key."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        table = self._mapping
+        for g in table._order:
+            for f, h in table.row(g).items():
+                yield (g, f), h
 
 
 class _ComputedRows(dict):
@@ -684,18 +724,23 @@ class _ComputedRows(dict):
 class _PairComposites(ComputedComposites):
     """The compose table of a pullback, read off its two factors A and B.
 
-    ``[(p1, p2)]`` decodes both pair IDs and pairs the factors'
-    composites. ``row(p1)`` pairs the factors' rows (``composite_table``)
-    for every p2 into src(p1), in morphism order.
+    It keeps the pullback's pair indexes ``obj_index`` and ``mor_index``,
+    ``{a: {b: ID of (a, b)}}``, and every composite it returns is read
+    from ``mor_index``: ``[(p1, p2)]`` decodes both pair IDs and looks up
+    the pair of the factors' composites, and ``row(p1)`` pairs the
+    factors' rows (``composite_table``) for every p2 into src(p1), in
+    morphism order, so a row holds no strings of its own.
     """
 
-    __slots__ = ("_pairs", "_morphisms", "_A", "_B", "_by_tgt")
+    __slots__ = ("_pairs", "_morphisms", "_A", "_B", "_by_tgt", "obj_index", "mor_index")
 
     def __init__(self, pairs: dict[str, tuple[str, str]],
-                 morphisms: dict[str, tuple[str, str]], A: Groupoid, B: Groupoid):
+                 morphisms: dict[str, tuple[str, str]], A: Groupoid, B: Groupoid,
+                 obj_index: dict[str, dict[str, str]], mor_index: dict[str, dict[str, str]]):
         super().__init__(pairs)
         self._pairs, self._morphisms = pairs, morphisms
         self._A, self._B = A, B
+        self.obj_index, self.mor_index = obj_index, mor_index
         self._by_tgt: dict[str, list[tuple[str, str, str]]] | None = None
 
     def __getitem__(self, key) -> str:
@@ -706,7 +751,8 @@ class _PairComposites(ComputedComposites):
         pairs, morphisms = self._pairs, self._morphisms
         if p1 in pairs and p2 in pairs and morphisms[p2][1] == morphisms[p1][0]:
             (m1, n1), (m2, n2) = pairs[p1], pairs[p2]
-            return pair_id(self._A.compose[(m1, m2)], self._B.compose[(n1, n2)])
+            return indexed_pair_id(self.mor_index, self._A.compose[(m1, m2)],
+                                   self._B.compose[(n1, n2)])
         raise KeyError(key)
 
     def row(self, p1: str) -> dict[str, str]:
@@ -718,40 +764,44 @@ class _PairComposites(ComputedComposites):
                 by_tgt.setdefault(morphisms[p][1], []).append((p, m, n))
         m1, n1 = self._pairs[p1]
         a_row, b_row = self._A.composite_table()[m1], self._B.composite_table()[n1]
-        return {p2: pair_id(a_row[m2], b_row[n2])
+        ids = self.mor_index
+        return {p2: indexed_pair_id(ids, a_row[m2], b_row[n2])
                 for p2, m2, n2 in by_tgt.get(self._morphisms[p1][0], ())}
 
 
 def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
-    """The pullback of ``f`` and ``g`` over their shared codomain."""
+    """The pullback of ``f`` and ``g`` over their shared codomain.
+
+    Each pair ID is made once, in the pair indexes ``{a: {b: ID of (a,
+    b)}}`` that its compose table keeps (``obj_index``, ``mor_index``);
+    endpoints, identities, inverses and composites are read from them.
+    """
     if f.cod != g.cod:
         raise CodomainMismatch("pullback needs a shared codomain")
     A, B = f.dom, g.dom
     obj_match: dict[str, list[str]] = {}
     for y in B.objects:
         obj_match.setdefault(g.obj_map[y], []).append(y)
-    obj_pairs = {
-        pair_id(x, y): (x, y) for x in A.objects for y in obj_match.get(f.obj_map[x], ())
-    }
-    _require_distinct_ids(len(obj_pairs),
-                          sum(len(obj_match.get(f.obj_map[x], ())) for x in A.objects))
+    obj_index = {x: {y: pair_id(x, y) for y in obj_match.get(f.obj_map[x], ())}
+                 for x in A.objects}
+    obj_pairs = {o: (x, y) for x, ids in obj_index.items() for y, o in ids.items()}
+    _require_distinct_ids(len(obj_pairs), sum(map(len, obj_index.values())))
     mor_match: dict[str, list[str]] = {}
     for n in B.mor_ids():
         mor_match.setdefault(g.mor_map[n], []).append(n)
-    mids = A.mor_ids()
-    mor_pairs = {
-        pair_id(m, n): (m, n) for m in mids for n in mor_match.get(f.mor_map[m], ())
-    }
-    _require_distinct_ids(len(mor_pairs),
-                          sum(len(mor_match.get(f.mor_map[m], ())) for m in mids))
+    mor_index = {m: {n: pair_id(m, n) for n in mor_match.get(f.mor_map[m], ())}
+                 for m in A.mor_ids()}
+    mor_pairs = {p: (m, n) for m, ids in mor_index.items() for n, p in ids.items()}
+    _require_distinct_ids(len(mor_pairs), sum(map(len, mor_index.values())))
     A_mor, B_mor = A.morphisms, B.morphisms
     morphisms: dict[str, tuple[str, str]] = {}
     for p, (m, n) in mor_pairs.items():
         (sm, tm), (sn, tn) = A_mor[m], B_mor[n]
-        morphisms[p] = (pair_id(sm, sn), pair_id(tm, tn))
-    identity = {o: pair_id(A.identity[x], B.identity[y]) for o, (x, y) in obj_pairs.items()}
-    compose = _PairComposites(mor_pairs, morphisms, A, B)
-    inverse = {p: pair_id(A.inv(m), B.inv(n)) for p, (m, n) in mor_pairs.items()}
+        morphisms[p] = (indexed_pair_id(obj_index, sm, sn), indexed_pair_id(obj_index, tm, tn))
+    identity = {o: indexed_pair_id(mor_index, A.identity[x], B.identity[y])
+                for o, (x, y) in obj_pairs.items()}
+    compose = _PairComposites(mor_pairs, morphisms, A, B, obj_index, mor_index)
+    inverse = {p: indexed_pair_id(mor_index, A.inv(m), B.inv(n)) for p, (m, n) in mor_pairs.items()}
     P = Groupoid(tuple(obj_pairs), morphisms, identity, compose, inverse)
     pr1 = Functor(P, A, {o: x for o, (x, _) in obj_pairs.items()},
                   {p: m for p, (m, _) in mor_pairs.items()})
@@ -761,11 +811,19 @@ def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
 
 
 def pairing(f: Functor, g: Functor, product: Groupoid) -> Functor:
-    """The functor <f, g> into a product (or pullback) built from pair IDs."""
+    """The functor <f, g> into a product (or pullback). Into a pullback it
+    maps to the pair IDs the pullback stores (its compose table's pair
+    indexes); into any other product it names pairs with ``pair_id``."""
     if f.dom != g.dom:
         raise CodomainMismatch("pairing needs a shared domain")
-    obj_map = {x: pair_id(f.obj_map[x], g.obj_map[x]) for x in f.dom.objects}
-    mor_map = {m: pair_id(f.mor_map[m], g.mor_map[m]) for m in f.dom.morphisms}
+    compose = product.compose
+    if isinstance(compose, _PairComposites):
+        obj_index, mor_index = compose.obj_index, compose.mor_index
+    else:
+        obj_index = mor_index = {}
+    obj_map = {x: indexed_pair_id(obj_index, f.obj_map[x], g.obj_map[x]) for x in f.dom.objects}
+    mor_map = {m: indexed_pair_id(mor_index, f.mor_map[m], g.mor_map[m])
+               for m in f.dom.morphisms}
     for o in obj_map.values():
         if o not in product.identity:
             raise CodomainMismatch("pairing does not land in the given product")

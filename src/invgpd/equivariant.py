@@ -40,8 +40,8 @@ from .core import (
     coproduct,
     empty_groupoid,
     identity_functor,
+    indexed_pair_id,
     interval,
-    pair_id,
     pairing,
     pullback,
     subgroupoid,
@@ -311,15 +311,19 @@ def equivariant_coproduct(X: InvolutiveGroupoid, Y: InvolutiveGroupoid):
 
 
 def equivariant_pullback(f: EquivariantFunctor, g: EquivariantFunctor):
-    """Pullback of f and g over their shared codomain, with the pair involution."""
+    """Pullback of f and g over their shared codomain, with the pair
+    involution, which maps to the pair IDs the pullback stores."""
     if f.cod.base != g.cod.base:
         raise CodomainMismatch("equivariant pullback needs a shared codomain")
     P, pr1, pr2 = pullback(f.map, g.map)
+    obj_index, mor_index = P.compose.obj_index, P.compose.mor_index
     inv = Functor(
         P, P,
-        {o: pair_id(f.dom.eta_obj(pr1.obj_map[o]), g.dom.eta_obj(pr2.obj_map[o]))
+        {o: indexed_pair_id(obj_index, f.dom.eta_obj(pr1.obj_map[o]),
+                            g.dom.eta_obj(pr2.obj_map[o]))
          for o in P.objects},
-        {m: pair_id(f.dom.eta_mor(pr1.mor_map[m]), g.dom.eta_mor(pr2.mor_map[m]))
+        {m: indexed_pair_id(mor_index, f.dom.eta_mor(pr1.mor_map[m]),
+                            g.dom.eta_mor(pr2.mor_map[m]))
          for m in P.morphisms},
     )
     IP = InvolutiveGroupoid(P, inv)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
-from .core import Functor, Groupoid, classify_functor, pair_id, subgroupoid
+from .core import Functor, Groupoid, classify_functor, indexed_pair_id, subgroupoid
 from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
@@ -63,67 +63,90 @@ def pm(phi: str, sigma: str, tau: str) -> str:
 def _path_groupoid(f: EquivariantFunctor):
     """The groupoid of the canonical path object of f, with its involution.
 
-    Also returns the φ of each object and, for each morphism, its data
-    (φ, σ, τ, φ of the target).
+    Each ID is made once: ``po_of`` maps φ to its object ``po(φ)`` and
+    ``pm_of`` maps (φ, σ, τ) to its morphism ``pm(φ, σ, τ)``, and the
+    endpoints, identities, composites, inverses and the involution are
+    read from them (:func:`_po_id`, :func:`_pm_id`). Also returns
+    ``po_of``, ``pm_of`` and, for each morphism, its data (φ, σ, τ, φ of
+    the target).
     """
     A, C = f.dom, f.cod
     GA = A.base
     after = GA.composite_table()  # g -> {f: g∘f}, read by rows
 
-    objs = [m for m in GA.mor_ids() if C.base.is_identity(f.on_mor(m))]
-    objects = tuple(sorted(po(m) for m in objs))
+    po_of = {m: po(m) for m in GA.mor_ids() if C.base.is_identity(f.on_mor(m))}
 
     morphisms: dict[str, tuple[str, str]] = {}
+    pm_of: dict[tuple[str, str, str], str] = {}
     data: dict[str, tuple[str, str, str, str]] = {}  # (phi, sigma, tau, phi of the target)
     by_src: dict[str, list[str]] = {}                  # phi -> morphisms out of po(phi)
-    for phi in objs:
+    for phi, o in po_of.items():
         x, y = GA.morphisms[phi]
         for sigma in GA.out(x):
             for tau in GA.out(y):
                 if f.on_mor(sigma) != f.on_mor(tau):
                     continue
                 phi2 = after[after[tau][phi]][GA.inv(sigma)]
-                mid = pm(phi, sigma, tau)
-                morphisms[mid] = (po(phi), po(phi2))
+                mid = pm_of[(phi, sigma, tau)] = pm(phi, sigma, tau)
+                morphisms[mid] = (o, _po_id(po_of, phi2))
                 data[mid] = (phi, sigma, tau, phi2)
                 by_src.setdefault(phi, []).append(mid)
 
-    identity = {po(phi): pm(phi, GA.ident(GA.src(phi)), GA.ident(GA.tgt(phi))) for phi in objs}
+    identity = {o: _pm_id(pm_of, phi, GA.ident(GA.src(phi)), GA.ident(GA.tgt(phi)))
+                for phi, o in po_of.items()}
     compose = {}
     for m1, (phi1, s1, t1, phi2) in data.items():
         for m2 in by_src.get(phi2, ()):
             _, s2, t2, _ = data[m2]
-            compose[(m2, m1)] = pm(phi1, after[s2][s1], after[t2][t1])
-    inverse = {m1: pm(phi2, GA.inv(s), GA.inv(t)) for m1, (_, s, t, phi2) in data.items()}
-    P = Groupoid(objects, morphisms, identity, compose, inverse)
+            compose[(m2, m1)] = _pm_id(pm_of, phi1, after[s2][s1], after[t2][t1])
+    inverse = {m1: _pm_id(pm_of, phi2, GA.inv(s), GA.inv(t))
+               for m1, (_, s, t, phi2) in data.items()}
+    P = Groupoid(tuple(po_of.values()), morphisms, identity, compose, inverse)
+    eta = A.eta_mor
     inv = Functor(
         P, P,
-        {po(phi): po(A.eta_mor(phi)) for phi in objs},
-        {m: pm(A.eta_mor(d[0]), A.eta_mor(d[1]), A.eta_mor(d[2])) for m, d in data.items()},
+        {o: _po_id(po_of, eta(phi)) for phi, o in po_of.items()},
+        {m: _pm_id(pm_of, eta(d[0]), eta(d[1]), eta(d[2])) for m, d in data.items()},
     )
-    return InvolutiveGroupoid(P, inv), objs, data
+    return InvolutiveGroupoid(P, inv), po_of, pm_of, data
+
+
+def _po_id(po_of: dict[str, str], phi: str) -> str:
+    """The ID of the object po(φ) that ``po_of`` holds, or a new one when
+    φ is no object (f is not a functor, or not equivariant)."""
+    return po_of.get(phi) or po(phi)
+
+
+def _pm_id(pm_of: dict[tuple[str, str, str], str], phi: str, sigma: str, tau: str) -> str:
+    """The ID of the morphism pm(φ, σ, τ) that ``pm_of`` holds, or a new
+    one when there is no such morphism (f is not a functor, or not
+    equivariant)."""
+    return pm_of.get((phi, sigma, tau)) or pm(phi, sigma, tau)
 
 
 def path_object(f: EquivariantFunctor) -> PathFactorization:
-    """The canonical path object of f, with delta2∘delta1 = diagonal."""
-    IP, objs, data = _path_groupoid(f)
+    """The canonical path object of f, with delta2∘delta1 = diagonal. Both
+    legs map to the IDs their codomains store: delta1 to those of the
+    path object, delta2 to the pair IDs of A x_C A."""
+    IP, po_of, pm_of, data = _path_groupoid(f)
     A, P = f.dom, IP.base
     GA = A.base
     product, _, _ = equivariant_pullback(f, f)
+    obj_index, mor_index = product.base.compose.obj_index, product.base.compose.mor_index
     d1 = EquivariantFunctor(
         A, IP,
         Functor(
             GA, P,
-            {x: po(GA.ident(x)) for x in GA.objects},
-            {m: pm(GA.ident(GA.src(m)), m, m) for m in GA.morphisms},
+            {x: _po_id(po_of, GA.ident(x)) for x in GA.objects},
+            {m: _pm_id(pm_of, GA.ident(GA.src(m)), m, m) for m in GA.morphisms},
         ),
     )
     d2 = EquivariantFunctor(
         IP, product,
         Functor(
             P, product.base,
-            {po(phi): pair_id(*GA.morphisms[phi]) for phi in objs},
-            {m: pair_id(d[1], d[2]) for m, d in data.items()},
+            {o: indexed_pair_id(obj_index, *GA.morphisms[phi]) for phi, o in po_of.items()},
+            {m: indexed_pair_id(mor_index, d[1], d[2]) for m, d in data.items()},
         ),
     )
     return PathFactorization(path=IP, delta1=d1, delta2=d2)
@@ -233,10 +256,10 @@ def witness_from_iso(f: EquivariantFunctor, g: EquivariantFunctor,
     """Package a natural isomorphism as a map into the tuple path object of
     f's codomain over the point. Only the path groupoid is built: the
     witness never reads the legs or the product they map to."""
-    path, _, _ = _path_groupoid(terminal_map(f.cod))
+    path, po_of, pm_of, _ = _path_groupoid(terminal_map(f.cod))
     GA = f.dom.base
-    obj_map = {a: po(nu[a]) for a in GA.objects}
-    mor_map = {alpha: pm(nu[GA.src(alpha)], f.on_mor(alpha), g.on_mor(alpha))
+    obj_map = {a: _po_id(po_of, nu[a]) for a in GA.objects}
+    mor_map = {alpha: _pm_id(pm_of, nu[GA.src(alpha)], f.on_mor(alpha), g.on_mor(alpha))
                for alpha in GA.morphisms}
     H = EquivariantFunctor(f.dom, path, Functor(GA, path.base, obj_map, mor_map))
     return HomotopyWitness(H=H, f=f, g=g)

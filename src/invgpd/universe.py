@@ -160,18 +160,20 @@ class _UniverseComposites(ComputedComposites):
 class _PointedComposites(ComputedComposites):
     """Ũ's compose table, read off U's: (ρ₂@b)∘(ρ₁@a) = (ρ₂∘ρ₁)@a.
 
-    ``decode[ρ@a]`` is ``(ρ, "@a")``. ``row(ρ₂@b)`` reads U's row of ρ₂
-    (``composite_table``) for every ρ₁@a into src(ρ₂@b); the walk reads the
-    rows in morphism order.
+    ``decode[ρ@a]`` is ``(ρ, "@a")``, and ``ids["@a"][ρ]`` is the ID ρ@a
+    that Ũ's ``morphisms`` holds: a composite is read from ``ids``, never
+    concatenated, so a row holds no strings of its own. ``row(ρ₂@b)``
+    reads U's row of ρ₂ (``composite_table``) for every ρ₁@a into
+    src(ρ₂@b); the walk reads the rows in morphism order.
     """
 
-    __slots__ = ("_U", "_morphisms", "_decode", "_into")
+    __slots__ = ("_U", "_morphisms", "_decode", "_ids", "_into")
 
     def __init__(self, U: Groupoid, morphisms: dict[str, tuple[str, str]],
-                 decode: dict[str, tuple[str, str]]):
+                 decode: dict[str, tuple[str, str]], ids: dict[str, dict[str, str]]):
         super().__init__(morphisms)
-        self._U, self._morphisms, self._decode = U, morphisms, decode
-        self._into: dict[str, list[tuple[str, str, str]]] | None = None
+        self._U, self._morphisms, self._decode, self._ids = U, morphisms, decode, ids
+        self._into: dict[str, list[tuple[str, str, dict[str, str]]]] | None = None
 
     def __getitem__(self, key) -> str:
         try:
@@ -183,18 +185,19 @@ class _PointedComposites(ComputedComposites):
         if t1 != s2:
             raise KeyError(key)
         (m1, at), (m2, _) = self._decode[f], self._decode[g]
-        return self._U.compose[(m2, m1)] + at
+        return self._ids[at][self._U.compose[(m2, m1)]]
 
     def row(self, g: str) -> dict[str, str]:
         into = self._into
         if into is None:
-            # t -> (ρ@a, ρ, "@a") for every pointed morphism ρ@a into t
+            # t -> (ρ@a, ρ, ids["@a"]) for every pointed morphism ρ@a into t
             into = self._into = {}
-            decode = self._decode
+            decode, ids = self._decode, self._ids
             for f, (_, t) in self._morphisms.items():
-                into.setdefault(t, []).append((f, *decode[f]))
+                m1, at = decode[f]
+                into.setdefault(t, []).append((f, m1, ids[at]))
         after = self._U.composite_table()[self._decode[g][0]]
-        return {f: after[m1] + at for f, m1, at in into[self._morphisms[g][0]]}
+        return {f: ids_at[after[m1]] for f, m1, ids_at in into[self._morphisms[g][0]]}
 
 
 def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
@@ -225,33 +228,43 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
     for k in range(len(V) + 1):
         subsets.extend(tuple(c) for c in combinations(V, k))
 
+    # mults[k][j1][j2] is the place of perms[j2]∘perms[j1] among the
+    # permutations of range(k), and inverse_place[k][j] that of perms[j]⁻¹
+    mults: dict[int, list[list[int]]] = {}
+    for k in range(len(V) + 1):
+        perms = list(permutations(range(k)))
+        index = {perm: j for j, perm in enumerate(perms)}
+        mults[k] = [[index[tuple(perm2[i] for i in perm1)] for perm2 in perms]
+                    for perm1 in perms]
+    inverse_place = {k: [row.index(0) for row in mult] for k, mult in mults.items()}
+
+    # the object (A0, A1, phi) with phi(A0[i]) = A1[perms[j][i]] is
+    # on_sets[(A0, A1)][j], and j is its phi_place
     u_objects: dict[str, tuple[frozenset, frozenset, dict]] = {}
+    phi_place: dict[str, int] = {}
+    on_sets: dict[tuple[tuple[str, ...], tuple[str, ...]], list[str]] = {}
     for A0 in subsets:
         for A1 in subsets:
             if len(A0) != len(A1):
                 continue
-            for image in permutations(A1):
+            oids = on_sets[(A0, A1)] = []
+            for j, image in enumerate(permutations(A1)):
                 phi = dict(zip(A0, image))
-                u_objects[_object_id(A0, A1, phi)] = (frozenset(A0), frozenset(A1), phi)
+                oid = _object_id(A0, A1, phi)
+                u_objects[oid] = (frozenset(A0), frozenset(A1), phi)
+                phi_place[oid] = j
+                oids.append(oid)
 
-    u_inv = {  # the involution on objects
-        oid: _object_id(A1, A0, {v: k for k, v in phi.items()})
-        for oid, (A0, A1, phi) in u_objects.items()
-    }
+    # the involution on objects: (A0, A1, phi) -> (A1, A0, phi⁻¹)
+    u_inv = {oid: on_sets[(A1, A0)][inverse_place[len(A0)][j]]
+             for (A0, A1), oids in on_sets.items() for j, oid in enumerate(oids)}
 
     # block[o] = (offset, mult): the morphisms into o sit at out[s][offset:
-    # offset + k!] for every s of o's fiber size k, and mult[j1][j2] is the
-    # place of perms[j2]∘perms[j1] among the permutations of range(k)
-    mults: dict[int, list[list[int]]] = {}
+    # offset + k!] for every s of o's fiber size k, and mult = mults[k]
     n_same: dict[int, int] = {}  # fiber size -> objects of that size so far
     block: dict[str, tuple[int, list[list[int]]]] = {}
     for oid, (A0, _, _) in u_objects.items():
         k = len(A0)
-        if k not in mults:
-            perms = list(permutations(range(k)))
-            index = {perm: j for j, perm in enumerate(perms)}
-            mults[k] = [[index[tuple(perm2[i] for i in perm1)] for perm2 in perms]
-                        for perm1 in perms]
         rank = n_same[k] = n_same.get(k, -1) + 1
         block[oid] = (rank * len(mults[k]), mults[k])
     u_morphisms: dict[str, dict] = {}
@@ -271,28 +284,24 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
                 mids.append(mid)
                 place[mid] = j
 
-    def derived_rho1(mid: str) -> dict:
-        src, tgt = morphisms[mid]
-        phi = u_objects[src][2]
-        psi = u_objects[tgt][2]
-        rho0 = u_morphisms[mid]
-        inv_phi = {v: k for k, v in phi.items()}
-        return {a1: psi[rho0[inv_phi[a1]]] for a1 in inv_phi}
-
-    # place 0 is the identity permutation, and row j of mult has the
-    # identity at the place of the inverse of permutation j
+    # place 0 is the identity, and the inverse of a morphism sits at the
+    # place of the inverse permutation
     identity = {oid: out[oid][block[oid][0]] for oid in u_objects}
-    inverse_place = {k: [row.index(0) for row in mult] for k, mult in mults.items()}
     inverse = {
         mid: out[t][block[s][0] + inverse_place[len(u_objects[s][0])][place[mid]]]
         for mid, (s, t) in morphisms.items()
     }
     GU = Groupoid(tuple(u_objects), morphisms, identity,
                   _UniverseComposites(morphisms, out, place, block), inverse)
-    inv_mor = {
-        mid: _morphism_id(u_inv[s], u_inv[t], derived_rho1(mid))
-        for mid, (s, t) in morphisms.items()
-    }
+    # the involution sends rho: s -> t, the permutation r, to psi∘rho∘phi⁻¹:
+    # η(s) -> η(t) for the bijections phi of s and psi of t, which is the
+    # permutation psi∘r∘phi⁻¹ of their places
+    inv_mor = {}
+    for mid, (s, t) in morphisms.items():
+        mult = block[s][1]
+        phi_inv = inverse_place[len(u_objects[s][0])][phi_place[s]]
+        j = mult[mult[phi_inv][place[mid]]][phi_place[t]]
+        inv_mor[mid] = out[u_inv[s]][block[u_inv[t]][0] + j]
     U = InvolutiveGroupoid(GU, Functor(GU, GU, {o: u_inv[o] for o in GU.objects}, inv_mor))
 
     # the pointed variant: one pointed morphism ρ@a: o1@a -> o2@ρ0[a] per
@@ -307,18 +316,20 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
             ut_objects[ids[a]] = (oid, a)
     ut_morphisms: dict[str, tuple[str, str]] = {}
     ut_decode: dict[str, tuple[str, str]] = {}  # ρ@a -> (ρ, "@a")
+    ut_ids: dict[str, dict[str, str]] = {at[a]: {} for a in V}  # "@a" -> ρ -> ρ@a
     for po1, (o1, a) in ut_objects.items():
+        ids = ut_ids[at[a]]
         for mid in out[o1]:
-            pmid = mid + at[a]
+            pmid = ids[mid] = mid + at[a]
             ut_morphisms[pmid] = (po1, pointed[morphisms[mid][1]][u_morphisms[mid][a]])
             ut_decode[pmid] = (mid, at[a])
-    ut_identity = {po: identity[o] + at[a] for po, (o, a) in ut_objects.items()}
+    ut_identity = {po: ut_ids[at[a]][identity[o]] for po, (o, a) in ut_objects.items()}
     ut_inverse = {
-        p: inverse[ut_decode[p][0]] + at[ut_objects[t][1]]
+        p: ut_ids[at[ut_objects[t][1]]][inverse[ut_decode[p][0]]]
         for p, (s, t) in ut_morphisms.items()
     }
     GUt = Groupoid(tuple(ut_objects), ut_morphisms, ut_identity,
-                   _PointedComposites(GU, ut_morphisms, ut_decode), ut_inverse)
+                   _PointedComposites(GU, ut_morphisms, ut_decode, ut_ids), ut_inverse)
 
     def ut_inv_obj(po: str) -> str:
         o, a = ut_objects[po]
@@ -328,7 +339,7 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
     for p, (s, t) in ut_morphisms.items():
         o, a = ut_objects[s]
         phi = u_objects[o][2]
-        ut_inv_mor[p] = inv_mor[ut_decode[p][0]] + at[phi[a]]
+        ut_inv_mor[p] = ut_ids[at[phi[a]]][inv_mor[ut_decode[p][0]]]
     Ut = InvolutiveGroupoid(
         GUt, Functor(GUt, GUt, {po: ut_inv_obj(po) for po in GUt.objects}, ut_inv_mor)
     )

@@ -1,6 +1,7 @@
 """The universe bundle, classification, equivalence space, verdicts."""
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -109,6 +110,38 @@ def test_universe_tables_match_their_definition(V):
     check = assert_computed_composites if len(V) == 2 else assert_rows_and_walk
     check(GU, compose)
     check(GUt, ut_compose)
+
+
+@pytest.mark.parametrize("V", [("a", "b"), ("a", "b", "c")], ids=len)
+def test_involutions_match_their_definition(V):
+    """U's involution sends (A0, A1, phi) to (A1, A0, phi⁻¹) and rho: s -> t
+    to the morphism with first component psi∘rho∘phi⁻¹ (phi, psi the
+    bijections of s and t); Utilde's sends o@a to η(o)@phi(a) and rho@a to
+    η(rho)@phi(a). At |V| = 3 some bijections are not their own inverse."""
+    b = build_universe(V)
+    GU, GUt = b.U.base, b.Utilde.base
+    bijection = {}
+    for k in range(len(V) + 1):
+        for A0 in combinations(V, k):
+            for A1 in combinations(V, k):
+                for image in permutations(A1):
+                    phi = dict(zip(A0, image))
+                    bijection[b.u_object_id(A0, A1, phi)] = phi
+    assert set(bijection) == set(GU.objects)
+    for o, phi in bijection.items():
+        inv = {y: x for x, y in phi.items()}
+        assert b.U.eta_obj(o) == b.u_object_id(phi.values(), phi.keys(), inv)
+    for m, (s, t) in GU.morphisms.items():
+        phi, psi, rho = bijection[s], bijection[t], b.u_morphisms[m]
+        rho1 = {phi[x]: psi[rho[x]] for x in phi}
+        assert b.U.eta_mor(m) == b.u_morphism_id(b.U.eta_obj(s), b.U.eta_obj(t), rho1)
+    pointed = {oa: po_ for po_, oa in b.ut_objects.items()}
+    for po_, (o, a) in b.ut_objects.items():
+        assert b.Utilde.eta_obj(po_) == pointed[(b.U.eta_obj(o), bijection[o][a])]
+    at = {(b.p.on_mor(pm), b.ut_objects[GUt.src(pm)][1]): pm for pm in GUt.morphisms}
+    for pm, (s, _) in GUt.morphisms.items():
+        o, a = b.ut_objects[s]
+        assert b.Utilde.eta_mor(pm) == at[(b.U.eta_mor(b.p.on_mor(pm)), bijection[o][a])]
 
 
 def test_a_fresh_universe_has_built_no_row():
