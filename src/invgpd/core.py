@@ -35,8 +35,9 @@ Conventions
   labels only: nothing parses them back, the projections ``pr1``/``pr2``
   decode them. Names containing ``,`` or parentheses can make two pairs
   share an ID; the construction then raises ``MalformedDocument``. Each
-  pair ID is made once, in the pullback's pair index (``{a: {b: ID of (a,
-  b)}}``, kept by its compose table).
+  pair ID is made once, in the pullback's pair index, and nothing outside
+  this module formats or indexes one: others read it with
+  :func:`pair_cells` and :func:`indexed_pair_id`.
 * The groupoids that grow with the universe's base (pullbacks, U and Ũ,
   path objects) make each ID once. Their tables return the ID the
   groupoid stores, never an equal copy: the values of ``identity``,
@@ -611,13 +612,24 @@ def indexed_pair_id(index: Mapping[str, Mapping[str, str]], a: str, b: str) -> s
         return pair_id(a, b)
 
 
-def _require_distinct_ids(n_ids: int, n_pairs: int) -> None:
-    """Pair IDs are labels: two component pairs must not share one."""
-    if n_ids != n_pairs:
-        raise MalformedDocument(
-            f"pullback: {n_pairs - n_ids} pair ID(s) name more than one pair "
-            "(an object or morphism name contains ',' or parentheses)"
-        )
+def _pair_cells(a_cells, b_cells, f_map: dict[str, str], g_map: dict[str, str]):
+    """The pairs (a, b) with f(a) = g(b), in ``a_cells`` then ``b_cells``
+    order: their index ``{a: {b: ID of (a, b)}}`` and the projections
+    ``{ID: a}`` and ``{ID: b}``. Two pairs must not share an ID."""
+    match: dict[str, list[str]] = {}
+    for b in b_cells:
+        match.setdefault(g_map[b], []).append(b)
+    index, pr_a, pr_b = {}, {}, {}
+    for a in a_cells:
+        row = index[a] = {}
+        for b in match.get(f_map[a], ()):
+            p = row[b] = pair_id(a, b)
+            pr_a[p], pr_b[p] = a, b
+    n_pairs = sum(map(len, index.values()))
+    if len(pr_a) != n_pairs:
+        raise MalformedDocument(f"pullback: {n_pairs - len(pr_a)} pair ID(s) name more than one "
+                                "pair (an object or morphism name contains ',' or parentheses)")
+    return index, pr_a, pr_b
 
 
 def terminal_functor(G: Groupoid, point: Groupoid) -> Functor:
@@ -724,22 +736,21 @@ class _ComputedRows(dict):
 class _PairComposites(ComputedComposites):
     """The compose table of a pullback, read off its two factors A and B.
 
-    It keeps the pullback's pair indexes ``obj_index`` and ``mor_index``,
-    ``{a: {b: ID of (a, b)}}``, and every composite it returns is read
-    from ``mor_index``: ``[(p1, p2)]`` decodes both pair IDs and looks up
-    the pair of the factors' composites, and ``row(p1)`` pairs the
-    factors' rows (``composite_table``) for every p2 into src(p1), in
-    morphism order, so a row holds no strings of its own.
+    It keeps the pullback's pair indexes (:func:`pair_cells`) and its
+    projections' morphism maps, which decode a pair ID. Every composite it
+    returns is read from ``mor_index``: ``[(p1, p2)]`` looks up the pair of
+    the factors' composites, and ``row(p1)`` pairs the factors' rows
+    (``composite_table``) for every p2 into src(p1), in morphism order.
     """
 
-    __slots__ = ("_pairs", "_morphisms", "_A", "_B", "_by_tgt", "obj_index", "mor_index")
+    __slots__ = ("_morphisms", "_A", "_B", "_pr1", "_pr2", "_by_tgt", "obj_index", "mor_index")
 
-    def __init__(self, pairs: dict[str, tuple[str, str]],
-                 morphisms: dict[str, tuple[str, str]], A: Groupoid, B: Groupoid,
+    def __init__(self, morphisms: dict[str, tuple[str, str]], A: Groupoid, B: Groupoid,
+                 pr1: dict[str, str], pr2: dict[str, str],
                  obj_index: dict[str, dict[str, str]], mor_index: dict[str, dict[str, str]]):
-        super().__init__(pairs)
-        self._pairs, self._morphisms = pairs, morphisms
-        self._A, self._B = A, B
+        super().__init__(morphisms)
+        self._morphisms, self._A, self._B = morphisms, A, B
+        self._pr1, self._pr2 = pr1, pr2
         self.obj_index, self.mor_index = obj_index, mor_index
         self._by_tgt: dict[str, list[tuple[str, str, str]]] | None = None
 
@@ -748,79 +759,70 @@ class _PairComposites(ComputedComposites):
             p1, p2 = key
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        pairs, morphisms = self._pairs, self._morphisms
-        if p1 in pairs and p2 in pairs and morphisms[p2][1] == morphisms[p1][0]:
-            (m1, n1), (m2, n2) = pairs[p1], pairs[p2]
-            return indexed_pair_id(self.mor_index, self._A.compose[(m1, m2)],
-                                   self._B.compose[(n1, n2)])
+        morphisms = self._morphisms
+        if p1 in morphisms and p2 in morphisms and morphisms[p2][1] == morphisms[p1][0]:
+            pr1, pr2 = self._pr1, self._pr2
+            return indexed_pair_id(self.mor_index, self._A.compose[(pr1[p1], pr1[p2])],
+                                   self._B.compose[(pr2[p1], pr2[p2])])
         raise KeyError(key)
 
     def row(self, p1: str) -> dict[str, str]:
         by_tgt = self._by_tgt
         if by_tgt is None:
             by_tgt = self._by_tgt = {}
-            morphisms = self._morphisms
-            for p, (m, n) in self._pairs.items():
-                by_tgt.setdefault(morphisms[p][1], []).append((p, m, n))
-        m1, n1 = self._pairs[p1]
-        a_row, b_row = self._A.composite_table()[m1], self._B.composite_table()[n1]
+            for (p, (_, t)), m, n in zip(self._morphisms.items(), self._pr1.values(),
+                                         self._pr2.values()):
+                by_tgt.setdefault(t, []).append((p, m, n))
+        a_row = self._A.composite_table()[self._pr1[p1]]
+        b_row = self._B.composite_table()[self._pr2[p1]]
         ids = self.mor_index
         return {p2: indexed_pair_id(ids, a_row[m2], b_row[n2])
                 for p2, m2, n2 in by_tgt.get(self._morphisms[p1][0], ())}
 
 
+def pair_cells(P: Groupoid) -> tuple[Mapping, Mapping]:
+    """A pullback's pair indexes ``(obj_index, mor_index)``, each ``{a: {b:
+    ID of (a, b)}}``, read with :func:`indexed_pair_id`; any other groupoid
+    has empty ones, so its pairs are named with :func:`pair_id`."""
+    compose = P.compose
+    if isinstance(compose, _PairComposites):
+        return compose.obj_index, compose.mor_index
+    return {}, {}
+
+
 def pullback(f: Functor, g: Functor) -> tuple[Groupoid, Functor, Functor]:
     """The pullback of ``f`` and ``g`` over their shared codomain.
 
-    Each pair ID is made once, in the pair indexes ``{a: {b: ID of (a,
-    b)}}`` that its compose table keeps (``obj_index``, ``mor_index``);
-    endpoints, identities, inverses and composites are read from them.
+    Each cell is kept once: its ID is made once, in the pair indexes
+    (:func:`pair_cells`), and the projections' maps decode it; endpoints,
+    identities, inverses and composites are read from the indexes.
     """
     if f.cod != g.cod:
         raise CodomainMismatch("pullback needs a shared codomain")
     A, B = f.dom, g.dom
-    obj_match: dict[str, list[str]] = {}
-    for y in B.objects:
-        obj_match.setdefault(g.obj_map[y], []).append(y)
-    obj_index = {x: {y: pair_id(x, y) for y in obj_match.get(f.obj_map[x], ())}
-                 for x in A.objects}
-    obj_pairs = {o: (x, y) for x, ids in obj_index.items() for y, o in ids.items()}
-    _require_distinct_ids(len(obj_pairs), sum(map(len, obj_index.values())))
-    mor_match: dict[str, list[str]] = {}
-    for n in B.mor_ids():
-        mor_match.setdefault(g.mor_map[n], []).append(n)
-    mor_index = {m: {n: pair_id(m, n) for n in mor_match.get(f.mor_map[m], ())}
-                 for m in A.mor_ids()}
-    mor_pairs = {p: (m, n) for m, ids in mor_index.items() for n, p in ids.items()}
-    _require_distinct_ids(len(mor_pairs), sum(map(len, mor_index.values())))
+    obj_index, obj_a, obj_b = _pair_cells(A.objects, B.objects, f.obj_map, g.obj_map)
+    mor_index, mor_a, mor_b = _pair_cells(A.mor_ids(), B.mor_ids(), f.mor_map, g.mor_map)
     A_mor, B_mor = A.morphisms, B.morphisms
     morphisms: dict[str, tuple[str, str]] = {}
-    for p, (m, n) in mor_pairs.items():
+    for (p, m), n in zip(mor_a.items(), mor_b.values()):
         (sm, tm), (sn, tn) = A_mor[m], B_mor[n]
         morphisms[p] = (indexed_pair_id(obj_index, sm, sn), indexed_pair_id(obj_index, tm, tn))
     identity = {o: indexed_pair_id(mor_index, A.identity[x], B.identity[y])
-                for o, (x, y) in obj_pairs.items()}
-    compose = _PairComposites(mor_pairs, morphisms, A, B, obj_index, mor_index)
-    inverse = {p: indexed_pair_id(mor_index, A.inv(m), B.inv(n)) for p, (m, n) in mor_pairs.items()}
-    P = Groupoid(tuple(obj_pairs), morphisms, identity, compose, inverse)
-    pr1 = Functor(P, A, {o: x for o, (x, _) in obj_pairs.items()},
-                  {p: m for p, (m, _) in mor_pairs.items()})
-    pr2 = Functor(P, B, {o: y for o, (_, y) in obj_pairs.items()},
-                  {p: n for p, (_, n) in mor_pairs.items()})
-    return P, pr1, pr2
+                for (o, x), y in zip(obj_a.items(), obj_b.values())}
+    compose = _PairComposites(morphisms, A, B, mor_a, mor_b, obj_index, mor_index)
+    inverse = {p: indexed_pair_id(mor_index, A.inv(m), B.inv(n))
+               for (p, m), n in zip(mor_a.items(), mor_b.values())}
+    P = Groupoid(tuple(obj_a), morphisms, identity, compose, inverse)
+    return P, Functor(P, A, obj_a, mor_a), Functor(P, B, obj_b, mor_b)
 
 
 def pairing(f: Functor, g: Functor, product: Groupoid) -> Functor:
     """The functor <f, g> into a product (or pullback). Into a pullback it
-    maps to the pair IDs the pullback stores (its compose table's pair
-    indexes); into any other product it names pairs with ``pair_id``."""
+    maps to the pair IDs the pullback stores (:func:`pair_cells`); into
+    any other product it names pairs with ``pair_id``."""
     if f.dom != g.dom:
         raise CodomainMismatch("pairing needs a shared domain")
-    compose = product.compose
-    if isinstance(compose, _PairComposites):
-        obj_index, mor_index = compose.obj_index, compose.mor_index
-    else:
-        obj_index = mor_index = {}
+    obj_index, mor_index = pair_cells(product)
     obj_map = {x: indexed_pair_id(obj_index, f.obj_map[x], g.obj_map[x]) for x in f.dom.objects}
     mor_map = {m: indexed_pair_id(mor_index, f.mor_map[m], g.mor_map[m])
                for m in f.dom.morphisms}

@@ -377,7 +377,8 @@ def _groupoid_lines(name: str, G: Groupoid) -> list[str]:
     for x in G.objects:
         if G.ident(x) != f"id({x})":
             lines.append(f"  identity {x} = {G.ident(x)}")
-    for (g, f), h in sorted(G.compose.items()):
+    # sorted(items()) would ask len() first, which builds every computed row
+    for g, f, h in sorted((g, f, h) for (g, f), h in G.compose.items()):
         lines.append(f"  compose {g} . {f} = {h}")
     for m in G.mor_ids():
         lines.append(f"  inverse {m} = {G.inv(m)}")

@@ -42,6 +42,7 @@ from .core import (
     identity_functor,
     indexed_pair_id,
     interval,
+    pair_cells,
     pairing,
     pullback,
     subgroupoid,
@@ -50,7 +51,7 @@ from .core import (
     validate_functor,
     validate_groupoid,
 )
-from .errors import CodomainMismatch, InvalidAttachment, InvariantViolated, ShapeMismatch
+from .errors import InvalidAttachment, InvariantViolated, ShapeMismatch
 
 
 @dataclass
@@ -313,10 +314,8 @@ def equivariant_coproduct(X: InvolutiveGroupoid, Y: InvolutiveGroupoid):
 def equivariant_pullback(f: EquivariantFunctor, g: EquivariantFunctor):
     """Pullback of f and g over their shared codomain, with the pair
     involution, which maps to the pair IDs the pullback stores."""
-    if f.cod.base != g.cod.base:
-        raise CodomainMismatch("equivariant pullback needs a shared codomain")
     P, pr1, pr2 = pullback(f.map, g.map)
-    obj_index, mor_index = P.compose.obj_index, P.compose.mor_index
+    obj_index, mor_index = pair_cells(P)
     inv = Functor(
         P, P,
         {o: indexed_pair_id(obj_index, f.dom.eta_obj(pr1.obj_map[o]),
@@ -477,11 +476,11 @@ def attach_cells(X: InvolutiveGroupoid, cells,
         anchor[n], inv_obj[n], twist[n] = a, en, tw
 
     # new morphisms: for every hom pair touching a new object, one copy of
-    # the anchored hom-set; (u, v, core) triples get deterministic IDs.
-    # ids[u][v] maps each core to the morphism u -> v that copies it (an
-    # old morphism is its own core).
+    # the anchored hom-set; cores maps each one's deterministic ID to its
+    # (u, v, core). ids[u][v] maps each core to the morphism u -> v that
+    # copies it (an old morphism is its own core).
     morphisms = dict(base.morphisms)
-    triples: dict[tuple[str, str, str], str] = {}
+    cores: dict[str, tuple[str, str, str]] = {}
     ids: dict[str, dict[str, dict[str, str]]] = {u: {} for u in objects}
     for m, (s, t) in base.morphisms.items():
         ids[s].setdefault(t, {})[m] = m
@@ -490,7 +489,7 @@ def attach_cells(X: InvolutiveGroupoid, cells,
             named = ids[u].setdefault(v, {})
             for core in base.hom(anchor[u], anchor[v]):
                 mid = f"{fresh}:m({u},{core},{v})"
-                triples[(u, v, core)] = mid
+                cores[mid] = (u, v, core)
                 morphisms[mid] = (u, v)
                 named[core] = mid
 
@@ -498,14 +497,13 @@ def attach_cells(X: InvolutiveGroupoid, cells,
     for n in new_objects:
         identity[n] = ids[n][n][old[anchor[n]]]
     inverse = dict(b_inv)
-    for (u, v, core), mid in triples.items():
+    for mid, (u, v, core) in cores.items():
         inverse[mid] = ids[v][u][b_inv[core]]
 
-    cores = {mid: tr for tr, mid in triples.items()}
     compose = _CellComposites(base, ids, cores)
     Y = Groupoid(objects, morphisms, identity, compose, inverse)
     inv_mor = dict(b_eta)
-    for (u, v, core), mid in triples.items():
+    for mid, (u, v, core) in cores.items():
         core2 = b_comp[(b_comp[(b_inv[twist[v]], b_eta[core])], twist[u])]
         inv_mor[mid] = ids[inv_obj[u]][inv_obj[v]][core2]
     IY = InvolutiveGroupoid(Y, Functor(Y, Y, inv_obj, inv_mor))

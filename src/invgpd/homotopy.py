@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
-from .core import Functor, Groupoid, classify_functor, indexed_pair_id, subgroupoid
+from .core import Functor, Groupoid, classify_functor, indexed_pair_id, pair_cells, subgroupoid
 from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
@@ -132,7 +132,7 @@ def path_object(f: EquivariantFunctor) -> PathFactorization:
     A, P = f.dom, IP.base
     GA = A.base
     product, _, _ = equivariant_pullback(f, f)
-    obj_index, mor_index = product.base.compose.obj_index, product.base.compose.mor_index
+    obj_index, mor_index = pair_cells(product.base)
     d1 = EquivariantFunctor(
         A, IP,
         Functor(

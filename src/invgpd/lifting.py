@@ -107,16 +107,10 @@ def _seeds(left: EquivariantFunctor, obj_image: dict[str, str], mor_image: dict[
     return obj_seed, mor_seed
 
 
-def iter_fillers(P: LiftingProblem, budget: Budget | int | None = None):
-    """All diagonal fillers of the square, in deterministic order; raises
-    ``NonCommutingSquare`` if the square does not commute."""
-    P.check_commutes()
-    yield from _fillers(P, ensure_budget(budget))
-
-
 def _fillers(P: LiftingProblem, budget: Budget):
-    """The fillers ``iter_fillers`` yields, without its commutativity
-    check: for squares that commute by construction."""
+    """All diagonal fillers of the square, in deterministic order; the
+    caller checks that it commutes (``iter_squares`` builds only squares
+    that do)."""
     i, p, top, bottom = P.left, P.right, P.top, P.bottom
     seeds = _seeds(i, top.map.obj_map, top.map.mor_map)
     if seeds is None:
@@ -137,19 +131,14 @@ def _fillers(P: LiftingProblem, budget: Budget):
 def solve_lifting(P: LiftingProblem, budget: Budget | int | None = None,
                   count_all: bool = False):
     """First filler of the square, or None; with ``count_all`` also the
-    exact number of fillers (used for discrete-fibration uniqueness)."""
-    budget = ensure_budget(budget)
-    if count_all:
-        first = None
-        n = 0
-        for h in iter_fillers(P, budget):
-            if first is None:
-                first = h
-            n += 1
-        return first, n
-    for h in iter_fillers(P, budget):
-        return h
-    return None
+    exact number of fillers (used for discrete-fibration uniqueness).
+    Raises ``NonCommutingSquare`` if the square does not commute."""
+    P.check_commutes()
+    fillers = _fillers(P, ensure_budget(budget))
+    first = next(fillers, None)
+    if not count_all:
+        return first
+    return first, sum(1 for _ in fillers) + (first is not None)
 
 
 def iter_squares(left: EquivariantFunctor, right: EquivariantFunctor,

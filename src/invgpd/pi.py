@@ -8,7 +8,7 @@ of the right adjoint on f is built exactly from its finite data:
 * morphisms are pairs (u, v) of a base morphism and a transport, i.e. a
   functor from the pullback of the walking isomorphism at u to C over A;
   a transport's cells are the pullback's pairs (a, w) of a morphism of A
-  and one of the interval, addressed through ``core.pair_id`` only,
+  and one of the interval, read from its pair indexes (``core.pair_cells``),
 * composition stitches two transports using a chosen lift of the first
   base morphism; the result does not depend on the lift (an invariant
   re-checkable with ``lift_independent``), and associativity is verified
@@ -33,7 +33,7 @@ from .core import (
     functors_equal,
     interval,
     lifts_of,
-    pair_id,
+    pair_cells,
     pullback,
     subgroupoid,
 )
@@ -114,19 +114,22 @@ def _transport_key(pb: tuple[Groupoid, Functor, Functor], on_obj, on_mor) -> tup
     return _dict_key(v_obj, v_mor)
 
 
-def _stitch(GA: Groupoid, GC: Groupoid, v1: Functor, v2: Functor, h: str, lift: str) -> str:
+def _stitch(GA: Groupoid, GC: Groupoid, v1: Functor, ids1, v2: Functor, ids2,
+            h: str, lift: str) -> str:
     """The composite transport's value at (h, phi): v1 along ``lift`` (a
-    lift of the first base morphism at src h), then v2 along the rest of h."""
-    first = v1.mor_map[pair_id(lift, "phi")]
-    rest = v2.mor_map[pair_id(GA.comp(h, GA.inv(lift)), "phi")]
+    lift of the first base morphism at src h), then v2 along the rest of h;
+    ``ids1`` and ``ids2`` index the morphisms of v1's and v2's pullbacks."""
+    first = v1.mor_map[ids1[lift]["phi"]]
+    rest = v2.mor_map[ids2[GA.comp(h, GA.inv(lift))]["phi"]]
     return GC.comp(rest, first)
 
 
 def _restrict(v: Functor, fib: Groupoid, end: str) -> tuple:
     """Key of the section obtained by restricting a transport to one end."""
+    obj_index, mor_index = pair_cells(v.dom)
     idm = f"id({end})"
-    obj = {x: v.obj_map[pair_id(x, end)] for x in fib.objects}
-    mor = {m: v.mor_map[pair_id(m, idm)] for m in fib.morphisms}
+    obj = {x: v.obj_map[obj_index[x][end]] for x in fib.objects}
+    mor = {m: v.mor_map[mor_index[m][idm]] for m in fib.morphisms}
     return _dict_key(obj, mor)
 
 
@@ -205,19 +208,20 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
 
     def composite_rules(u1: str, v1: Functor, v2: Functor):
         """Per-pair rules of the transport of (u2, v2)∘(u1, v1) over u2∘u1."""
+        (obj1, mor1), (obj2, mor2) = pair_cells(v1.dom), pair_cells(v2.dom)
 
         @cache
         def along_phi(h: str) -> str:
-            return _stitch(GA, GC, v1, v2, h, least_lift(u1, GA.src(h)))
+            return _stitch(GA, GC, v1, mor1, v2, mor2, h, least_lift(u1, GA.src(h)))
 
         def on_obj(x: str, e: str) -> str:
-            return (v1 if e == "0" else v2).obj_map[pair_id(x, e)]
+            return v1.obj_map[obj1[x][e]] if e == "0" else v2.obj_map[obj2[x][e]]
 
         def on_mor(h: str, w: str) -> str:
             if w == "id(0)":
-                return v1.mor_map[pair_id(h, w)]
+                return v1.mor_map[mor1[h][w]]
             if w == "id(1)":
-                return v2.mor_map[pair_id(h, w)]
+                return v2.mor_map[mor2[h][w]]
             if w == "phi":
                 return along_phi(h)
             return GC.inv(along_phi(GA.inv(h)))
@@ -243,10 +247,11 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
     inverse: dict[str, str] = {}
     for mid in mids:
         v = morphisms_info[mid].transport
+        obj_index, mor_index = pair_cells(v.dom)
         inverse[mid] = find_transport(
             GB.inv(morphisms_info[mid].base_morphism),
-            lambda x, e: v.obj_map[pair_id(x, flip[e])],
-            lambda h, w: v.mor_map[pair_id(h, flip[w])],
+            lambda x, e: v.obj_map[obj_index[x][flip[e]]],
+            lambda h, w: v.mor_map[mor_index[h][flip[w]]],
             f"inverse of {mid}",
         )
 
@@ -268,10 +273,11 @@ def pi_of(g: EquivariantFunctor, f: EquivariantFunctor,
     inv_mor: dict[str, str] = {}
     for mid in mids:
         v = morphisms_info[mid].transport
+        obj_index, mor_index = pair_cells(v.dom)
         inv_mor[mid] = find_transport(
             beta.mor_map[morphisms_info[mid].base_morphism],
-            lambda x, e: gamma.obj_map[v.obj_map[pair_id(alpha.obj_map[x], e)]],
-            lambda h, w: gamma.mor_map[v.mor_map[pair_id(alpha.mor_map[h], w)]],
+            lambda x, e: gamma.obj_map[v.obj_map[obj_index[alpha.obj_map[x]][e]]],
+            lambda h, w: gamma.mor_map[v.mor_map[mor_index[alpha.mor_map[h]][w]]],
             f"involution image of {mid}",
         )
     dom_pi = InvolutiveGroupoid(dom, Functor(dom, dom, inv_obj, inv_mor))
@@ -311,6 +317,7 @@ def lift_independent(bundle: PiBundle, budget: Budget | int | None = None) -> bo
         v2 = bundle.morphisms_info[m2].transport
         u = GB.comp(u2, u1)
         want = bundle.morphisms_info[res].transport
+        ids1, ids2 = pair_cells(v1.dom)[1], pair_cells(v2.dom)[1]
         PBu, prA, prI = bundle.pullbacks[u]
         for o in PBu.morphisms:
             if prI.mor_map[o] != "phi":
@@ -319,7 +326,7 @@ def lift_independent(bundle: PiBundle, budget: Budget | int | None = None) -> bo
             x = GA.src(h)
             for lift in lifts_of(g.map, u1, x):
                 budget.spend()
-                if _stitch(GA, GC, v1, v2, h, lift) != want.mor_map[o]:
+                if _stitch(GA, GC, v1, ids1, v2, ids2, h, lift) != want.mor_map[o]:
                     return False
     return True
 
@@ -347,13 +354,14 @@ def adjunction_forward(bundle: PiBundle, h: EquivariantFunctor,
     check_slice_over(v, prA, f)
     D = h.dom.base
     GB = g.cod.base
+    obj_index, mor_index = pair_cells(P.base)
 
     obj_map: dict[str, str] = {}
     for x in D.objects:
         y = h.on_obj(x)
         fib = bundle.fibers[y]
-        s_obj = {z: v.map.obj_map[pair_id(z, x)] for z in fib.objects}
-        s_mor = {t: v.map.mor_map[pair_id(t, D.ident(x))] for t in fib.morphisms}
+        s_obj = {z: v.map.obj_map[obj_index[z][x]] for z in fib.objects}
+        s_mor = {t: v.map.mor_map[mor_index[t][D.ident(x)]] for t in fib.morphisms}
         oid = bundle.object_id(y, s_obj, s_mor)
         if oid is None:
             raise InvariantViolated(f"the transpose at {x} is no section")
@@ -367,8 +375,8 @@ def adjunction_forward(bundle: PiBundle, h: EquivariantFunctor,
         along = {"id(0)": D.ident(x), "id(1)": D.ident(x2), "phi": u, "inv(phi)": D.inv(u)}
         key = _transport_key(
             bundle.pullbacks[bu],
-            lambda z, e: v.map.obj_map[pair_id(z, ends[e])],
-            lambda t, w: v.map.mor_map[pair_id(t, along[w])],
+            lambda z, e: v.map.obj_map[obj_index[z][ends[e]]],
+            lambda t, w: v.map.mor_map[mor_index[t][along[w]]],
         )
         mid = bundle.transport_ids[bu].get(key)
         if mid is None:
@@ -387,6 +395,7 @@ def adjunction_backward(bundle: PiBundle, h: EquivariantFunctor,
         raise MalformedSliceMorphism("k must land in the dependent product")
     check_slice_over(k, h, bundle.projection)
     P, prA, prD = equivariant_pullback(g, h)
+    phi_ids = {u: pair_cells(pb[0])[1] for u, pb in bundle.pullbacks.items()}
 
     obj_map: dict[str, str] = {}
     for o in P.base.objects:
@@ -394,9 +403,8 @@ def adjunction_backward(bundle: PiBundle, h: EquivariantFunctor,
         obj_map[o] = s.obj_map[prA.on_obj(o)]
     mor_map: dict[str, str] = {}
     for m in P.base.morphisms:
-        t = prA.on_mor(m)
-        tr = bundle.morphisms_info[k.on_mor(prD.on_mor(m))].transport
-        mor_map[m] = tr.mor_map[pair_id(t, "phi")]
+        info = bundle.morphisms_info[k.on_mor(prD.on_mor(m))]
+        mor_map[m] = info.transport.mor_map[phi_ids[info.base_morphism][prA.on_mor(m)]["phi"]]
     v = EquivariantFunctor(P, f.dom, Functor(P.base, f.dom.base, obj_map, mor_map))
     check_slice_over(v, prA, f)
     return v

@@ -38,8 +38,9 @@ from .core import (
     compose_functors,
     discrete,
     functors_equal,
+    indexed_pair_id,
     lifts_of,
-    pair_id,
+    pair_cells,
 )
 from .equivariant import (
     EquivariantFunctor,
@@ -449,16 +450,15 @@ def classify_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle,
         raise InvariantViolated(f"classifying map: {'; '.join(problems[:3])}")
 
     PB, prB, _ = equivariant_pullback(g, bundle.p)
-    chi_obj = {
-        x: pair_id(f.on_obj(x), f"{g_obj[f.on_obj(x)]}@{rename[f.on_obj(x)][x]}")
-        for x in GC.objects
-    }
+    obj_index, mor_index = pair_cells(PB.base)
+    chi_obj = {}
+    for x in GC.objects:
+        y = f.on_obj(x)
+        chi_obj[x] = indexed_pair_id(obj_index, y, f"{g_obj[y]}@{rename[y][x]}")
     chi_mor = {}
     for m in GC.mor_ids():
         u = f.on_mor(m)
-        x = GC.src(m)
-        y = GB.src(u)
-        chi_mor[m] = pair_id(u, f"{g_mor[u]}@{rename[y][x]}")
+        chi_mor[m] = indexed_pair_id(mor_index, u, f"{g_mor[u]}@{rename[GB.src(u)][GC.src(m)]}")
     chi = EquivariantFunctor(C, PB, Functor(GC, PB.base, chi_obj, chi_mor))
     problems = validate_equivariant(chi)
     if problems:

@@ -402,6 +402,62 @@ def test_cli_in_process_calls_share_no_options(capsys):
     assert capsys.readouterr().out.startswith("PASS  classify")
 
 
+# -- in process: the paths the subprocess tests above cover out of process ------
+
+
+def json_records(capsys) -> list[dict]:
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cli_lift_fails_on_the_square_it_cannot_fill(capsys):
+    functors = bundled_document().functors
+    maps = {side: {"objects": functors[name].map.obj_map, "morphisms": functors[name].map.mor_map}
+            for side, name in (("top", "id_Icheck"), ("bottom", "nabla_to_point"))}
+    for extra, counted in (([], {}), (["--count"], {"fillers": 0})):
+        assert main(["lift", "no-fixed-point-lift", *extra, "--format", "json"]) == 1
+        [rec] = json_records(capsys)
+        assert rec["verdict"] == "FAIL"
+        assert rec["witness"] == {"square": "no-fixed-point-lift", **maps, **counted}
+
+
+def test_cli_classify_projective_reports_its_evidence(capsys):
+    assert main(["classify", "iprime", "--structure", "projective", "--format", "json"]) == 0
+    [rec] = json_records(capsys)
+    assert rec["verdict"] == "PASS"
+    assert rec["witness"] == {
+        "weak_equivalence": True, "fibration": False, "trivial_cofibration": False,
+        "cofibration_evidence": False,
+        "evidence_family": ["Icheck->1!", "nabla->1!", "SI->S1", "IcheckxIcheck->Icheck"],
+    }
+    assert main(["classify", "Icheck_to_point", "--structure", "projective",
+                 "--format", "json"]) == 0
+    assert json_records(capsys)[0]["witness"]["fibration"] is True
+
+
+def test_cli_universe_checks_univalence(capsys):
+    assert main(["universe", "--base", "2", "--check-univalence", "projective",
+                 "--format", "json"]) == 1
+    built, verdict = json_records(capsys)
+    assert built["verdict"] == "PASS"
+    assert (verdict["check"], verdict["verdict"]) == ("univalence (projective)", "FAILS")
+    swap = "<[{e0.e1}|{e0.e1}|e0>e0;e1>e1]->[{e0.e1}|{e0.e1}|e0>e0;e1>e1]:e0>e1;e1>e0>"
+    assert verdict["witness"] == {
+        "equivalence": swap,
+        "fixed_equivalence_outside_image": f"po({swap})",
+        "fixed_point_bijection": False,
+        "levelwise_equivalence": True,
+        "source_type": "[{e0.e1}|{e0.e1}|e0>e0;e1>e1]",
+        "target_type": "[{e0.e1}|{e0.e1}|e0>e0;e1>e1]",
+    }
+    assert main(["universe", "--base", "2", "--check-univalence", "injective",
+                 "--format", "json"]) == 0
+    _, verdict = json_records(capsys)
+    assert (verdict["check"], verdict["verdict"]) == ("univalence (injective)", "HOLDS")
+    assert verdict["witness"] == dict.fromkeys(
+        ["E_fibrant", "U_fibrant", "Utilde_fibrant", "delta1_trivial_cofibration",
+         "delta2_fibration", "p_fibration"], True)
+
+
 def test_cli_names_with_pair_id_separators(tmp_path, capsys):
     comma = tmp_path / "comma.gpd"
     comma.write_text(COMMA_DOC, encoding="utf-8")

@@ -13,17 +13,19 @@ from invgpd.equivariant import (
     attach_cell,
     attach_cells,
     eq_compose,
+    eq_identity,
     equivariant_coproduct,
     equivariant_product,
     equivariant_pullback,
     extend_over_cell,
     fixed_points,
     swap_double,
+    terminal_map,
     trivial_action,
     validate_equivariant,
     validate_involutive,
 )
-from invgpd.errors import InvalidAttachment, ShapeMismatch
+from invgpd.errors import CodomainMismatch, InvalidAttachment, ShapeMismatch
 from invgpd.generators import equivariant_functors, involutive_catalog, random_involutive
 from invgpd.lifting import StructureTag, generator_squares
 from invgpd.search import find_isomorphism, iter_functors
@@ -34,6 +36,15 @@ def test_registry_shapes_and_maps_are_valid():
         assert validate_involutive(X) == [], name
     for name, F in REGISTRY.maps.items():
         assert validate_equivariant(F) == [], name
+
+
+def test_pullback_of_maps_into_different_codomains_raises():
+    # the codomains are compared once, by core.pullback
+    X = REGISTRY.shape("Icheck")
+    with pytest.raises(CodomainMismatch):
+        equivariant_pullback(terminal_map(X), eq_identity(X))
+    P, _, _ = equivariant_pullback(terminal_map(X), terminal_map(REGISTRY.shape("nabla")))
+    assert P.base.n_objects == 2 * 3
 
 
 def test_icheck_has_no_fixed_points():

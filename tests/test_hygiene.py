@@ -163,3 +163,25 @@ def test_tracer_layers_name_package_functions():
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, (mod_name, fn_name)
         if tracks_budget:
             assert "budget" in inspect.signature(fn).parameters, (mod_name, fn_name)
+
+
+def test_only_core_names_or_indexes_pair_cells():
+    # core names a pullback's cells (pair_id), indexes and decodes them;
+    # every other module reads them through core.pair_cells
+    names = {"pair_id", "_PairComposites"}
+    attributes = names | {"obj_index", "mor_index"}
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        hits = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id in names:
+                hits.add(node.id)
+            elif isinstance(node, ast.alias) and node.name in names:
+                hits.add(node.name)
+            elif isinstance(node, ast.Attribute) and node.attr in attributes:
+                hits.add(f".{node.attr}")
+        if hits:
+            found[path.name] = sorted(hits)
+    assert found == {}

@@ -21,6 +21,7 @@ from invgpd.core import (
     pairing,
     pullback,
 )
+from invgpd.docformat import Document, dumps, loads
 from invgpd.equivariant import (
     EquivariantFunctor,
     diagonal,
@@ -175,6 +176,19 @@ def test_a_full_walk_reads_each_row_once_and_looks_nothing_up(name, counted):
     counted["getitem"] = 0
     assert_rows_and_walk(G, want)
     assert counted["getitem"] == 0
+
+
+def test_dumps_reads_each_row_of_a_pullback_once(counted):
+    P = walked_groupoids()["pullback"]
+    for g in P.morphisms:  # the factors keep the rows read here: count only P's
+        P.compose.row(g)
+    counted["getitem"] = counted["row"] = 0
+    text = dumps(Document(groupoids={"P": P}))
+    assert (counted["getitem"], counted["row"]) == (0, len(P.morphisms))
+    loaded = loads(text).groupoids["P"]
+    assert (loaded.objects, loaded.morphisms, loaded.identity, loaded.inverse) == (
+        P.objects, P.morphisms, P.identity, P.inverse)
+    assert loaded.compose == dict(P.compose.items())
 
 
 # -- maps that are not functors keep their pair IDs ------------------------------
