@@ -21,10 +21,10 @@ Conventions
 * Derived indexes (a groupoid's hom-sets, the morphisms out of each
   object, its non-identity morphisms in ID order, its per-morphism
   composite table, its spanning tree and whether its identities obey the
-  unit laws; whether a functor preserves identities) are built once per
-  value and cached on it. That is sound only because values are
-  immutable after construction: tables must not be edited once a
-  groupoid or functor is built.
+  unit laws; whether a functor preserves identities, and the fiber of
+  objects over each image) are built once per value and cached on it.
+  That is sound only because values are immutable after construction:
+  tables must not be edited once a groupoid or functor is built.
 * One construction per concept. A product is the pullback of the two
   functors to the point (:func:`terminal_functor`), :func:`subgroupoid`
   is the one restriction to a set of objects and morphisms (full, fixed
@@ -245,6 +245,7 @@ class Functor:
     obj_map: dict[str, str]
     mor_map: dict[str, str]
     _keeps_identities: bool | None = field(init=False, repr=False, compare=False, default=None)
+    _fibers: dict | None = field(init=False, repr=False, compare=False, default=None)
 
     def on_obj(self, x: str) -> str:
         return self.obj_map[x]
@@ -258,6 +259,19 @@ class Functor:
         if self._keeps_identities is None:
             self._keeps_identities = self._check_identities()
         return self._keeps_identities
+
+    def fibers(self) -> dict[str, list[tuple[int, str]]]:
+        """``image -> [(position, x), ...]``: the objects x of dom that go
+        to each image, with their positions in ``dom.objects``, in that
+        order. Built on first use; raises ``KeyError`` if an object of dom
+        has no image."""
+        if self._fibers is None:
+            fibers: dict[str, list[tuple[int, str]]] = {}
+            obj_map = self.obj_map
+            for pos, x in enumerate(self.dom.objects):
+                fibers.setdefault(obj_map[x], []).append((pos, x))
+            self._fibers = fibers
+        return self._fibers
 
     def _check_identities(self) -> bool:
         cod_ident, obj_map, mor_map = self.cod.identity, self.obj_map, self.mor_map

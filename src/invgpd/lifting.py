@@ -147,22 +147,51 @@ def iter_squares(left: EquivariantFunctor, right: EquivariantFunctor,
 
     Enumerated in the engine's lexicographic order, so the first failure
     reported by ``has_rlp`` is the least one.
+
+    The bottom search depends only on the seeds that p∘g gives. When a g
+    has the seeds of the g before it, that search is not run again: its
+    h's are replayed, each after a charge of the units the search spent
+    before yielding it, and the units it spent after its last h are
+    charged at the end. A bulk ``Budget.spend`` stops at the same unit as
+    single ones, so the squares yielded and ``budget.used`` at every point
+    are those of searching again. Only the last seeds' h's are kept, and
+    nothing outlives the call.
     """
     budget = ensure_budget(budget)
     A, B = left.dom, left.cod
     X, Y = right.dom, right.cod
     r_obj, r_mor = right.map.obj_map, right.map.mor_map
+    # _seeds inserts its keys in an order fixed by left alone, so equal
+    # seeds are equal item by item and ask for the same search
+    last_seeds = replay = tail = None
     for g in iter_functors(A.base, X.base, equiv=(A.involution, X.involution), budget=budget):
         seeds = _seeds(left, {a: r_obj[b] for a, b in g.obj_map.items()},
                        {m: r_mor[n] for m, n in g.mor_map.items()})
         if seeds is None:
             continue
+        top = EquivariantFunctor(A, X, g)
+        if seeds == last_seeds:
+            for units, bottom in replay:
+                budget.spend(units)
+                yield top, bottom
+            budget.spend(tail)
+            continue
         obj_seed, mor_seed = seeds
-        for h in iter_functors(
+        hs = iter_functors(
             B.base, Y.base, obj_seed=obj_seed, mor_seed=mor_seed,
             equiv=(B.involution, Y.involution), budget=budget,
-        ):
-            yield (EquivariantFunctor(A, X, g), EquivariantFunctor(B, Y, h))
+        )
+        replay = []
+        while True:
+            before = budget.used
+            h = next(hs, None)
+            units = budget.used - before
+            if h is None:
+                break
+            bottom = EquivariantFunctor(B, Y, h)
+            replay.append((units, bottom))
+            yield top, bottom
+        last_seeds, tail = seeds, units
 
 
 def functor_as_dict(F: EquivariantFunctor) -> dict:
@@ -281,24 +310,51 @@ def generator_orthogonal(q, tag: StructureTag) -> bool:
       "i"      -- y = data, with η(w) = w,
       "Si"     -- y = data,
       "iprime" -- ηy = tgt(m) for m = data, with η(w) = w∘m.
-    ``has_rlp`` stays the oracle the tests check it against.
+    Each condition is read once per component. Composing with t: r -> y
+    turns the squares and lifts at r into those at y, so a condition that
+    holds at r holds at y: "Si" and "iprime" (with m₂ = η(t)∘m∘t⁻¹) are
+    read at the spanning-tree roots of X, and "i", which only an η-fixed t
+    carries, at the roots of the fixed-point groupoid's components (the
+    fixed objects and η-fixed morphisms). That needs X and Y to obey the
+    laws, as ``classify_functor`` does. ``has_rlp`` stays the oracle the
+    tests check it against.
     """
     q = as_equivariant(q)
-    X, XB, q_mor = q.dom, q.dom.base, q.map.mor_map
-    key = lifts = None
-    for name, data, _, v in generator_squares(q, tag):
-        if (name, data) != key:  # the squares come grouped by (name, data)
-            key = (name, data)
-            if name == "i":
-                ws = [w for w in XB.out(data) if X.eta_mor(w) == w]
-            elif name == "Si":
-                ws = XB.out(data)
-            else:
-                ws = [w for w in XB.out(XB.tgt(data)) if X.eta_mor(w) == XB.comp(w, data)]
-            lifts = {q_mor[w] for w in ws}
-        if v not in lifts:
-            return False
+    X, Y = q.dom, q.cod
+    XB, YB, q_obj, q_mor = X.base, Y.base, q.map.obj_map, q.map.mor_map
+    if tag == StructureTag.GPD:
+        return all(
+            {v for v in YB.out(q_obj[r]) if Y.eta_mor(v) == v}
+            <= {q_mor[w] for w in XB.out(r) if X.eta_mor(w) == w}
+            for r in _fixed_roots(X))
+    roots = [x for x, (r, _) in XB.spanning_tree().items() if x == r]
+    if not all(set(YB.out(q_obj[r])) <= {q_mor[w] for w in XB.out(r)} for r in roots):
+        return False
+    if tag == StructureTag.PROJECTIVE:
+        return True
+    for r in roots:
+        er = X.eta_obj(r)
+        for m in XB.hom(r, er):
+            if X.eta_mor(m) != XB.inv(m):
+                continue
+            qm = q_mor[m]
+            lifts = {q_mor[w] for w in XB.out(er) if X.eta_mor(w) == XB.comp(w, m)}
+            if any(Y.eta_mor(v) == YB.comp(v, qm) and v not in lifts
+                   for v in YB.out(q_obj[er])):
+                return False
     return True
+
+
+def _fixed_roots(X: InvolutiveGroupoid) -> list[str]:
+    """The least object of each component of X's fixed-point groupoid.
+    The η-fixed morphisms out of a fixed object reach its whole component,
+    since they form a groupoid."""
+    XB, roots, seen = X.base, [], set()
+    for r in X.fixed_objects():
+        if r not in seen:
+            roots.append(r)
+            seen.update(XB.tgt(w) for w in XB.out(r) if X.eta_mor(w) == w)
+    return roots
 
 
 # -- structure predicate suites ------------------------------------------------

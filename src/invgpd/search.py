@@ -5,7 +5,8 @@ homotopy search, section enumeration and isomorphism search. It
 enumerates functors ``F: dom -> cod`` subject to optional constraints:
 
 * ``obj_seed`` / ``mor_seed``  -- pinned partial assignments,
-* ``post = (q, r)``            -- a post-composition equation ``q∘F = r``,
+* ``post = (q, r)``            -- a post-composition equation ``q∘F = r``
+                                  (q.dom is cod, r.dom is dom),
 * ``equiv = (ed, ec)``         -- an equivariance equation ``F∘ed = ec∘F``,
 * ``bijective``                -- restrict to isomorphisms.
 
@@ -20,13 +21,15 @@ that only confirms an existing image), per candidate morphism and per
 queued morphism that ``propagate`` processes. Two stretches never yield,
 so they count their units in a local int and charge them once, when they
 end: ``seed_morphism_stage`` (identities and ``mor_seed``) and
-``propagate``. ``solve_obj`` likewise counts the candidates that fail the
-``post`` object check and charges them before the next candidate it tries
-and at the end of its loop, never across a ``yield``. Because a bulk
-``Budget.spend(n)`` stops at the same unit as ``n`` single spends, and
-nothing is yielded in between, the functors yielded before
-``BudgetExceeded`` and the final ``budget.used`` are exactly those of
-charging every unit as it is spent.
+``propagate``. Under ``post``, ``solve_obj`` walks only the fiber of q over
+the image that r asks for (``Functor.fibers``, in cod's object order) and
+charges the candidates it skips, one unit each as the ``post`` object
+check would, in bulk: those before a fiber object when it tries that
+object, and those after the last at the end of its loop, never across a
+``yield``. Because a bulk ``Budget.spend(n)`` stops at the same unit as
+``n`` single spends, and nothing is yielded in between, the functors
+yielded before ``BudgetExceeded`` and the final ``budget.used`` are
+exactly those of charging every unit as it is spent.
 
 Identity pops are charged, not walked. The seed stage maps every identity
 of dom before any other morphism and the queue is LIFO, so the identities'
@@ -306,24 +309,23 @@ def iter_functors(
             undo_mor(trail)
             return
         x = obj_order[i]
-        # x is unmapped, so set_obj rejects a candidate off the post
-        # constraint for exactly one unit and no change; those are counted
-        # and charged before the next candidate that is tried, never
-        # carried across a yield
-        want = r.obj_map[x] if q is not None else None
-        rejected = 0
-        for c in cod.objects:
-            if q is not None and q.obj_map[c] != want:
-                rejected += 1
-                continue
-            if rejected:
-                budget.spend(rejected)
-                rejected = 0
+        # x is unmapped, so set_obj would reject a candidate off the post
+        # constraint for exactly one unit and no change: under post only
+        # the fiber of q over r(x) is tried, and the candidates skipped
+        # before each one (q.dom is cod, so the positions are cod's) are
+        # charged before it and the rest after the loop, never across a
+        # yield; without post nothing is skipped
+        candidates = (enumerate(cod.objects) if q is None
+                      else q.fibers().get(r.obj_map[x], ()))
+        last = -1
+        for pos, c in candidates:
+            budget.spend(pos - last - 1)
+            last = pos
             trail: list[str] = []
             if set_obj(x, c, trail):
                 yield from solve_obj(i + 1)
             undo_obj(trail)
-        budget.spend(rejected)
+        budget.spend(len(cod.objects) - last - 1)
 
     seed_trail: list[str] = []
     feasible = True

@@ -15,6 +15,7 @@ from invgpd.equivariant import (
     attach_cell,
     eq_compose,
     eq_identity,
+    equivariant_coproduct,
     equivariant_pullback,
     extend_over_cell,
     terminal_map,
@@ -35,6 +36,7 @@ from invgpd.generators import (
     random_involutive,
     random_projective_trivial_cofibration,
     random_stable_equivalent_subgroupoid,
+    z2_component,
 )
 from invgpd.lifting import (
     LiftingProblem,
@@ -327,6 +329,63 @@ def test_generator_orthogonal_matches_the_square_search_on_random_maps(seed):
         for tag in StructureTag:
             gens = generating_trivial_cofibrations(tag)
             assert generator_orthogonal(f, tag) == has_rlp(f, gens).ok
+
+
+def map_sum(f, g):
+    """f ⊔ g, with f's objects first, so that the least root is f's."""
+    dom, dl, dr = equivariant_coproduct(f.dom, g.dom)
+    cod, cl, cr = equivariant_coproduct(f.cod, g.cod)
+    obj_map, mor_map = {}, {}
+    for d, c, h in ((dl, cl, f), (dr, cr, g)):
+        obj_map.update({d.on_obj(x): c.on_obj(h.on_obj(x)) for x in h.dom.base.objects})
+        mor_map.update({d.on_mor(m): c.on_mor(h.on_mor(m)) for m in h.dom.base.morphisms})
+    return EquivariantFunctor(dom, cod, Functor(dom.base, cod.base, obj_map, mor_map))
+
+
+def twisted_fixed_points():
+    """Fixed objects a, b, c with two-element vertex groups, where η adds
+    φ(y) - φ(x) to m(x,y,e) for φ = (0, 1, 0): every morphism between a and
+    b is moved, and m(a,c,0) is fixed. Sent to the interval with a, b over
+    0 and c over 1, it fails "i" at b, whose fixed-point component is {b},
+    and not at a, whose is {a, c}."""
+    G = z2_component(("a", "b", "c"))
+    phi = {"a": 0, "b": 1, "c": 0}
+    eta = {m: f"m({x},{y},{(int(m[-2]) + phi[y] - phi[x]) % 2})"
+           for m, (x, y) in G.morphisms.items()}
+    X = InvolutiveGroupoid(G, Functor(G, G, {x: x for x in G.objects}, eta))
+    Y = REGISTRY.I
+    over = {"a": "0", "b": "0", "c": "1"}
+    q = Functor(G, Y.base, over,
+                {m: Y.base.hom(over[x], over[y])[0] for m, (x, y) in G.morphisms.items()})
+    return EquivariantFunctor(X, Y, q)
+
+
+def test_generator_orthogonal_reads_every_component():
+    """Maps that fail only in a component after the first one, of X or of
+    its fixed-point groupoid."""
+    nabla = eq_identity(REGISTRY.shape("nabla"))
+    cases = [
+        # "i" and "Si" fail at the point's image 0 of I
+        (map_sum(nabla, REGISTRY.map("i")), {"gpd": False, "projective": False,
+                                             "injective": False}),
+        # only "iprime" fails, at the fixed point of Icheck -> 1!
+        (map_sum(nabla, icheck_to_point()), {"gpd": True, "projective": True,
+                                             "injective": False}),
+        (twisted_fixed_points(), {"gpd": False, "projective": True, "injective": False}),
+    ]
+    for tag in StructureTag:
+        assert generator_orthogonal(nabla, tag)
+    for f, verdicts in cases:
+        for tag in StructureTag:
+            gens = generating_trivial_cofibrations(tag)
+            assert generator_orthogonal(f, tag) == has_rlp(f, gens).ok == verdicts[tag.value]
+    # the twisted case fails at b only, which a morphism that η moves joins to a
+    twisted = twisted_fixed_points()
+    witness = has_rlp(twisted, generating_trivial_cofibrations(StructureTag.GPD)).witness
+    assert witness["top"]["objects"] == {"*": "b"}
+    X = twisted.dom
+    assert X.fixed_objects() == ("a", "b", "c")
+    assert all(X.eta_mor(m) != m for m in X.base.hom("a", "b"))
 
 
 def square_cell(name, g, h):

@@ -9,23 +9,30 @@ spend count shows up here. The limit sweep was recorded from the search
 that charged one unit per ``spend()`` call, before stretches that cannot
 yield were charged in bulk: a bulk charge that stops at another unit, or
 lets one more functor out, shows up there. The ``rlp`` and ``llp`` runs,
-the square and filler searches that ``has_rlp`` and ``has_llp`` make, were
-recorded from the search that still walked each pop's identity partners and
-seeded the identities one ``assign_mor`` call at a time.
+the square and filler searches that ``has_rlp`` and ``has_llp`` made when
+every square ran its own bottom search, were recorded from the search that
+still walked each pop's identity partners and seeded the identities one
+``assign_mor`` call at a time; they are now made by a test-local copy of
+that square search, and ``has_rlp`` and ``has_llp``, which replay bottom
+searches, are checked against it.
 """
 
 import hashlib
+from functools import cache
 
 import pytest
 
 from invgpd import cli, docformat, lifting
-from invgpd.budget import Budget
+from invgpd.budget import Budget, ensure_budget
 from invgpd.core import Functor, Groupoid, identity_functor
-from invgpd.equivariant import InvolutiveGroupoid, terminal_map
+from invgpd.equivariant import EquivariantFunctor, InvolutiveGroupoid, terminal_map
 from invgpd.errors import BudgetExceeded
 from invgpd.generators import equivariant_functors, involutions_of, plain_catalog
 from invgpd.lifting import (
+    LiftingProblem,
+    OrthogonalityReport,
     StructureTag,
+    functor_as_dict,
     generating_trivial_cofibrations,
     has_llp,
     has_rlp,
@@ -83,15 +90,21 @@ def post_runs():
     ]
 
 
+@cache
+def recorded_maps() -> tuple:
+    """Each terminal map of the involutive catalog and one equivariant map
+    between each ordered pair of it."""
+    return tuple([terminal_map(X) for X in INVOLUTIVE] + [
+        g for X in INVOLUTIVE for Y in INVOLUTIVE for g in equivariant_functors(X, Y, limit=1)
+    ])
+
+
 def recorded_runs(check) -> list:
     """The ``(dom, cod, kwargs)`` of every search that ``check(f)`` makes,
-    for f each terminal map of the involutive catalog and one equivariant
-    map between each ordered pair of it. Square searches carry ``equiv``
-    and the seeds; filler searches carry ``obj_seed``, ``mor_seed``,
-    ``post`` and ``equiv`` together."""
-    maps = [terminal_map(X) for X in INVOLUTIVE] + [
-        g for X in INVOLUTIVE for Y in INVOLUTIVE for g in equivariant_functors(X, Y, limit=1)
-    ]
+    for f each of ``recorded_maps``. Square searches carry ``equiv`` and
+    the seeds; filler searches carry ``obj_seed``, ``mor_seed``, ``post``
+    and ``equiv`` together."""
+    maps = recorded_maps()
     runs = []
 
     def recording(dom, cod, *, budget, **kw):
@@ -105,13 +118,66 @@ def recorded_runs(check) -> list:
     return runs
 
 
+# -- the square search before it replayed bottom searches ----------------------
+#
+# ``has_rlp`` and ``has_llp`` as they were when every g ran its own bottom
+# search. They call ``iter_functors`` through ``lifting``, so that
+# ``recorded_runs`` sees their searches, and are the reference that the
+# replay is checked against.
+
+
+def reference_squares(left, right, budget):
+    A, B, X, Y = left.dom, left.cod, right.dom, right.cod
+    r_obj, r_mor = right.map.obj_map, right.map.mor_map
+    for g in lifting.iter_functors(A.base, X.base, equiv=(A.involution, X.involution),
+                                   budget=budget):
+        seeds = lifting._seeds(left, {a: r_obj[b] for a, b in g.obj_map.items()},
+                               {m: r_mor[n] for m, n in g.mor_map.items()})
+        if seeds is None:
+            continue
+        for h in lifting.iter_functors(B.base, Y.base, obj_seed=seeds[0], mor_seed=seeds[1],
+                                       equiv=(B.involution, Y.involution), budget=budget):
+            yield EquivariantFunctor(A, X, g), EquivariantFunctor(B, Y, h)
+
+
+def reference_orthogonality(pairs, key, budget=None):
+    budget = ensure_budget(budget)
+    checked = 0
+    for name, left, right in pairs:
+        for g, h in reference_squares(left, right, budget):
+            checked += 1
+            if next(lifting._fillers(LiftingProblem(left, right, g, h), budget), None) is None:
+                witness = {key: name, "top": functor_as_dict(g), "bottom": functor_as_dict(h)}
+                return OrthogonalityReport(False, checked, witness)
+    return OrthogonalityReport(True, checked)
+
+
+GENERATORS = generating_trivial_cofibrations(StructureTag.INJECTIVE)
+
+
+def ref_rlp(f, budget=None):
+    return reference_orthogonality([(n, gen, f) for n, gen in GENERATORS], "generator", budget)
+
+
+def ref_llp(f, budget=None):
+    return reference_orthogonality([(n, f, p) for n, p in sample_trivial_fibrations()], "test",
+                                   budget)
+
+
+def rlp(f, budget=None):
+    return has_rlp(f, GENERATORS, budget)
+
+
+def llp(f, budget=None):
+    return has_llp(f, sample_trivial_fibrations(), budget)
+
+
 def rlp_runs():
-    gens = generating_trivial_cofibrations(StructureTag.INJECTIVE)
-    return recorded_runs(lambda f: has_rlp(f, gens))
+    return recorded_runs(ref_rlp)
 
 
 def llp_runs():
-    return recorded_runs(lambda f: has_llp(f, sample_trivial_fibrations()))
+    return recorded_runs(ref_llp)
 
 
 @pytest.mark.parametrize("runs, expected", [
@@ -124,6 +190,127 @@ def llp_runs():
 ], ids=["plain", "bijective", "equiv", "post", "rlp", "llp"])
 def test_search_order_and_budget_are_pinned(runs, expected):
     assert catalog_digest(runs()) == expected
+
+
+def outcome(check, f, limit):
+    """The report of ``check(f)`` under ``limit``, or its ``BudgetExceeded``
+    message, with the units spent."""
+    budget = Budget(limit=limit)
+    try:
+        result = check(f, budget).to_dict()
+    except BudgetExceeded as exc:
+        result = str(exc)
+    return result, budget.used
+
+
+@pytest.mark.parametrize("check, reference", [(rlp, ref_rlp), (llp, ref_llp)],
+                         ids=["rlp", "llp"])
+def test_replayed_squares_stop_where_the_searches_did(check, reference):
+    """Replayed bottom searches give the report, or stop, at the unit where
+    searching again did: for a spread of limits per map, and at its full
+    spend and one unit under it, where a charge moved earlier would stop a
+    run that ends on a failing square."""
+    stops = failures = 0
+    for i, f in enumerate(recorded_maps()):
+        total = Budget()
+        reference(f, total)
+        step = max(7, total.used // 12)
+        for limit in sorted({*range(i % 7, total.used, step), total.used - 1, total.used}):
+            want = outcome(reference, f, limit)
+            assert outcome(check, f, limit) == want
+            stops += isinstance(want[0], str)
+            failures += isinstance(want[0], dict) and not want[0]["ok"]
+    assert stops and failures
+
+
+def square_trace(squares, budget) -> tuple[list, list]:
+    """Each square with the units spent when it was yielded, then the
+    units spent at the end; and the bottom maps."""
+    trace, bottoms = [], []
+    for g, h in squares:
+        trace.append((functor_bytes(g.map), functor_bytes(h.map), budget.used))
+        bottoms.append(h)
+    return trace + [budget.used], bottoms
+
+
+def test_replayed_squares_charge_each_unit_where_the_search_did():
+    """Every square comes with the units spent before it, as when each g
+    searched again: a replay that charges its units in one lump, or late,
+    shows up at its first square."""
+    replayed = 0
+    for f in recorded_maps():
+        pairs = [(gen, f) for _, gen in GENERATORS]
+        pairs += [(f, p) for _, p in sample_trivial_fibrations()]
+        for left, right in pairs:
+            budget = Budget()
+            found, bottoms = square_trace(lifting.iter_squares(left, right, budget), budget)
+            budget = Budget()
+            assert found == square_trace(reference_squares(left, right, budget), budget)[0]
+            # a replayed square yields the bottom map it recorded
+            replayed += len(bottoms) - len({id(h) for h in bottoms})
+    assert replayed
+
+
+@pytest.fixture(scope="module")
+def base3_bundle():
+    return build_universe(cli.base_elements(3))
+
+
+# universe-b3's injective fibrancy checks: p and the maps from U and Ũ to the
+# point, recorded from the search that ran a bottom search for every g; the
+# per-component kernel gives the same verdicts
+@pytest.mark.parametrize("name, report, units", [
+    ("p", {"ok": True, "squares_checked": 2484}, 482_409),
+    ("U", {"ok": True, "squares_checked": 104}, 39_825),
+    ("Utilde", {"ok": True, "squares_checked": 144}, 71_748),
+])
+def test_base3_fibrancy_checks_are_pinned(base3_bundle, name, report, units):
+    f = base3_bundle.p if name == "p" else terminal_map(getattr(base3_bundle, name))
+    budget = Budget()
+    assert (rlp(f, budget).to_dict(), budget.used) == (report, units)
+    assert lifting.generator_orthogonal(f, StructureTag.INJECTIVE) == report["ok"]
+
+
+@pytest.mark.parametrize("name, searches", [("p", [33, 61]), ("U", [1, 1]), ("Utilde", [1, 1])])
+def test_one_bottom_search_per_run_of_equal_seeds(base3_bundle, name, searches, monkeypatch):
+    """On p, the 63 Si squares' g's have 33 runs of equal seeds and the 81
+    iprime ones 61; every g into U or Ũ asks the same of the point."""
+    f = base3_bundle.p if name == "p" else terminal_map(getattr(base3_bundle, name))
+    runs = []
+
+    def recording(dom, cod, **kw):
+        runs.append((dom, kw))
+        return iter_functors(dom, cod, **kw)
+
+    monkeypatch.setattr(lifting, "iter_functors", recording)
+    rlp(f)
+    # bottom searches are the seeded searches without a post constraint
+    assert [sum(1 for dom, kw in runs if dom is gen.cod.base and "obj_seed" in kw
+                and "post" not in kw) for _, gen in GENERATORS] == searches
+
+
+# -- the post constraint reads candidates off the fiber -------------------------
+
+
+def test_fibers_are_the_walk_over_dom_objects():
+    fibers = 0
+    for A in CATALOG:
+        for B in CATALOG:
+            for F in iter_functors(A, B):
+                walk = {}
+                for pos, x in enumerate(A.objects):
+                    walk.setdefault(F.obj_map[x], []).append((pos, x))
+                assert F.fibers() == walk
+                fibers += len(walk)
+    assert fibers
+
+
+def test_post_functor_without_an_object_raises():
+    X = INVOLUTIVE[-1]
+    q = identity_functor(X.base)
+    lacking = Functor(q.dom, q.cod, dict(list(q.obj_map.items())[:-1]), q.mor_map)
+    with pytest.raises(KeyError):
+        next(iter_functors(X.base, X.base, post=(lacking, q)))
 
 
 def test_search_budget_exceeded_at_the_same_point():
