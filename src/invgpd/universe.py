@@ -25,7 +25,7 @@ growth are reported as OVERFLOW, never as failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -483,8 +483,14 @@ def equivalence_space(bundle: UniverseBundle) -> PathFactorization:
 
 @dataclass
 class UnivalenceReport:
+    """The verdict and its witness. The injective verdict's witness holds
+    one flag per check, and ``units`` the budget units each check spent,
+    under the same keys; ``units`` is not part of the witness and is empty
+    for the projective verdict, which runs no search."""
+
     verdict: str                 # "HOLDS" | "FAILS"
     witness: dict
+    units: dict[str, int] = field(default_factory=dict)
 
 
 def projective_univalence_witness(bundle: UniverseBundle,
@@ -542,16 +548,21 @@ def check_univalence(bundle: UniverseBundle, tag: StructureTag,
                 "fixed_point_bijection": bij,
             },
         )
-    checks = {
-        "delta1_trivial_cofibration": injective_classify(d1, budget).trivial_cofibration,
-        "delta2_fibration": is_injective_fibration(space.delta2, budget),
-        "p_fibration": is_injective_fibration(bundle.p, budget),
-        "U_fibrant": is_fibrant(bundle.U, StructureTag.INJECTIVE, budget),
-        "Utilde_fibrant": is_fibrant(bundle.Utilde, StructureTag.INJECTIVE, budget),
-        "E_fibrant": is_fibrant(space.path, StructureTag.INJECTIVE, budget),
-    }
+    checks: dict[str, bool] = {}
+    units: dict[str, int] = {}
+    for name, check in (
+        ("delta1_trivial_cofibration", lambda: injective_classify(d1, budget).trivial_cofibration),
+        ("delta2_fibration", lambda: is_injective_fibration(space.delta2, budget)),
+        ("p_fibration", lambda: is_injective_fibration(bundle.p, budget)),
+        ("U_fibrant", lambda: is_fibrant(bundle.U, StructureTag.INJECTIVE, budget)),
+        ("Utilde_fibrant", lambda: is_fibrant(bundle.Utilde, StructureTag.INJECTIVE, budget)),
+        ("E_fibrant", lambda: is_fibrant(space.path, StructureTag.INJECTIVE, budget)),
+    ):
+        before = budget.used
+        checks[name] = check()
+        units[name] = budget.used - before
     verdict = "HOLDS" if all(checks.values()) else "FAILS"
-    return UnivalenceReport(verdict=verdict, witness=checks)
+    return UnivalenceReport(verdict=verdict, witness=checks, units=units)
 
 
 # -- the function extensionality counterexample ----------------------------------

@@ -556,12 +556,37 @@ def test_cli_reports_match_benchmark_reference(capsys):
         assert out == (REFERENCE / name).read_text(encoding="utf-8"), name
 
 
-def test_cli_reproduce_budget_stops_at_the_same_unit(capsys):
+def test_cli_reproduce_budget_stops_at_the_same_unit(capsys, monkeypatch):
     """reproduce-paper --base 2 spends 188,198 units; one fewer is exit 3."""
     argv = ["reproduce-paper", "--base", "2", "--format", "json"]
     assert main([*argv, "--budget", "188197"]) == 3
     assert "(188198 > 188197 candidates)" in capsys.readouterr().err
     assert main([*argv, "--budget", "188198"]) == 0
+    capsys.readouterr()
+    # the last record charges the units that the checks on p, U and Ũ spent
+    # inside check_univalence: 9,288, 3,760 and 3,520 after the 171,630 of
+    # the injective-univalence record. Stops at the first and last unit of
+    # each, and between, come after that record and before the next, with
+    # the stderr of running the three checks again.
+    from invgpd import cli
+
+    reporters = []
+
+    class Recording(cli.Reporter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            reporters.append(self)
+
+    monkeypatch.setattr(cli, "Reporter", Recording)
+    for extra in (1, 9_288, 9_289, 13_048, 13_049, 16_567):
+        limit = 171_630 + extra
+        assert main([*argv, "--budget", str(limit)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: enumeration budget exceeded ({limit + 1} > {limit} candidates)\n")
+        records = reporters.pop().reports
+        assert [r["check"] for r in records][-1] == "injective-univalence"
+        assert records[-1]["budget_used"] == 171_630
 
 
 def test_cli_reproduce_builds_the_equivalence_space_once(monkeypatch, capsys):
@@ -579,6 +604,25 @@ def test_cli_reproduce_builds_the_equivalence_space_once(monkeypatch, capsys):
     assert main(["reproduce-paper", "--base", "2", "--format", "json"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_cli_reproduce_runs_each_fibrancy_check_once(monkeypatch, capsys):
+    """check_univalence(INJECTIVE) runs six square searches; the fibrancy
+    record reads three of them instead of running them again."""
+    from invgpd import cli, lifting
+
+    calls = []
+    original = lifting.has_rlp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, lifting):
+        monkeypatch.setattr(module, "has_rlp", counted)
+    assert main(["reproduce-paper", "--base", "2", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 6
 
 
 def test_cli_decompose_names_the_registry_cell(capsys):

@@ -14,18 +14,22 @@ every square ran its own bottom search, were recorded from the search that
 still walked each pop's identity partners and seeded the identities one
 ``assign_mor`` call at a time; they are now made by a test-local copy of
 that square search, and ``has_rlp`` and ``has_llp``, which replay bottom
-searches, are checked against it.
+searches, are checked against it. Dead leaves, which the search now
+charges instead of walking, are checked against ``reference_search``, a
+copy of the search that walked every leaf.
 """
 
 import hashlib
+from dataclasses import dataclass, field
 from functools import cache
 
 import pytest
 
+import reference_search
 from invgpd import cli, docformat, lifting
 from invgpd.budget import Budget, ensure_budget
 from invgpd.core import Functor, Groupoid, identity_functor
-from invgpd.equivariant import EquivariantFunctor, InvolutiveGroupoid, terminal_map
+from invgpd.equivariant import EquivariantFunctor, InvolutiveGroupoid, diagonal, terminal_map
 from invgpd.errors import BudgetExceeded
 from invgpd.generators import equivariant_functors, involutions_of, plain_catalog
 from invgpd.lifting import (
@@ -271,6 +275,17 @@ def test_base3_fibrancy_checks_are_pinned(base3_bundle, name, report, units):
     assert lifting.generator_orthogonal(f, StructureTag.INJECTIVE) == report["ok"]
 
 
+@pytest.mark.parametrize("tag", list(StructureTag), ids=lambda tag: tag.value)
+def test_generator_orthogonal_agrees_at_base3(base3_bundle, tag):
+    """The per-component kernel decides what the square search decides on
+    the closure checks' diagonal of p and on the maps from U and Ũ to the
+    point, for every tag."""
+    gens = generating_trivial_cofibrations(tag)
+    for f in (diagonal(base3_bundle.p), terminal_map(base3_bundle.U),
+              terminal_map(base3_bundle.Utilde)):
+        assert lifting.generator_orthogonal(f, tag) == has_rlp(f, gens).ok
+
+
 @pytest.mark.parametrize("name, searches", [("p", [33, 61]), ("U", [1, 1]), ("Utilde", [1, 1])])
 def test_one_bottom_search_per_run_of_equal_seeds(base3_bundle, name, searches, monkeypatch):
     """On p, the 63 Si squares' g's have 33 runs of equal seeds and the 81
@@ -509,3 +524,156 @@ def test_non_unit_identity_takes_the_generic_walk(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# -- dead leaves charged, against the search that walked them ------------------
+#
+# ``reference_search.iter_functors`` is the search before the dead-leaf rule:
+# it runs the seed stage at every leaf. Each run below must yield the same
+# functors, in the same order, with the same ``budget.used``: to its end, and
+# under limits that stop inside a leaf the rule charges, at the first and
+# the last unit of each part in which the reference spends that leaf.
+
+
+@dataclass
+class Ledger(Budget):
+    """A budget that records each charge as (units used before it, amount)."""
+
+    charges: list = field(default_factory=list, compare=False)
+
+    def spend(self, amount: int = 1) -> None:
+        self.charges.append((self.used, amount))
+        super().spend(amount)
+
+
+def search_trace(search, dom, cod, kw, budget) -> tuple[list, int, bool]:
+    """The bytes of each yielded functor, ``budget.used``, and whether the
+    budget ran out."""
+    found = []
+    try:
+        for F in search(dom, cod, budget=budget, **kw):
+            found.append(functor_bytes(F))
+    except BudgetExceeded:
+        return found, budget.used, True
+    return found, budget.used, False
+
+
+def charged_leaves(dom, cod, kw) -> list[list[tuple[int, int]]]:
+    """Check a full run against the reference, and give, for each leaf the
+    rule charged, the reference's charges inside it. The two ledgers differ
+    only there: one lump against the stage's parts."""
+    charged, walked = Ledger(), Ledger()
+    assert (search_trace(iter_functors, dom, cod, kw, charged)
+            == search_trace(reference_search.iter_functors, dom, cod, kw, walked))
+    parts = set(walked.charges)
+    return [[(s, a) for s, a in walked.charges if start <= s < start + units and a]
+            for start, units in charged.charges if (start, units) not in parts]
+
+
+def check_charged_leaves(runs) -> int:
+    """Every run agrees with the reference to its end, and when stopped at
+    each part of its first and last charged leaf; the number of charged
+    leaves."""
+    total = 0
+    for dom, cod, kw in runs:
+        leaves = charged_leaves(dom, cod, kw)
+        total += len(leaves)
+        for limit in sorted({limit for leaf in leaves[:1] + leaves[-1:]
+                             for s, a in leaf for limit in (s, s + a - 1)}):
+            assert (search_trace(iter_functors, dom, cod, kw, Budget(limit))
+                    == search_trace(reference_search.iter_functors, dom, cod, kw,
+                                    Budget(limit))), (kw, limit)
+    return total
+
+
+def square_runs(f) -> list:
+    """The top and bottom searches (those without ``post``) of ``has_rlp(f)``."""
+    runs = []
+
+    def recording(dom, cod, *, budget, **kw):
+        runs.append((dom, cod, kw))
+        return iter_functors(dom, cod, budget=budget, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifting, "iter_functors", recording)
+        rlp(f)
+    return [run for run in runs if "post" not in run[2]]
+
+
+# the leaves of those searches the rule charges: 1,210 of the 2,102 leaves
+# for p at |V| = 3, and 1,418 of the 1,904 for delta2 at |V| = 2; none for
+# the maps from U and Ũ to the point, whose top searches meet no dead leaf
+# and whose bottom searches into the point have one leaf each
+@pytest.mark.parametrize("name, charged", [
+    ("p", 1210), ("U", 0), ("Utilde", 0), ("delta2", 1418),
+])
+def test_has_rlp_square_searches_charge_dead_leaves_exactly(base3_bundle, base2_maps,
+                                                            name, charged):
+    if name == "delta2":
+        f = base2_maps["q"]
+    else:
+        f = base3_bundle.p if name == "p" else terminal_map(getattr(base3_bundle, name))
+    assert check_charged_leaves(square_runs(f)) == charged
+
+
+def unseeded_runs():
+    # obj_seed pins o0 and mor_seed one morphism m with an end outside it
+    # (an identity among them); the stage then repeats only at the leaves
+    # that agree with the first on m's other end. When n does not end at
+    # cod's first object, the first leaf's stage fails.
+    runs = []
+    for A, B in ((CATALOG[3], CATALOG[14]), (CATALOG[12], CATALOG[14]),
+                 (CATALOG[14], CATALOG[10])):
+        x0 = A.objects[0]
+        for c in B.objects:
+            for m, ends in A.morphisms.items():
+                if ends != (x0, x0):
+                    runs += [(A, B, {"obj_seed": {x0: c}, "mor_seed": {m: n}})
+                             for n in B.morphisms]
+    return runs
+
+
+def lawless_post_runs():
+    # q sends the identity of B's last object to the non-identity of the z2
+    # point, so under post the seed stage fails exactly at the leaves that
+    # send an object there; the first leaf sends every object to B's first
+    point = CATALOG[2]
+    (star,), g = point.objects, point.non_identities()[0]
+    runs = []
+    for A in CATALOG[1:]:
+        r = Functor(A, point, dict.fromkeys(A.objects, star),
+                    dict.fromkeys(A.morphisms, point.identity[star]))
+        for B in CATALOG[1:]:
+            last = B.identity[B.objects[-1]]
+            q = Functor(B, point, dict.fromkeys(B.objects, star),
+                        {n: g if n == last else point.identity[star] for n in B.morphisms})
+            runs.append((A, B, {"post": (q, r)}))
+    return runs
+
+
+# the identity of b is not a unit (id(b) . id(b) = f), so the identities are
+# walked: the stage fails at the leaves that send an object to b, but not at
+# the first, which sends every object to a
+NON_UNIT_COD = docformat.loads("""
+groupoid G
+  objects a b c
+  morphism f : b -> b
+  inverse f = f
+  compose id(b) . id(b) = f
+""").groupoids["G"]
+
+
+def non_unit_cod_runs():
+    return [(A, NON_UNIT_COD, kw) for A in CATALOG[1:]
+            for kw in [{}, *({"obj_seed": {A.objects[0]: c}} for c in NON_UNIT_COD.objects)]]
+
+
+# the catalog searches without post, and the cases the rule must leave alone:
+# a seed with an end outside obj_seed, a post constraint that fails at some
+# leaves only, and a cod whose identities are not units
+@pytest.mark.parametrize("runs, charged", [
+    (plain_runs, 696), (equivariant_runs, 50), (unseeded_runs, 0),
+    (lawless_post_runs, 0), (non_unit_cod_runs, 0),
+], ids=["plain", "equiv", "unseeded", "lawless-post", "non-unit-cod"])
+def test_catalog_searches_charge_dead_leaves_exactly(runs, charged):
+    assert check_charged_leaves(runs()) == charged
