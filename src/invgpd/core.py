@@ -18,11 +18,12 @@ Conventions
   "least witness" always means lexicographically least. The key order of
   a table, stored or computed, is deterministic but not otherwise
   promised; JSON output is written with sorted keys.
-* Derived indexes (a groupoid's hom-sets, the morphisms out of each
-  object, its non-identity morphisms in ID order, its per-morphism
-  composite table, its spanning tree and whether its identities obey the
-  unit laws; whether a functor preserves identities, and the fiber of
-  objects over each image) are built once per value and cached on it.
+* Derived indexes (a groupoid's morphism IDs in order, its hom-sets,
+  the morphisms out of each object, its non-identity morphisms in ID
+  order, its per-morphism composite table, its spanning tree and whether
+  its identities obey the unit laws; whether a functor preserves
+  identities, and the fiber of objects over each image) are built once
+  per value and cached on it.
   That is sound only because values are immutable after construction:
   tables must not be edited once a groupoid or functor is built.
 * One construction per concept. A product is the pullback of the two
@@ -93,6 +94,7 @@ class Groupoid:
     _hom: dict[tuple[str, str], tuple[str, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _mor_ids: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
     _out: dict[str, tuple[str, ...]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -109,8 +111,9 @@ class Groupoid:
 
     def __post_init__(self):
         self.objects = tuple(sorted(self.objects))
+        self._mor_ids = tuple(sorted(self.morphisms))
         hom: dict[tuple[str, str], list[str]] = {}
-        for m in sorted(self.morphisms):
+        for m in self._mor_ids:
             hom.setdefault(self.morphisms[m], []).append(m)
         self._hom = {k: tuple(v) for k, v in hom.items()}
 
@@ -189,6 +192,10 @@ class Groupoid:
             self._tree = tree
         return self._tree
 
+    def roots(self) -> list[str]:
+        """The roots of ``spanning_tree``, in object order."""
+        return [x for x, (r, _) in self.spanning_tree().items() if x == r]
+
     def identities_are_units(self) -> bool:
         """Is every identity a distinct endomorphism of its object, its own
         inverse and a two-sided unit? Checked on first use; never raises,
@@ -222,7 +229,7 @@ class Groupoid:
         return s == t and self.identity.get(s) == m
 
     def mor_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.morphisms))
+        return self._mor_ids
 
     @property
     def n_objects(self) -> int:
@@ -512,9 +519,7 @@ def is_functor(F: Functor) -> bool:
     d_comp, c_comp, c_inv = dom.compose, F.cod.compose, F.cod.inverse
     tree = dom.spanning_tree()
     try:
-        for x, (r, _) in tree.items():  # (a)
-            if x != r:
-                continue
+        for r in dom.roots():  # (a)
             aut = dom.hom(r, r)
             for g in aut:
                 Fg = mor_map[g]
@@ -554,6 +559,22 @@ def lifts_of(F: Functor, h: str, x: str) -> list[str]:
     return [m for m in sorted(F.dom.out(x)) if F.mor_map[m] == h]
 
 
+def lift_census(F: Functor) -> tuple[bool, bool]:
+    """``(isofibration, discrete_fibration)``: does every morphism out of
+    F(x) have a lift out of x, and exactly one? A tree arrow t: r -> x
+    turns the lifts out of r into those out of x (m -> m∘t⁻¹), so the
+    census at the roots of dom's spanning tree decides both flags. F must
+    be a functor between groupoids that obey the laws (unchecked here)."""
+    discrete_fib = True
+    for r in F.dom.roots():
+        images = [F.mor_map[m] for m in F.dom.out(r)]
+        n_out = len(F.cod.out(F.obj_map[r]))
+        if len(set(images)) != n_out:
+            return False, False
+        discrete_fib = discrete_fib and len(images) == n_out
+    return True, discrete_fib
+
+
 def classify_functor(F: Functor) -> FunctorReport:
     """Decide the standard predicate flags of a functor by enumeration.
 
@@ -566,7 +587,7 @@ def classify_functor(F: Functor) -> FunctorReport:
     vertex group Aut(r), and full iff it maps each Aut(r) onto Aut(F r)
     and sends distinct components of dom into distinct components of
     cod. It is essentially surjective iff it meets every component of
-    cod. The fibration flags read the morphisms out of each root.
+    cod. The fibration flags are :func:`lift_census`'s.
     On other input the flags mean nothing.
     """
     require_valid_functor(F)
@@ -575,7 +596,7 @@ def classify_functor(F: Functor) -> FunctorReport:
 
     inj = len(set(obj_map.values())) == len(obj_map)
 
-    roots = [x for x, (r, _) in G.spanning_tree().items() if x == r]
+    roots = G.roots()
     full = True
     faithful = True
     for r in roots:
@@ -587,16 +608,8 @@ def classify_functor(F: Functor) -> FunctorReport:
     cod_tree = H.spanning_tree()
     hit = {cod_tree[obj_map[r]][0] for r in roots}  # the components F meets
     full = full and len(hit) == len(roots)
-    ess = len(hit) == sum(1 for y, (r, _) in cod_tree.items() if y == r)
-
-    # a tree arrow t: r -> x turns the lifts out of r into those out of x
-    # (m -> m∘t⁻¹), so the lift census at each root decides both flags
-    isofib = discrete_fib = True
-    for r in roots:
-        images = [mor_map[m] for m in G.out(r)]
-        n_out = len(H.out(obj_map[r]))
-        isofib = isofib and len(set(images)) == n_out
-        discrete_fib = discrete_fib and len(images) == n_out
+    ess = len(hit) == len(H.roots())
+    isofib, discrete_fib = lift_census(F)
 
     return FunctorReport(
         injective_on_objects=inj,
@@ -605,7 +618,7 @@ def classify_functor(F: Functor) -> FunctorReport:
         essentially_surjective=ess,
         equivalence=full and faithful and ess,
         isofibration=isofib,
-        discrete_fibration=isofib and discrete_fib,
+        discrete_fibration=discrete_fib,
     )
 
 

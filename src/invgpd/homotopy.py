@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
-from .core import Functor, Groupoid, classify_functor, indexed_pair_id, pair_cells, subgroupoid
+from .core import Functor, Groupoid, classify_functor, indexed_pair_id, pair_cells
 from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
@@ -32,7 +32,7 @@ from .equivariant import (
     terminal_map,
 )
 from .errors import CodomainMismatch
-from .lifting import StructureTag, factorize
+from .lifting import StructureTag, factorize, fixed_point_bijection
 from .search import iter_functors
 
 
@@ -268,7 +268,7 @@ def witness_from_iso(f: EquivariantFunctor, g: EquivariantFunctor,
 def find_right_homotopy(
     f: EquivariantFunctor,
     g: EquivariantFunctor,
-    tag=None,
+    tag: StructureTag = StructureTag.PROJECTIVE,
     budget: Budget | int | None = None,
 ) -> HomotopyWitness | None:
     """Search for a right homotopy from f to g (over the point).
@@ -286,8 +286,6 @@ def find_right_homotopy(
     witness is the induced map into the explicit tuple path object (the
     image of the glued witness under the comparison map).
     """
-    if tag is None:
-        tag = StructureTag.PROJECTIVE
     if f.dom.base != g.dom.base or f.cod.base != g.cod.base:
         raise CodomainMismatch("homotopy needs parallel maps")
     budget = ensure_budget(budget)
@@ -297,25 +295,18 @@ def find_right_homotopy(
     return witness_from_iso(f, g, nu)
 
 
-def full_fixed_isomorphism(f: EquivariantFunctor) -> bool:
-    """Does f restrict to an isomorphism of the full fixed subgroupoids?"""
-    Gf, _ = subgroupoid(f.dom.base, f.dom.fixed_objects())
-    Hf, _ = subgroupoid(f.cod.base, f.cod.fixed_objects())
-    objs = [f.on_obj(x) for x in Gf.objects]
-    if len(set(objs)) != len(objs) or set(objs) != set(Hf.objects):
-        return False
-    mors = [f.on_mor(m) for m in Gf.morphisms]
-    return len(set(mors)) == len(mors) and set(mors) == set(Hf.morphisms)
-
-
 def is_homotopy_equivalence_projective(f: EquivariantFunctor) -> bool:
-    """Levelwise equivalence inducing an isomorphism of full fixed subgroupoids."""
-    rep = classify_functor(f.map)
-    return rep.equivalence and full_fixed_isomorphism(f)
+    """Is f a levelwise equivalence inducing an isomorphism of the full
+    fixed subgroupoids? A levelwise equivalence is fully faithful, so it
+    maps each hom-set between fixed objects bijectively; the induced map
+    of full fixed subgroupoids is then an isomorphism exactly when it is
+    a bijection on fixed objects (:func:`fixed_point_bijection`)."""
+    return classify_functor(f.map).equivalence and fixed_point_bijection(f)
 
 
 def find_homotopy_inverse(
-    f: EquivariantFunctor, tag=None, budget: Budget | int | None = None
+    f: EquivariantFunctor, tag: StructureTag = StructureTag.PROJECTIVE,
+    budget: Budget | int | None = None,
 ) -> tuple[EquivariantFunctor, HomotopyWitness, HomotopyWitness] | None:
     """Brute-force homotopy inverse: enumerate candidates g and homotopies
     f∘g ~ id and g∘f ~ id (projective homotopies by default)."""

@@ -32,7 +32,7 @@ from enum import Enum
 from functools import cache
 
 from .budget import Budget, ensure_budget
-from .core import classify_functor, compose_functors, functors_equal
+from .core import FunctorReport, classify_functor, compose_functors, functors_equal, lift_census
 from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
@@ -315,9 +315,10 @@ def generator_orthogonal(q, tag: StructureTag) -> bool:
     holds at r holds at y: "Si" and "iprime" (with m₂ = η(t)∘m∘t⁻¹) are
     read at the spanning-tree roots of X, and "i", which only an η-fixed t
     carries, at the roots of the fixed-point groupoid's components (the
-    fixed objects and η-fixed morphisms). That needs X and Y to obey the
-    laws, as ``classify_functor`` does. ``has_rlp`` stays the oracle the
-    tests check it against.
+    fixed objects and η-fixed morphisms). "Si" is the isofibration flag of
+    ``core.lift_census``. That needs X and Y to obey the laws, as
+    ``classify_functor`` does. ``has_rlp`` stays the oracle the tests
+    check it against.
     """
     q = as_equivariant(q)
     X, Y = q.dom, q.cod
@@ -327,12 +328,11 @@ def generator_orthogonal(q, tag: StructureTag) -> bool:
             {v for v in YB.out(q_obj[r]) if Y.eta_mor(v) == v}
             <= {q_mor[w] for w in XB.out(r) if X.eta_mor(w) == w}
             for r in _fixed_roots(X))
-    roots = [x for x, (r, _) in XB.spanning_tree().items() if x == r]
-    if not all(set(YB.out(q_obj[r])) <= {q_mor[w] for w in XB.out(r)} for r in roots):
+    if not lift_census(q.map)[0]:  # "Si": q is an isofibration
         return False
     if tag == StructureTag.PROJECTIVE:
         return True
-    for r in roots:
+    for r in XB.roots():
         er = X.eta_obj(r)
         for m in XB.hom(r, er):
             if X.eta_mor(m) != XB.inv(m):
@@ -361,10 +361,19 @@ def _fixed_roots(X: InvolutiveGroupoid) -> list[str]:
 
 
 def fixed_point_bijection(f: EquivariantFunctor) -> bool:
+    """Is f a bijection from the fixed objects of dom onto those of cod?"""
     dom_fixed = f.dom.fixed_objects()
     cod_fixed = set(f.cod.fixed_objects())
     image = [f.on_obj(x) for x in dom_fixed]
     return len(set(image)) == len(image) and set(image) == cod_fixed
+
+
+def _trivial_cofibration(f: EquivariantFunctor, rep: FunctorReport, tag: StructureTag) -> bool:
+    """The trivial-cofibration rule, read off f's ``classify_functor``
+    report: levelwise (injective on objects and an equivalence), and
+    projectively also a bijection on fixed objects."""
+    lw = rep.injective_on_objects and rep.equivalence
+    return lw and (tag != StructureTag.PROJECTIVE or fixed_point_bijection(f))
 
 
 @dataclass
@@ -413,13 +422,12 @@ def projective_classify(f, budget: Budget | int | None = None) -> ProjectiveRepo
     """
     f = as_equivariant(f)
     rep = classify_functor(f.map)
-    lw_tc = rep.injective_on_objects and rep.equivalence
     family = sample_trivial_fibrations()
     evidence = has_llp(f, family, budget).ok
     return ProjectiveReport(
         weak_equivalence=rep.equivalence,
         fibration=rep.isofibration,
-        trivial_cofibration=lw_tc and fixed_point_bijection(f),
+        trivial_cofibration=_trivial_cofibration(f, rep, StructureTag.PROJECTIVE),
         cofibration_evidence=evidence,
         evidence_family=tuple(name for name, _ in family),
     )
@@ -445,7 +453,7 @@ def injective_classify(f, budget: Budget | int | None = None) -> InjectiveReport
         cofibration=rep.injective_on_objects,
         weak_equivalence=rep.equivalence,
         fibration=is_injective_fibration(f, budget),
-        trivial_cofibration=rep.injective_on_objects and rep.equivalence,
+        trivial_cofibration=_trivial_cofibration(f, rep, StructureTag.INJECTIVE),
     )
 
 
@@ -458,11 +466,7 @@ def is_fibrant(X: InvolutiveGroupoid, tag: StructureTag,
 
 def is_trivial_cofibration(f, tag: StructureTag) -> bool:
     f = as_equivariant(f)
-    rep = classify_functor(f.map)
-    lw = rep.injective_on_objects and rep.equivalence
-    if tag == StructureTag.PROJECTIVE:
-        return lw and fixed_point_bijection(f)
-    return lw  # GPD levelwise; INJECTIVE trivial cofibrations are levelwise
+    return _trivial_cofibration(f, classify_functor(f.map), tag)
 
 
 # -- cell decomposition ---------------------------------------------------------

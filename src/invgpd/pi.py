@@ -31,13 +31,13 @@ from .core import (
     classify_functor,
     compose_functors,
     functors_equal,
-    interval,
     lifts_of,
     pair_cells,
     pullback,
     subgroupoid,
 )
 from .equivariant import (
+    REGISTRY,
     EquivariantFunctor,
     InvolutiveGroupoid,
     equivariant_pullback,
@@ -87,18 +87,16 @@ def _dict_key(obj_map: dict, mor_map: dict) -> tuple:
 def fiber_groupoid(g: EquivariantFunctor, y: str) -> tuple[Groupoid, Functor]:
     """Objects of A over y and morphisms of A over the identity of y,
     with the inclusion into A."""
-    A = g.dom.base
     idy = g.cod.base.ident(y)
-    return subgroupoid(A, [x for x in A.objects if g.on_obj(x) == y],
+    return subgroupoid(g.dom.base, [x for _, x in g.map.fibers().get(y, ())],
                        keep=lambda m: g.on_mor(m) == idy)
 
 
 def interval_functor(B: Groupoid, u: str) -> Functor:
-    """The functor from the walking isomorphism picking out u."""
-    I = interval()
+    """The functor from the walking isomorphism ``REGISTRY.I`` picking out u."""
     s, t = B.morphisms[u]
     return Functor(
-        I, B,
+        REGISTRY.I.base, B,
         {"0": s, "1": t},
         {"id(0)": B.ident(s), "id(1)": B.ident(t), "phi": u, "inv(phi)": B.inv(u)},
     )

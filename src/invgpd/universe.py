@@ -358,18 +358,10 @@ def build_universe(V, budget: Budget | int | None = None) -> UniverseBundle:
 # -- small fibrations -----------------------------------------------------------
 
 
-def _fiber_sizes(f: EquivariantFunctor) -> dict[str, int]:
-    """The number of objects over each codomain object."""
-    sizes = dict.fromkeys(f.cod.base.objects, 0)
-    for x in f.dom.base.objects:
-        sizes[f.on_obj(x)] += 1
-    return sizes
-
-
 def _closure_verdict(f: EquivariantFunctor, bundle: UniverseBundle) -> tuple[str, dict]:
     rep = classify_functor(f.map)
     cap = len(bundle.base)
-    sizes = _fiber_sizes(f)
+    sizes = {y: len(xs) for y, xs in f.map.fibers().items()}
     too_big = {y: n for y, n in sizes.items() if n > cap}
     if not rep.discrete_fibration:
         return "FAIL", {"discrete_fibration": False}
@@ -411,8 +403,8 @@ def classify_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle,
     GC, GB = C.base, Bp.base
     V = bundle.base
 
-    fiber_objs = {y: sorted(x for x in GC.objects if f.on_obj(x) == y) for y in GB.objects}
-    rename = {y: {x: V[i] for i, x in enumerate(fiber_objs[y])} for y in GB.objects}
+    fibers = f.map.fibers()
+    rename = {y: {x: V[i] for i, (_, x) in enumerate(fibers.get(y, ()))} for y in GB.objects}
 
     def unique_lift(u: str, x: str) -> str:
         ls = lifts_of(f.map, u, x)
@@ -423,15 +415,12 @@ def classify_small_fibration(f: EquivariantFunctor, bundle: UniverseBundle,
     def transport(u: str) -> dict:
         # fiber(src u) -> fiber(tgt u) on renamed elements
         y, y2 = GB.morphisms[u]
-        out = {}
-        for x in fiber_objs[y]:
-            out[rename[y][x]] = rename[y2][GC.tgt(unique_lift(u, x))]
-        return out
+        return {v: rename[y2][GC.tgt(unique_lift(u, x))] for x, v in rename[y].items()}
 
     g_obj: dict[str, str] = {}
     for y in GB.objects:
         ey = Bp.eta_obj(y)
-        phi = {rename[y][x]: rename[ey][C.eta_obj(x)] for x in fiber_objs[y]}
+        phi = {v: rename[ey][C.eta_obj(x)] for x, v in rename[y].items()}
         oid = bundle.u_object_id(rename[y].values(), rename[ey].values(), phi)
         if oid is None:
             raise InvariantViolated(f"the fiber over {y} is no object of U")
@@ -502,9 +491,8 @@ def projective_univalence_witness(bundle: UniverseBundle,
     """
     space = space or equivalence_space(bundle)
     image = set(space.delta1.map.obj_map.values())
-    E = space.path
-    for eid in E.base.objects:
-        if E.eta_obj(eid) == eid and eid not in image:
+    for eid in space.path.fixed_objects():
+        if eid not in image:
             return eid
     raise BaseTooSmall("no non-identity fixed equivalence exists over this base")
 
@@ -517,8 +505,10 @@ def check_univalence(bundle: UniverseBundle, tag: StructureTag,
 
     ``space`` is E with its two legs, as built by
     ``equivalence_space(bundle)``; pass it to share one build between the
-    two structures.
+    two structures. Raises ``ValueError`` for any other tag.
     """
+    if tag not in (StructureTag.PROJECTIVE, StructureTag.INJECTIVE):
+        raise ValueError(f"univalence is decided projectively or injectively, not {tag.value}")
     budget = ensure_budget(budget)
     space = space or equivalence_space(bundle)
     d1 = space.delta1

@@ -2,7 +2,7 @@
 
 import random
 
-from invgpd.core import Functor, classify_functor
+from invgpd.core import Functor, classify_functor, subgroupoid
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
@@ -156,6 +156,29 @@ def test_homotopy_equivalence_examples():
     assert is_homotopy_equivalence_projective(f)
     assert not is_homotopy_equivalence_projective(terminal_map(REGISTRY.shape("Icheck")))
     assert is_homotopy_equivalence_projective(eq_identity(REGISTRY.shape("nabla")))
+
+
+def full_fixed_isomorphism(f) -> bool:
+    """Does f restrict to an isomorphism of the full fixed subgroupoids?
+    Built from the subgroupoids themselves, objects and morphisms both."""
+    Gf, _ = subgroupoid(f.dom.base, f.dom.fixed_objects())
+    Hf, _ = subgroupoid(f.cod.base, f.cod.fixed_objects())
+    objs = [f.on_obj(x) for x in Gf.objects]
+    if len(set(objs)) != len(objs) or set(objs) != set(Hf.objects):
+        return False
+    mors = [f.on_mor(m) for m in Gf.morphisms]
+    return len(set(mors)) == len(mors) and set(mors) == set(Hf.morphisms)
+
+
+def test_homotopy_equivalence_is_full_fixed_isomorphism():
+    # a levelwise equivalence is fully faithful, so bijective on fixed
+    # objects means an isomorphism of the full fixed subgroupoids
+    catalog = involutive_catalog(2, vertex_z2=True)
+    maps = [f for X in catalog for Y in catalog for f in equivariant_functors(X, Y)]
+    assert len(maps) == 564
+    for f in maps:
+        want = classify_functor(f.map).equivalence and full_fixed_isomorphism(f)
+        assert is_homotopy_equivalence_projective(f) == want, f.map
 
 
 def test_homotopy_inverse_search_examples():

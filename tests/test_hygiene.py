@@ -67,9 +67,10 @@ def parsed(paths) -> list[ast.AST]:
 
 
 def test_every_public_definition_is_used():
-    # a public function or class of the package must be used by code other
-    # than its own definition and the re-exports of __init__.py: by the
-    # package, the tests or the benchmark
+    # a public function or class of the package, or a public method of any
+    # class in it, must be used by code other than its own definition and
+    # the re-exports of __init__.py: by the package, the tests or the
+    # benchmark
     modules = {
         path: ast.parse(path.read_text(encoding="utf-8")).body
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
@@ -84,10 +85,18 @@ def test_every_public_definition_is_used():
     for path, body in modules.items():
         used = outside.union(*(r for other, refs in uses.items() if other != path for r in refs))
         for k, node in enumerate(body):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name not in used.union(*uses[path][:k], *uses[path][k + 1:]):
+            elsewhere = used.union(*uses[path][:k], *uses[path][k + 1:])
+            if not node.name.startswith("_") and node.name not in elsewhere:
                 unused.append(f"{path.name}: {node.name}")
+            if isinstance(node, ast.FunctionDef):
+                continue
+            members = [references(sub) for sub in node.body + node.decorator_list + node.bases]
+            for j, sub in enumerate(node.body):
+                if (isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                        and sub.name not in elsewhere.union(*members[:j], *members[j + 1:])):
+                    unused.append(f"{path.name}: {node.name}.{sub.name}")
     assert unused == []
 
 

@@ -207,6 +207,31 @@ def test_decompose_recompose_roundtrip_seeded_projective():
         done += 1
 
 
+def test_decompose_cell_order_along_earlier_cells():
+    # the greedy choice reads the cells already attached: in these
+    # decompositions the second iprime cell is attached along a morphism
+    # of the first (c0:...), so attaching a step's cells in one pushout
+    # would change the output
+    rng = random.Random(0)
+    found = []
+    for X in involutive_catalog(3, vertex_z2=True):
+        for _ in range(3):
+            f = random_stable_equivalent_subgroupoid(rng, X)
+            steps = decompose_trivial_cofibration(f, StructureTag.INJECTIVE).steps
+            if any(data.startswith("c0:") for _, data in steps[1:]):
+                found.append(steps)
+                roundtrip(f, StructureTag.INJECTIVE)
+    assert found == [
+        [("iprime", "id(o0)"), ("iprime", "c0:m(c0:2,id(o0),c0:2)")],
+        [("iprime", "id(o2)"), ("iprime", "c0:m(c0:2,id(o2),c0:2)")],
+        [("iprime", "m(o2,o2,1)"), ("iprime", "c0:m(c0:2,m(o2,o2,0),c0:2)")],
+        [("iprime", "m(o0,o0,1)"), ("iprime", "c0:m(c0:2,m(o0,o0,1),c0:2)")],
+        [("iprime", "m(o0,o0,1)"), ("iprime", "c0:m(c0:2,m(o0,o0,0),c0:2)")],
+        [("iprime", "m(o2,o2,1)"), ("iprime", "c0:m(c0:2,m(o2,o2,1),c0:2)")],
+        [("iprime", "m(o0,o0,1)"), ("iprime", "c0:m(c0:2,m(o0,o0,0),c0:2)")],
+    ]
+
+
 def test_factorize_already_a_fibration():
     fact = factorize(terminal_map(REGISTRY.shape("nabla")), StructureTag.INJECTIVE)
     assert fact.gluing_steps == 0 and fact.cells_attached == 0

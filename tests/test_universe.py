@@ -320,6 +320,12 @@ def test_injective_univalence_verdicts():
         assert all(rep.witness.values())
 
 
+def test_univalence_is_decided_for_two_structures_only():
+    # the gpd tag must not fall into the injective checks
+    with pytest.raises(ValueError):
+        check_univalence(build_universe(("a", "b")), StructureTag.GPD)
+
+
 def test_funext_report():
     rpt = check_funext_counterexample()
     assert rpt.verdict == "FAILS"
