@@ -252,6 +252,7 @@ class Functor:
     obj_map: dict[str, str]
     mor_map: dict[str, str]
     _keeps_identities: bool | None = field(init=False, repr=False, compare=False, default=None)
+    _to_point: bool | None = field(init=False, repr=False, compare=False, default=None)
     _fibers: dict | None = field(init=False, repr=False, compare=False, default=None)
 
     def on_obj(self, x: str) -> str:
@@ -266,6 +267,14 @@ class Functor:
         if self._keeps_identities is None:
             self._keeps_identities = self._check_identities()
         return self._keeps_identities
+
+    def collapses_to_point(self) -> bool:
+        """Is cod a point, one object and one morphism, to which every
+        object and every morphism of dom goes? Checked on first use; never
+        raises."""
+        if self._to_point is None:
+            self._to_point = self._check_to_point()
+        return self._to_point
 
     def fibers(self) -> dict[str, list[tuple[int, str]]]:
         """``image -> [(position, x), ...]``: the objects x of dom that go
@@ -287,6 +296,15 @@ class Functor:
             if j is None or mor_map.get(i) != j:
                 return False
         return True
+
+    def _check_to_point(self) -> bool:
+        cod = self.cod
+        if len(cod.objects) != 1 or len(cod.morphisms) != 1:
+            return False
+        (star,), (one,) = cod.objects, cod.morphisms
+        obj_map, mor_map = self.obj_map, self.mor_map
+        return (all(obj_map.get(x) == star for x in self.dom.objects)
+                and all(mor_map.get(m) == one for m in self.dom.morphisms))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Functor({self.dom!r} -> {self.cod!r})"

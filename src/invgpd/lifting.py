@@ -107,24 +107,32 @@ def _seeds(left: EquivariantFunctor, obj_image: dict[str, str], mor_image: dict[
     return obj_seed, mor_seed
 
 
+def _filler_search(i: EquivariantFunctor, p: EquivariantFunctor, seeds, bottom,
+                   budget: Budget):
+    """The search for the diagonal fillers of a square, as plain functors F
+    in deterministic order: F∘i = top, given as the ``_seeds`` of top (None
+    when they conflict), p∘F = ``bottom`` (a plain functor) and F
+    equivariant."""
+    if seeds is None:
+        return iter(())  # the constraint F∘i = top is unsatisfiable
+    return iter_functors(
+        i.cod.base,
+        p.dom.base,
+        obj_seed=seeds[0],
+        mor_seed=seeds[1],
+        post=(p.map, bottom),
+        equiv=(i.cod.involution, p.dom.involution),
+        budget=budget,
+    )
+
+
 def _fillers(P: LiftingProblem, budget: Budget):
     """All diagonal fillers of the square, in deterministic order; the
     caller checks that it commutes (``iter_squares`` builds only squares
     that do)."""
-    i, p, top, bottom = P.left, P.right, P.top, P.bottom
+    i, p, top = P.left, P.right, P.top
     seeds = _seeds(i, top.map.obj_map, top.map.mor_map)
-    if seeds is None:
-        return  # the constraint h∘i = top is unsatisfiable
-    obj_seed, mor_seed = seeds
-    for F in iter_functors(
-        i.cod.base,
-        p.dom.base,
-        obj_seed=obj_seed,
-        mor_seed=mor_seed,
-        post=(p.map, bottom.map),
-        equiv=(i.cod.involution, p.dom.involution),
-        budget=budget,
-    ):
+    for F in _filler_search(i, p, seeds, P.bottom.map, budget):
         yield EquivariantFunctor(i.cod, p.dom, F)
 
 
@@ -239,14 +247,23 @@ def has_llp(i, tests, budget: Budget | int | None = None) -> OrthogonalityReport
 
 def _orthogonality(pairs, key: str, budget: Budget | int | None) -> OrthogonalityReport:
     """Solve every commuting square of each named (left, right) pair in
-    order; the witness names the failing pair under ``key``."""
+    order; the witness names the failing pair under ``key``.
+
+    Each square runs one filler search and asks it only whether a filler
+    exists: its first result, as a plain functor, with no ``LiftingProblem``
+    and no wrapping. ``iter_squares`` yields one top object for all the
+    bottoms of a g, so the filler seeds, which depend on the top alone,
+    are read once per top."""
     budget = ensure_budget(budget)
     checked = 0
     for name, left, right in pairs:
+        last_top = seeds = None
         for g, h in iter_squares(left, right, budget):
             checked += 1
+            if g is not last_top:
+                last_top, seeds = g, _seeds(left, g.map.obj_map, g.map.mor_map)
             # iter_squares seeds h from g, so the square commutes
-            if next(_fillers(LiftingProblem(left, right, g, h), budget), None) is None:
+            if next(_filler_search(left, right, seeds, h.map, budget), None) is None:
                 return OrthogonalityReport(
                     ok=False,
                     squares_checked=checked,
@@ -459,6 +476,10 @@ def injective_classify(f, budget: Budget | int | None = None) -> InjectiveReport
 
 def is_fibrant(X: InvolutiveGroupoid, tag: StructureTag,
                budget: Budget | int | None = None) -> bool:
+    """Is X → 1 a fibration? Always in the projective and plain structures;
+    injectively, ``is_injective_fibration`` of ``terminal_map(X)``. Its
+    filler searches have a post into the point, so they run without one
+    (``search``'s module docstring) and charge their dead leaves."""
     if tag in (StructureTag.PROJECTIVE, StructureTag.GPD):
         return True
     return is_injective_fibration(terminal_map(X), budget)

@@ -3,10 +3,10 @@
 ``invgpd.search.iter_functors`` runs the seed stage at every leaf of its
 object search only until the dead-leaf rule of its module docstring is
 set; from then on it charges a leaf that cannot yield instead of walking
-it. This copy walks every leaf. It is the oracle that
-``test_search.py`` checks the rule against: the same functors, in the
-same order, and the same ``budget.used``, also when the budget runs out
-inside a charged leaf.
+it, and it drops a post into the point. This copy walks every leaf and
+reads every post. It is the oracle that ``test_search.py`` checks both
+rules against: the same functors, in the same order, and the same
+``budget.used``, also when the budget runs out inside a charged leaf.
 """
 
 from __future__ import annotations

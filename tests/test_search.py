@@ -15,8 +15,9 @@ still walked each pop's identity partners and seeded the identities one
 ``assign_mor`` call at a time; they are now made by a test-local copy of
 that square search, and ``has_rlp`` and ``has_llp``, which replay bottom
 searches, are checked against it. Dead leaves, which the search now
-charges instead of walking, are checked against ``reference_search``, a
-copy of the search that walked every leaf.
+charges instead of walking, and posts into the point, which it drops, are
+checked against ``reference_search``, a copy of the search that walked
+every leaf and read every post.
 """
 
 import hashlib
@@ -28,7 +29,7 @@ import pytest
 import reference_search
 from invgpd import cli, docformat, lifting
 from invgpd.budget import Budget, ensure_budget
-from invgpd.core import Functor, Groupoid, identity_functor
+from invgpd.core import Functor, Groupoid, discrete, identity_functor, terminal_functor, unit
 from invgpd.equivariant import EquivariantFunctor, InvolutiveGroupoid, diagonal, terminal_map
 from invgpd.errors import BudgetExceeded
 from invgpd.generators import equivariant_functors, involutions_of, plain_catalog
@@ -302,6 +303,21 @@ def test_one_bottom_search_per_run_of_equal_seeds(base3_bundle, name, searches, 
     # bottom searches are the seeded searches without a post constraint
     assert [sum(1 for dom, kw in runs if dom is gen.cod.base and "obj_seed" in kw
                 and "post" not in kw) for _, gen in GENERATORS] == searches
+
+
+def test_filler_seeds_are_read_once_per_top(base3_bundle, monkeypatch):
+    """``has_rlp(p)`` reads ``_seeds`` twice per g, once for its bottom
+    search and once for its fillers, not once per square: 63 Si and 81
+    iprime g's, against 2,484 squares."""
+    seeds, calls = lifting._seeds, []
+
+    def counted(*args):
+        calls.append(args)
+        return seeds(*args)
+
+    monkeypatch.setattr(lifting, "_seeds", counted)
+    assert rlp(base3_bundle.p).squares_checked == 2484
+    assert len(calls) == 2 * (63 + 81)
 
 
 # -- the post constraint reads candidates off the fiber -------------------------
@@ -586,8 +602,8 @@ def check_charged_leaves(runs) -> int:
     return total
 
 
-def square_runs(f) -> list:
-    """The top and bottom searches (those without ``post``) of ``has_rlp(f)``."""
+def rlp_searches(f) -> list:
+    """The ``(dom, cod, kwargs)`` of every search that ``has_rlp(f)`` makes."""
     runs = []
 
     def recording(dom, cod, *, budget, **kw):
@@ -597,7 +613,17 @@ def square_runs(f) -> list:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lifting, "iter_functors", recording)
         rlp(f)
-    return [run for run in runs if "post" not in run[2]]
+    return runs
+
+
+def square_runs(f) -> list:
+    """The top and bottom searches (those without ``post``) of ``has_rlp(f)``."""
+    return [run for run in rlp_searches(f) if "post" not in run[2]]
+
+
+def filler_runs(f) -> list:
+    """The filler searches (those with ``post``) of ``has_rlp(f)``."""
+    return [run for run in rlp_searches(f) if "post" in run[2]]
 
 
 # the leaves of those searches the rule charges: 1,210 of the 2,102 leaves
@@ -614,6 +640,15 @@ def test_has_rlp_square_searches_charge_dead_leaves_exactly(base3_bundle, base2_
     else:
         f = base3_bundle.p if name == "p" else terminal_map(getattr(base3_bundle, name))
     assert check_charged_leaves(square_runs(f)) == charged
+
+
+# the filler searches of the maps from U and Ũ to the point at |V| = 3: their
+# post sends everything to the point, so they run without it and charge the
+# leaves the rule finds
+@pytest.mark.parametrize("name, charged", [("U", 1280), ("Utilde", 2934)])
+def test_fibrancy_filler_searches_charge_dead_leaves_exactly(base3_bundle, name, charged):
+    f = terminal_map(getattr(base3_bundle, name))
+    assert check_charged_leaves(filler_runs(f)) == charged
 
 
 def unseeded_runs():
@@ -677,3 +712,93 @@ def non_unit_cod_runs():
 ], ids=["plain", "equiv", "unseeded", "lawless-post", "non-unit-cod"])
 def test_catalog_searches_charge_dead_leaves_exactly(runs, charged):
     assert check_charged_leaves(runs()) == charged
+
+
+# -- a post into the point is dropped -----------------------------------------
+#
+# A post whose q and r send everything to the one object and the one morphism
+# of the point rejects nothing, so ``iter_functors`` runs the search without
+# it. Each run must agree with the search without post, to its end and under
+# a limit, and with ``reference_search`` under the same post, to its end and
+# inside the leaves the rule charges. Posts that are not of that kind must
+# keep the generic path.
+
+
+def outcome_trace(search, dom, cod, kw, limit=None):
+    """``search_trace`` under ``limit``, or the type of what the search raised."""
+    try:
+        return search_trace(search, dom, cod, kw, Budget() if limit is None else Budget(limit))
+    except KeyError:
+        return KeyError
+
+
+def point_post_runs():
+    point = unit()
+    runs = []
+    for A in CATALOG:
+        for B in CATALOG:
+            post = (terminal_functor(B, point), terminal_functor(A, point))
+            runs.append((A, B, {"post": post}))
+            if A.objects and B.objects:
+                runs.append((A, B, {"post": post, "obj_seed": {A.objects[0]: B.objects[-1]}}))
+    return runs
+
+
+def not_point_post_runs():
+    # posts into a point that the rule must leave alone: into the z2 point
+    # (lawless_post_runs), and into the point from maps that miss an object,
+    # send a morphism elsewhere, or are defined on another groupoid than
+    # the search's cod or dom, or into another point than r's
+    point, other = unit(), discrete(("pt",))
+    one = CATALOG[1]
+    runs = lawless_post_runs()[::3]
+    for A in CATALOG[3::3]:
+        for B in CATALOG[3::3]:
+            q, r = terminal_functor(B, point), terminal_functor(A, point)
+            x, m = A.objects[-1], A.identity[A.objects[-1]]
+            missing = Functor(A, point, {y: "*" for y in A.objects if y != x}, r.mor_map)
+            elsewhere = Functor(A, point, r.obj_map, {**r.mor_map, m: "id(pt)"})
+            runs += [(A, B, {"post": post}) for post in (
+                (q, missing),
+                (q, elsewhere),
+                (terminal_functor(one, point), r),
+                (q, terminal_functor(one, point)),
+                (q, Functor(A, other, dict.fromkeys(A.objects, "pt"),
+                            dict.fromkeys(A.morphisms, "id(pt)"))),
+            )]
+    return runs
+
+
+def without_post(kw: dict) -> dict:
+    return {k: v for k, v in kw.items() if k != "post"}
+
+
+def test_post_into_the_point_is_no_constraint():
+    runs = point_post_runs()
+    for i, (dom, cod, kw) in enumerate(runs):
+        bare = without_post(kw)
+        whole = search_trace(iter_functors, dom, cod, kw, Budget())
+        assert whole == search_trace(iter_functors, dom, cod, bare, Budget())
+        # one stop per run, at a point that moves from run to run
+        limit = whole[1] * (1 + i % 7) // 8
+        assert (search_trace(iter_functors, dom, cod, kw, Budget(limit))
+                == search_trace(iter_functors, dom, cod, bare, Budget(limit))), (kw, limit)
+    # to its end, and in each part of its first and last charged leaf, each
+    # run agrees with the search that walked every leaf under post; the
+    # rule fires
+    assert check_charged_leaves(runs) == 900
+
+
+def test_post_into_the_point_keeps_every_other_post():
+    """A post the rule must not drop rejects a candidate or raises, so the
+    search without it would differ; with it, the search agrees with the
+    reference to its end and under a spread of limits."""
+    for i, (dom, cod, kw) in enumerate(not_point_post_runs()):
+        whole = outcome_trace(iter_functors, dom, cod, kw)
+        assert whole == outcome_trace(reference_search.iter_functors, dom, cod, kw)
+        assert whole != outcome_trace(iter_functors, dom, cod, without_post(kw)), kw
+        if whole is KeyError:
+            continue
+        for limit in range(i % 5, whole[1], max(5, whole[1] // 4)):
+            assert (outcome_trace(iter_functors, dom, cod, kw, limit)
+                    == outcome_trace(reference_search.iter_functors, dom, cod, kw, limit))
