@@ -444,10 +444,12 @@ def validate_groupoid(G: Groupoid) -> list[str]:
         if G.morphisms[i] != (x, x):
             problems.append(f"identity {i} of {x} is not an endomorphism of {x}")
     mids = G.mor_ids()
+    n_present = 0
     for g in mids:
         for f in mids:
             composable = G.tgt(f) == G.src(g)
             present = (g, f) in G.compose
+            n_present += present
             if composable and not present:
                 problems.append(f"composite of ({g}, {f}) is missing")
             elif not composable and present:
@@ -458,6 +460,9 @@ def validate_groupoid(G: Groupoid) -> list[str]:
                     problems.append(f"composite {h} of ({g}, {f}) is not a morphism")
                 elif G.morphisms[h] != (G.src(f), G.tgt(g)):
                     problems.append(f"composite {h} of ({g}, {f}) has wrong endpoints")
+    if len(G.compose) > n_present:
+        problems += [f"composite of ({g}, {f}) declared, which names a non-morphism"
+                     for g, f in G.compose if g not in G.morphisms or f not in G.morphisms]
     if problems:
         return problems  # structure too broken for the law checks below
     for m in mids:

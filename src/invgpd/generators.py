@@ -155,16 +155,15 @@ def random_involutive(rng: random.Random, max_objects: int = 4,
     return InvolutiveGroupoid(G, rng.choice(invs))
 
 
-def random_equivariant(rng: random.Random, X: InvolutiveGroupoid, Y: InvolutiveGroupoid,
-                       limit: int = 200) -> EquivariantFunctor | None:
-    fs = equivariant_functors(X, Y, limit=limit)
+def random_equivariant(rng: random.Random, X: InvolutiveGroupoid,
+                       Y: InvolutiveGroupoid) -> EquivariantFunctor | None:
+    fs = equivariant_functors(X, Y, limit=200)
     return rng.choice(fs) if fs else None
 
 
-def random_isofibration(rng: random.Random, max_objects: int = 3,
-                        tries: int = 40) -> EquivariantFunctor:
+def random_isofibration(rng: random.Random, max_objects: int = 3) -> EquivariantFunctor:
     """A random equivariant levelwise isofibration between catalog objects."""
-    for _ in range(tries):
+    for _ in range(40):
         A = random_involutive(rng, max_objects, vertex_z2=False)
         B = random_involutive(rng, max_objects, vertex_z2=False)
         fs = [f for f in equivariant_functors(A, B, limit=400)

@@ -10,9 +10,12 @@ levelwise equivalence, and ``delta2``: P -> A x_C A sends (x, y, phi) to
 generators. Their composite is the diagonal ``equivariant.diagonal(f)``,
 and ``delta2.cod`` is A x_C A.
 
-Right homotopies are always searched against this single construction;
-existence does not depend on the choice of path object because all the
-objects involved are fibrant in the structures we care about.
+Right homotopies are equivariant natural isomorphisms, and
+:func:`find_natural_iso` decides each one at the roots of the domain's
+spanning tree, with no backtracking; ``search.iter_functors`` is the
+package's only backtracking search. Existence does not depend on the
+choice of path object because all the objects involved are fibrant in
+the structures we care about.
 """
 
 from __future__ import annotations
@@ -193,62 +196,52 @@ def find_natural_iso(
     strict_fixed: bool,
     budget: Budget | int | None = None,
 ) -> dict[str, str] | None:
-    """An equivariant natural isomorphism f => g, if any.
+    """An equivariant natural isomorphism ν: f => g, if any; with
+    ``strict_fixed`` its component at every fixed object is an identity.
 
-    With ``strict_fixed`` the component at every fixed object must be an
-    identity. Naturality makes components propagate along morphisms, so
-    the search assigns one component per connected piece and derives the
-    rest.
+    Decided at the roots of dom's spanning tree, one unit per candidate.
+    With tree arrows t_x: r -> x, ν is fixed on r's component by
+    m = ν_r: ν_x = g(t_x)∘m∘f(t_x)⁻¹. That ν is natural iff
+    g(k)∘m = m∘f(k) for every k in Aut(r), by the tree argument of
+    ``core.is_functor``. Equivariance, ν_ηx = η(ν_x), holds on the whole
+    component once it holds at ηr when ηr lies in it, and otherwise it
+    fills η's image component, which no other constraint touches.
+    Components are independent, so each keeps its first surviving m in
+    hom-set order, and one with none gives ``None`` at once: nothing is
+    backtracked. f and g must be equivariant functors between groupoids
+    that obey the laws (unchecked here).
     """
     budget = ensure_budget(budget)
     A, X = f.dom, f.cod
     GA, GX = A.base, X.base
+    fm, gm, comp, inv = f.map.mor_map, g.map.mor_map, GX.comp, GX.inv
+    tree = GA.spanning_tree()
+    legs: dict[str, list[tuple[str, str]]] = {}  # root -> (x, t_x) over its component
+    for x, (r, t) in tree.items():
+        legs.setdefault(r, []).append((x, t))
     nu: dict[str, str] = {}
-
-    def ok(a: str, m: str) -> bool:
-        if GX.morphisms[m] != (f.on_obj(a), g.on_obj(a)):
-            return False
-        if strict_fixed and A.eta_obj(a) == a and not GX.is_identity(m):
-            return False
-        return True
-
-    def propagate(a: str, m: str, trail: list[str]) -> bool:
-        stack = [(a, m)]
-        while stack:
+    for r in GA.roots():
+        if r in nu:
+            continue
+        aut = [(fm[k], gm[k]) for k in GA.hom(r, r)]
+        er = A.eta_obj(r)
+        fixed = [x for x, _ in legs[r] if A.eta_obj(x) == x] if strict_fixed else []
+        for m in GX.hom(f.on_obj(r), g.on_obj(r)):
             budget.spend()
-            a, m = stack.pop()
-            if a in nu:
-                if nu[a] != m:
-                    return False
+            if any(comp(gk, m) != comp(m, fk) for fk, gk in aut):
                 continue
-            if not ok(a, m):
-                return False
-            nu[a] = m
-            trail.append(a)
-            partner = (A.eta_obj(a), X.eta_mor(m))
-            stack.append(partner)
-            for alpha in sorted(GA.out(a)):
-                forced = GX.comp(GX.comp(g.on_mor(alpha), m), GX.inv(f.on_mor(alpha)))
-                stack.append((GA.tgt(alpha), forced))
-        return True
-
-    def solve(order: list[str]) -> bool:
-        pending = [a for a in order if a not in nu]
-        if not pending:
-            return True
-        a = pending[0]
-        for m in GX.hom(f.on_obj(a), g.on_obj(a)):
-            budget.spend()
-            trail: list[str] = []
-            if propagate(a, m, trail) and solve(order):
-                return True
-            for key in trail:
-                del nu[key]
-        return False
-
-    if solve(list(GA.objects)):
-        return dict(nu)
-    return None
+            part = {x: comp(gm[t], comp(m, inv(fm[t]))) for x, t in legs[r]}
+            if tree[er][0] != r:  # η moves the component: fill its image
+                part.update([(A.eta_obj(x), X.eta_mor(n)) for x, n in part.items()])
+            elif part[er] != X.eta_mor(m):
+                continue
+            if any(not GX.is_identity(part[x]) for x in fixed):
+                continue
+            nu.update(part)
+            break
+        else:
+            return None
+    return nu
 
 
 def witness_from_iso(f: EquivariantFunctor, g: EquivariantFunctor,
@@ -281,14 +274,15 @@ def find_right_homotopy(
     A homotopy into any path object is the same data as an equivariant
     natural isomorphism; for the projective structure its
     components at fixed objects must additionally be identities, because
-    the glued path object has no fixed points outside the diagonal. The
-    search runs on that characterization directly, and the returned
+    the glued path object has no fixed points outside the diagonal.
+    :func:`find_natural_iso` decides that isomorphism, and the returned
     witness is the induced map into the explicit tuple path object (the
-    image of the glued witness under the comparison map).
+    image of the glued witness under the comparison map). f and g must be
+    parallel as equivariant maps: the same involutive domain and
+    codomain.
     """
-    if f.dom.base != g.dom.base or f.cod.base != g.cod.base:
+    if f.dom != g.dom or f.cod != g.cod:
         raise CodomainMismatch("homotopy needs parallel maps")
-    budget = ensure_budget(budget)
     nu = find_natural_iso(f, g, strict_fixed=(tag == StructureTag.PROJECTIVE), budget=budget)
     if nu is None:
         return None

@@ -34,6 +34,7 @@ from invgpd.core import (
     validate_functor,
     validate_groupoid,
 )
+from invgpd.docformat import Document
 from invgpd.equivariant import diagonal, equivariant_product, fixed_points, terminal_map
 from invgpd.errors import CodomainMismatch, MalformedDocument, MalformedFunctor
 from invgpd.generators import involutive_catalog, plain_catalog, z2_component
@@ -72,6 +73,17 @@ def test_missing_composite_is_reported():
     del compose[("inv(phi)", "phi")]
     bad = Groupoid(I.objects, dict(I.morphisms), dict(I.identity), compose, dict(I.inverse))
     assert any("missing" in p for p in validate_groupoid(bad))
+
+
+def test_composite_of_a_non_morphism_is_reported():
+    # compose is defined exactly on the composable pairs, so a key that
+    # names no morphism of the groupoid is a structural problem
+    one = unit()
+    compose = {**one.compose, ("zz", "id(*)"): "id(*)"}
+    bad = Groupoid(one.objects, dict(one.morphisms), dict(one.identity), compose,
+                   dict(one.inverse))
+    assert validate_groupoid(bad) == ["composite of (zz, id(*)) declared, which names a non-morphism"]
+    assert Document(groupoids={"G": bad}).diagnostics() == {"groupoid G": validate_groupoid(bad)}
 
 
 def test_classify_identity_functor_all_flags():

@@ -2,7 +2,10 @@
 
 import random
 
-from invgpd.core import Functor, classify_functor, subgroupoid
+import pytest
+
+from invgpd.budget import ensure_budget
+from invgpd.core import Functor, classify_functor, discrete, subgroupoid
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
@@ -10,16 +13,20 @@ from invgpd.equivariant import (
     eq_compose,
     eq_identity,
     terminal_map,
+    trivial_action,
     validate_equivariant,
     validate_involutive,
 )
+from invgpd.errors import CodomainMismatch
 from invgpd.generators import (
+    assemble,
     equivariant_functors,
     involutive_catalog,
     random_involutive,
 )
 from invgpd.homotopy import (
     find_homotopy_inverse,
+    find_natural_iso,
     find_right_homotopy,
     is_homotopy_equivalence_projective,
     path_object,
@@ -149,6 +156,109 @@ def test_fixed_sections_of_funext_instance_not_homotopic():
     s1, s2 = sections
     assert find_right_homotopy(s1, s1) is not None
     assert find_right_homotopy(s1, s2) is None
+
+
+def reference_natural_iso(f, g, strict_fixed, budget=None):
+    """The natural-isomorphism search as it was before it decided each
+    component at its root: it propagates a component along every
+    morphism and backtracks across components. The oracle that
+    ``find_natural_iso`` must match, witness for witness."""
+    budget = ensure_budget(budget)
+    A, X = f.dom, f.cod
+    GA, GX = A.base, X.base
+    nu = {}
+
+    def ok(a, m):
+        if GX.morphisms[m] != (f.on_obj(a), g.on_obj(a)):
+            return False
+        if strict_fixed and A.eta_obj(a) == a and not GX.is_identity(m):
+            return False
+        return True
+
+    def propagate(a, m, trail):
+        stack = [(a, m)]
+        while stack:
+            budget.spend()
+            a, m = stack.pop()
+            if a in nu:
+                if nu[a] != m:
+                    return False
+                continue
+            if not ok(a, m):
+                return False
+            nu[a] = m
+            trail.append(a)
+            stack.append((A.eta_obj(a), X.eta_mor(m)))
+            for alpha in sorted(GA.out(a)):
+                forced = GX.comp(GX.comp(g.on_mor(alpha), m), GX.inv(f.on_mor(alpha)))
+                stack.append((GA.tgt(alpha), forced))
+        return True
+
+    def solve(order):
+        pending = [a for a in order if a not in nu]
+        if not pending:
+            return True
+        a = pending[0]
+        for m in GX.hom(f.on_obj(a), g.on_obj(a)):
+            budget.spend()
+            trail = []
+            if propagate(a, m, trail) and solve(order):
+                return True
+            for key in trail:
+                del nu[key]
+        return False
+
+    if solve(list(GA.objects)):
+        return dict(nu)
+    return None
+
+
+def test_natural_iso_matches_backtracking_reference():
+    # every ordered pair of parallel maps of the catalog, both ways: the
+    # root decision returns the reference's witness, or None with it
+    catalog = involutive_catalog(2, vertex_z2=True)
+    cases = found = 0
+    for X in catalog:
+        for Y in catalog:
+            maps = equivariant_functors(X, Y)
+            for f in maps:
+                for g in maps:
+                    for strict_fixed in (True, False):
+                        nu = find_natural_iso(f, g, strict_fixed)
+                        assert nu == reference_natural_iso(f, g, strict_fixed), (f.map, g.map)
+                        cases += 1
+                        found += nu is not None
+    assert cases == 6700 and 0 < found < cases
+
+
+def test_natural_iso_does_not_backtrack_across_components():
+    # 30 discrete fixed objects over two one-object Z/2 components; g moves
+    # the last object to the other component, so only that component has
+    # no candidate. Backtracking over the 2^29 choices before it would
+    # exhaust the budget.
+    names = [f"x{i:02d}" for i in range(30)]
+    D = trivial_action(discrete(names))
+    C = trivial_action(assemble(("p", "q"), [(("p",), "z2"), (("q",), "z2")]))
+
+    def to(targets):
+        return EquivariantFunctor(D, C, Functor(
+            D.base, C.base, dict(zip(names, targets)),
+            {D.base.ident(x): C.base.ident(y) for x, y in zip(names, targets)},
+        ))
+
+    f = to(["p"] * 30)
+    g = to(["p"] * 29 + ["q"])
+    assert find_right_homotopy(f, f, tag=StructureTag.INJECTIVE, budget=10**5) is not None
+    assert find_right_homotopy(f, g, tag=StructureTag.INJECTIVE, budget=10**5) is None
+
+
+def test_homotopy_needs_equal_involutions():
+    # the same plain functors, but the second domain has two fixed points
+    # where S1 has none: the maps are not parallel as equivariant maps
+    s1 = REGISTRY.shape("S1")
+    with pytest.raises(CodomainMismatch):
+        find_right_homotopy(terminal_map(s1), terminal_map(trivial_action(s1.base)),
+                            tag=StructureTag.INJECTIVE)
 
 
 def test_homotopy_equivalence_examples():

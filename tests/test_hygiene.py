@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package and the tests is used,
-every public function and class is used somewhere, every dataclass field
-is read somewhere, no invariant check is an ``assert`` (``python -O``
+every public function and class is used somewhere, every defaulted
+parameter but ``budget`` is passed somewhere, every dataclass field is
+read somewhere, no invariant check is an ``assert`` (``python -O``
 would drop it), every test helper that asserts has its asserts rewritten,
 and every function the benchmark's tracer wraps still exists."""
 
@@ -98,6 +99,72 @@ def test_every_public_definition_is_used():
                         and sub.name not in elsewhere.union(*members[:j], *members[j + 1:])):
                     unused.append(f"{path.name}: {node.name}.{sub.name}")
     assert unused == []
+
+
+def passed_parameters(trees) -> dict[str, set]:
+    """Callee name -> what its calls pass: keyword names, and the number
+    of positional arguments as an int; ``"*"`` when some call unpacks
+    ``*args`` or ``**kwargs``, which may pass anything."""
+    passed: dict[str, set] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            got = passed.setdefault(name, set())
+            got.add(len(node.args))
+            got.update(kw.arg or "*" for kw in node.keywords)
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                got.add("*")
+    return passed
+
+
+def defaulted_parameters(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """``(name, position)`` of each parameter with a default; the position
+    counts the arguments a call passes before it (None for keyword-only).
+    A method's call passes its ``self`` or ``cls`` through the attribute."""
+    positional = fn.args.posonlyargs + fn.args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    if method and not static:
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(fn.args.defaults):]
+    out = [(arg.arg, positional.index(arg)) for arg in defaulted]
+    return out + [(arg.arg, None) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                  if default is not None]
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a defaulted parameter of a public function or method of the package
+    # that no call in the package, the tests or the benchmark passes, by
+    # keyword or by position, is a constant in disguise; ``budget`` is
+    # exempt, since every search takes one by convention
+    package = parsed(sorted(PACKAGE.glob("*.py")))
+    passed = passed_parameters(
+        package + parsed(sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
+    )
+    dead = []
+    for tree in package:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node, False)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(sub, True) for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            else:
+                continue
+            for fn, method in defs:
+                if fn.name.startswith("_"):
+                    continue
+                got = passed.get(fn.name, set())
+                if "*" in got:
+                    continue
+                most = max((n for n in got if isinstance(n, int)), default=0)
+                dead += [f"{fn.name}({name})" for name, position in defaulted_parameters(fn, method)
+                         if name != "budget" and name not in got
+                         and (position is None or most <= position)]
+    assert dead == []
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:
