@@ -22,9 +22,11 @@ Global flags: --budget K, --max-gluing-steps K, --format {human|json},
 Exit codes: 0 all checks pass; 1 a check failed (with witness);
 2 malformed input (a ``--file`` document that ``validate`` rejects, and
 a file that cannot be read as UTF-8 text, are malformed input); 3 budget
-or iteration cap exceeded. Reports are emitted as {check, verdict,
-witness?, steps?, budget_used} records; JSON output is byte-stable for a
-fixed seed and budget.
+or iteration cap exceeded, or Python's recursion limit reached (the
+functor search recurses once per object, so at the default limit a
+domain of about a thousand objects reaches it). Reports are emitted as
+{check, verdict, witness?, steps?, budget_used} records; JSON output is
+byte-stable for a fixed seed and budget.
 """
 
 from __future__ import annotations
@@ -527,6 +529,10 @@ def main(argv=None) -> int:
         COMMANDS[args.command](args, rep)
     except (BudgetExceeded, IterationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        print("error: recursion limit exceeded: the input is too large to search",
+              file=sys.stderr)
         return EXIT_BUDGET
     except (InvgpdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ groupoids are disjoint unions of components over canonical partitions of
 up to ``max_objects`` labeled objects (one representative per
 component-size multiset), where a component is either codiscrete (one
 morphism between each ordered pair) or carries a two-element vertex
-group. Involutions are enumerated exhaustively by functor search, so the
-involutive catalog is complete for this family.
+group. Involutions are enumerated exhaustively, by a functor search seeded
+with each involution of the objects, so the involutive catalog is complete
+for this family.
 
 Seeded generators draw from the same family (plus classified small
 fibrations over the universe) and are deterministic functions of their
@@ -16,7 +17,7 @@ fibrations over the universe) and are deterministic functions of their
 from __future__ import annotations
 
 import random
-from itertools import accumulate, product as iproduct
+from itertools import accumulate, permutations, product as iproduct
 
 from .budget import Budget, ensure_budget
 from .core import (
@@ -104,13 +105,19 @@ def plain_catalog(max_objects: int = 3, vertex_z2: bool = False) -> list[Groupoi
 
 
 def involutions_of(G: Groupoid, budget: Budget | int | None = None) -> list[Functor]:
-    """All involutive endofunctors, by exhaustive bijective functor search."""
+    """All involutive endofunctors of G, in search order: for each
+    involution σ of G's objects, in ``itertools.permutations`` order, the
+    functors with object map σ, as the search yields them, that send every
+    morphism m to one whose image is m."""
     budget = ensure_budget(budget)
     out = []
-    for F in iter_functors(G, G, bijective=True, budget=budget):
-        if all(F.obj_map[F.obj_map[x]] == x for x in G.objects) and \
-                all(F.mor_map[F.mor_map[m]] == m for m in G.morphisms):
-            out.append(F)
+    for images in permutations(G.objects):
+        sigma = dict(zip(G.objects, images))
+        if any(sigma[c] != x for x, c in sigma.items()):
+            continue
+        for F in iter_functors(G, G, obj_seed=sigma, budget=budget):
+            if all(F.mor_map[F.mor_map[m]] == m for m in G.morphisms):
+                out.append(F)
     return out
 
 

@@ -126,24 +126,19 @@ def _filler_search(i: EquivariantFunctor, p: EquivariantFunctor, seeds, bottom,
     )
 
 
-def _fillers(P: LiftingProblem, budget: Budget):
-    """All diagonal fillers of the square, in deterministic order; the
-    caller checks that it commutes (``iter_squares`` builds only squares
-    that do)."""
-    i, p, top = P.left, P.right, P.top
-    seeds = _seeds(i, top.map.obj_map, top.map.mor_map)
-    for F in _filler_search(i, p, seeds, P.bottom.map, budget):
-        yield EquivariantFunctor(i.cod, p.dom, F)
-
-
 def solve_lifting(P: LiftingProblem, budget: Budget | int | None = None,
                   count_all: bool = False):
-    """First filler of the square, or None; with ``count_all`` also the
-    exact number of fillers (used for discrete-fibration uniqueness).
-    Raises ``NonCommutingSquare`` if the square does not commute."""
+    """First filler of the square, in the search's deterministic order, or
+    None; with ``count_all`` also the exact number of fillers (used for
+    discrete-fibration uniqueness). Raises ``NonCommutingSquare`` if the
+    square does not commute."""
     P.check_commutes()
-    fillers = _fillers(P, ensure_budget(budget))
+    i, p, top = P.left, P.right, P.top
+    fillers = _filler_search(i, p, _seeds(i, top.map.obj_map, top.map.mor_map),
+                             P.bottom.map, ensure_budget(budget))
     first = next(fillers, None)
+    if first is not None:
+        first = EquivariantFunctor(i.cod, p.dom, first)
     if not count_all:
         return first
     return first, sum(1 for _ in fillers) + (first is not None)

@@ -7,8 +7,11 @@ enumerates functors ``F: dom -> cod`` subject to optional constraints:
 * ``obj_seed`` / ``mor_seed``  -- pinned partial assignments,
 * ``post = (q, r)``            -- a post-composition equation ``q∘F = r``
                                   (q.dom is cod, r.dom is dom),
-* ``equiv = (ed, ec)``         -- an equivariance equation ``F∘ed = ec∘F``,
-* ``bijective``                -- restrict to isomorphisms.
+* ``equiv = (ed, ec)``         -- an equivariance equation ``F∘ed = ec∘F``.
+
+Isomorphisms and involutions are not a constraint of the search: their
+callers filter what it yields (``find_isomorphism`` below, and
+``generators.involutions_of``, which seeds each object involution).
 
 Assignments are explored in sorted ID order (objects first, then
 morphisms) and every derived consequence (identities, inverses,
@@ -59,14 +62,13 @@ never fail and never assign: each pop charges their 2 units and walks
 only the mapped morphisms after the identity prefix, a slice of
 ``mapped`` (``mmap``'s items in insertion order). Otherwise each pop
 walks every mapped morphism. In either case the seed stage maps the
-identities in one pass, checking each as ``assign_mor`` would (endpoints,
-``post``, ``bijective``) at one unit per identity, before it seeds
-``mor_seed``.
+identities in one pass, checking each as ``assign_mor`` would (endpoints
+and ``post``) at one unit per identity, before it seeds ``mor_seed``.
 
-Dead leaves are charged, not walked, in searches without ``post`` or
-``bijective`` whose identities are charged. At each leaf (a full object
-map) the seed stage runs again before ``solve_mor(0)``. Suppose the first
-leaf's stage succeeded and every non-identity on its trail, and every key
+Dead leaves are charged, not walked, in searches without ``post`` whose
+identities are charged. At each leaf (a full object map) the seed stage
+runs again before ``solve_mor(0)``. Suppose the first leaf's stage
+succeeded and every non-identity on its trail, and every key
 of ``mor_seed``, has both ends among the objects mapped before
 ``solve_obj(0)``, whose images never change. Then every later stage
 repeats it: the identity pass cannot fail on a cod whose identities are
@@ -120,12 +122,9 @@ def iter_functors(
     mor_seed: dict[str, str] | None = None,
     post: tuple[Functor, Functor] | None = None,
     equiv: tuple[Functor, Functor] | None = None,
-    bijective: bool = False,
     budget: Budget | int | None = None,
 ) -> Iterator[Functor]:
     budget = ensure_budget(budget)
-    if bijective and (dom.n_objects != cod.n_objects or dom.n_morphisms != cod.n_morphisms):
-        return
     q, r = post if post is not None else (None, None)
     # a post into the point rejects nothing (module docstring)
     if (q is not None and q.dom is cod and r.dom is dom and q.cod is r.cod
@@ -138,8 +137,6 @@ def iter_functors(
     # mmap's items in insertion order, cut back with it by undo_mor; the
     # walk in propagate reads its slices
     mapped: list[tuple[str, str]] = []
-    used_obj: set[str] = set()
-    used_mor: set[str] = set()
 
     dom_mor, dom_inv, cod_mor, cod_inv = dom.morphisms, dom.inverse, cod.morphisms, cod.inverse
     dom_ident, cod_ident = dom.identity, cod.identity
@@ -163,7 +160,7 @@ def iter_functors(
 
     # the dead-leaf rule (module docstring): the first leaf keeps its
     # stage's trail and units, and the second sets ``probe`` from them
-    first_leaf = q is None and not bijective
+    first_leaf = q is None
     cod_hom = cod.hom
     first_stage: list[str] | None = None
     probe: tuple[str, str] | None = None
@@ -177,10 +174,6 @@ def iter_functors(
             return False
         if q is not None and q.obj_map[c] != r.obj_map[x]:
             return False
-        if bijective:
-            if c in used_obj:
-                return False
-            used_obj.add(c)
         omap[x] = c
         trail.append(x)
         if ed is not None:
@@ -189,8 +182,6 @@ def iter_functors(
 
     def undo_obj(trail: list[str]) -> None:
         for x in trail:
-            if bijective:
-                used_obj.discard(omap[x])
             del omap[x]
 
     def assign_mor(m: str, n: str, trail: list[str], queue: list[str]) -> bool:
@@ -200,10 +191,6 @@ def iter_functors(
             return False
         if q is not None and q_mor[n] != r_mor[m]:
             return False
-        if bijective:
-            if n in used_mor:
-                return False
-            used_mor.add(n)
         mmap[m] = n
         mapped.append((m, n))
         trail.append(m)
@@ -212,8 +199,6 @@ def iter_functors(
 
     def undo_mor(trail: list[str]) -> None:
         for m in trail:
-            if bijective:
-                used_mor.discard(mmap[m])
             del mmap[m]
         # the trail holds the last len(trail) assignments
         del mapped[len(mapped) - len(trail):]
@@ -306,10 +291,6 @@ def iter_functors(
                     return False
                 if q is not None and q_mor[n] != r_mor[m]:
                     return False
-                if bijective:
-                    if n in used_mor:
-                        return False
-                    used_mor.add(n)
                 mmap[m] = n
                 mapped.append((m, n))
                 trail.append(m)
@@ -439,13 +420,15 @@ def find_isomorphism(G: Groupoid, H: Groupoid, budget: Budget | int | None = Non
                      obj_seed: dict | None = None) -> Functor | None:
     """Search for an isomorphism of groupoids G -> H.
 
-    Backtracks over object bijections, then hom bijections, in ID order;
-    the first success wins, so the answer is deterministic. ``obj_seed``
+    The first functor of the search, in ID order, that is injective on
+    objects and on morphisms, which between groupoids of the same sizes
+    makes it an isomorphism; so the answer is deterministic. ``obj_seed``
     pins part of the object map (used for over-the-codomain comparisons).
     """
     if G.n_objects != H.n_objects or G.n_morphisms != H.n_morphisms:
         return None
-    budget = ensure_budget(budget)
-    for F in iter_functors(G, H, bijective=True, obj_seed=obj_seed, budget=budget):
-        return F
+    for F in iter_functors(G, H, obj_seed=obj_seed, budget=budget):
+        if (len(set(F.obj_map.values())) == G.n_objects
+                and len(set(F.mor_map.values())) == G.n_morphisms):
+            return F
     return None

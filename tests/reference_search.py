@@ -7,6 +7,12 @@ it, and it drops a post into the point. This copy walks every leaf and
 reads every post. It is the oracle that ``test_search.py`` checks both
 rules against: the same functors, in the same order, and the same
 ``budget.used``, also when the budget runs out inside a charged leaf.
+
+It also keeps the ``bijective`` mode that the package search no longer
+has, which restricts the search to isomorphisms. ``test_search.py``
+checks ``generators.involutions_of``, which seeds each object involution,
+and ``search.find_isomorphism``, which filters the unrestricted search,
+against it: the same functors, in the same order.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Document format round-trips and the command-line surface."""
 
+import inspect
 import json
 import os
 import re
@@ -310,6 +311,39 @@ def test_cli_universe_budget_stops_at_the_same_unit(budget, units, capsys):
     charge per object, morphism and composite."""
     assert main(["universe", "--base", "3", "--budget", budget]) == 3
     assert f"({units} > {budget} candidates)" in capsys.readouterr().err
+
+
+def discrete_to_point_doc(n: int) -> str:
+    """A map f from the discrete groupoid on n objects to the point."""
+    objects = [f"x{i}" for i in range(n)]
+    return "\n".join([
+        "groupoid D", "  objects " + " ".join(objects),
+        "groupoid P", "  objects *",
+        "involutive D!", "  base D",
+        "involutive P!", "  base P",
+        "functor f : D! -> P!", *(f"  object {x} -> *" for x in objects),
+    ]) + "\n"
+
+
+def test_cli_recursion_limit_exits_3(tmp_path, capsys):
+    """The functor search recurses once per object, so a large enough
+    domain reaches the recursion limit: at the default limit, 1,000
+    objects do. The limit is lowered here, so that 300 objects reach it."""
+    path = tmp_path / "discrete.gpd"
+    path.write_text(discrete_to_point_doc(300), encoding="utf-8")
+    argv = ["classify", "f", "--structure", "projective", "--file", str(path)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 200)
+    try:
+        code = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # a small domain of the same kind passes
+    path.write_text(discrete_to_point_doc(3), encoding="utf-8")
+    assert main(argv) == 0
 
 
 def test_cli_universe_too_large_a_base_exits_3_at_once(capsys):

@@ -34,7 +34,6 @@ from invgpd.equivariant import EquivariantFunctor, InvolutiveGroupoid, diagonal,
 from invgpd.errors import BudgetExceeded
 from invgpd.generators import equivariant_functors, involutions_of, plain_catalog
 from invgpd.lifting import (
-    LiftingProblem,
     OrthogonalityReport,
     StructureTag,
     functor_as_dict,
@@ -43,7 +42,7 @@ from invgpd.lifting import (
     has_rlp,
     sample_trivial_fibrations,
 )
-from invgpd.search import iter_functors
+from invgpd.search import find_isomorphism, iter_functors
 from invgpd.universe import build_universe, equivalence_space
 
 CATALOG = plain_catalog(3, vertex_z2=True)
@@ -72,10 +71,6 @@ def catalog_digest(runs) -> str:
 
 def plain_runs():
     return [(A, B, {}) for A in CATALOG for B in CATALOG]
-
-
-def bijective_runs():
-    return [(A, B, {"bijective": True}) for A in CATALOG for B in CATALOG]
 
 
 def equivariant_runs():
@@ -151,7 +146,8 @@ def reference_orthogonality(pairs, key, budget=None):
     for name, left, right in pairs:
         for g, h in reference_squares(left, right, budget):
             checked += 1
-            if next(lifting._fillers(LiftingProblem(left, right, g, h), budget), None) is None:
+            seeds = lifting._seeds(left, g.map.obj_map, g.map.mor_map)
+            if next(lifting._filler_search(left, right, seeds, h.map, budget), None) is None:
                 witness = {key: name, "top": functor_as_dict(g), "bottom": functor_as_dict(h)}
                 return OrthogonalityReport(False, checked, witness)
     return OrthogonalityReport(True, checked)
@@ -187,12 +183,11 @@ def llp_runs():
 
 @pytest.mark.parametrize("runs, expected", [
     (plain_runs, "58afc05b6762ccd7c4283af8248394d4ebeb06727e444937158c4ff3ceec9521"),
-    (bijective_runs, "fb0811572c87c30adaa2f6bd1189f07ecfc8b4816d60bf1d9fd5552d5e4cdb2f"),
     (equivariant_runs, "edc74721598f9caa91b497f316c52f04b4fa79cb063d0cc33172aa18349c45f1"),
     (post_runs, "ee5bb95484ab30666b543ae22a461ff0f3e6c43b0967a66379f1957ca762a986"),
     (rlp_runs, "2d7a932d894745cce58efe9d684f0f0c04ff2b78aee9d4d0491dae4b36b99fad"),
     (llp_runs, "fcfaefbe34f17998958692fb8c1e4930567b4fdb0066df2281ec50295747f205"),
-], ids=["plain", "bijective", "equiv", "post", "rlp", "llp"])
+], ids=["plain", "equiv", "post", "rlp", "llp"])
 def test_search_order_and_budget_are_pinned(runs, expected):
     assert catalog_digest(runs()) == expected
 
@@ -401,9 +396,8 @@ def force_generic_walk(monkeypatch):
     monkeypatch.setattr(Groupoid, "identities_are_units", lambda self: False)
 
 
-@pytest.mark.parametrize("runs", [plain_runs, bijective_runs, equivariant_runs, post_runs,
-                                  rlp_runs, llp_runs],
-                         ids=["plain", "bijective", "equiv", "post", "rlp", "llp"])
+@pytest.mark.parametrize("runs", [plain_runs, equivariant_runs, post_runs, rlp_runs, llp_runs],
+                         ids=["plain", "equiv", "post", "rlp", "llp"])
 def test_identity_charge_matches_the_generic_walk(runs, monkeypatch):
     assert all(G.identities_are_units() for G in CATALOG)
     assert all(X.involution.preserves_identities() for X in INVOLUTIVE)
@@ -431,19 +425,13 @@ def post_rejects_identity_case():
     return Z2, Z2, {"post": (identity_functor(Z2), r)}
 
 
-def bijective_case():
-    # the seed stage adds each identity's image to used_mor
-    return Z2, Z2, {"bijective": True, "mor_seed": {"m(o0,o1,0)": "m(o1,o0,1)"}}
-
-
 # recorded from the search that seeded the identities one assign_mor call
 # at a time
 @pytest.mark.parametrize("case, expected", [
     (seed_conflict_case, "824136755fa3f26b723ce6bfd0bd7eef6d8d11fcfc630def1a1d1bb15563b9c2"),
     (post_rejects_identity_case,
      "6140e7da77510c9addb106bbbed3cdab3e626e2fcf9128ec19b9b438bbfa5ca2"),
-    (bijective_case, "2a97659efa1182a8d4fc224051c091088f6da1e614254d239f1b3d9e5752cd9c"),
-], ids=["mor_seed", "post", "bijective"])
+], ids=["mor_seed", "post"])
 def test_identity_seeding_exits_match_the_generic_walk(case, expected, monkeypatch):
     dom, cod, kw = case()
     assert dom.identities_are_units() and cod.identities_are_units()
@@ -802,3 +790,40 @@ def test_post_into_the_point_keeps_every_other_post():
         for limit in range(i % 5, whole[1], max(5, whole[1] // 4)):
             assert (outcome_trace(iter_functors, dom, cod, kw, limit)
                     == outcome_trace(reference_search.iter_functors, dom, cod, kw, limit))
+
+
+# -- involutions and isomorphisms, against the bijective search ---------------
+#
+# ``reference_search.iter_functors`` keeps the mode that restricted the
+# search to isomorphisms. ``involutions_of`` searches each object involution
+# instead, and ``find_isomorphism`` filters the unrestricted search for the
+# first injective functor; both must give what the bijective search gave,
+# in its order.
+
+
+def reference_involutions(G) -> list:
+    return [F for F in reference_search.iter_functors(G, G, bijective=True)
+            if all(F.obj_map[F.obj_map[x]] == x for x in G.objects)
+            and all(F.mor_map[F.mor_map[m]] == m for m in G.morphisms)]
+
+
+def test_involutions_are_those_of_the_bijective_search():
+    catalog = plain_catalog(3, vertex_z2=True) + plain_catalog(4, vertex_z2=True)
+    assert len(catalog) == 80
+    for G in catalog:
+        assert ([functor_bytes(F) for F in involutions_of(G)]
+                == [functor_bytes(F) for F in reference_involutions(G)]), G.objects
+
+
+def test_isomorphisms_are_those_of_the_bijective_search():
+    found = 0
+    for A in CATALOG:
+        for B in CATALOG:
+            seeds = [{A.objects[0]: y} for y in B.objects] if A.objects else []
+            for seed in [None, *seeds]:
+                want = next(reference_search.iter_functors(A, B, bijective=True,
+                                                           obj_seed=seed), None)
+                got = find_isomorphism(A, B, obj_seed=seed)
+                assert (got and functor_bytes(got)) == (want and functor_bytes(want))
+                found += want is not None
+    assert found
