@@ -54,11 +54,12 @@ Conventions
   equality), which reads each row once. Its IDs and contents are those of
   the all-pairs table, and a row holds no strings of its own: its values
   are the stored IDs. The
-  functor search, and the constructions built on such a table (a
-  pullback's rows, a path object), read composites by rows
-  (``composite_table``), and a computed table builds each row the first
-  time it is read, so a reader that looks up a few composites, or a search
-  that reads a few rows, never pays for the rest.
+  functor search, the functor check (:func:`is_functor`) and the
+  constructions built on such a table (a pullback's rows, a path object)
+  read composites by rows (``composite_table``), and a computed table
+  builds each row the first time it is read, so a reader that looks up a
+  few composites, or a search that reads a few rows, never pays for the
+  rest.
 """
 
 from __future__ import annotations
@@ -529,39 +530,59 @@ def validate_functor(F: Functor) -> list[str]:
 
 def is_functor(F: Functor) -> bool:
     """Does F preserve endpoints, identities and composites? Decided from
-    dom's spanning tree and vertex groups, without walking dom's compose
-    table. For m: x -> y with tree arrows t_x, t_y out of the root r,
-    g = t_y⁻¹∘m∘t_x lies in Aut(r), and F is a functor iff (a) F is a
-    homomorphism on each Aut(r) and (b) F(m) = F(t_y)∘F(g)∘F(t_x)⁻¹ for
-    every m: then g(n∘m) = g(n)∘g(m) gives F(n∘m) = F(n)∘F(m). Exact
-    when dom and cod obey the groupoid laws (``validate_functor`` makes
-    no such assumption); a table that lacks an entry reads False."""
+    dom's spanning tree and vertex groups, reading composites by rows
+    (``composite_table``), never one pair at a time.
+
+    Each component of dom, with root r and tree arrows t_x: r -> x, is
+    walked as the triples (x, y, g) with g in Aut(r), each naming the
+    morphism m = t_y∘g∘t_x⁻¹: x -> y. In dom, m is read from the rows of
+    g and of t_y; in cod, F(t_y)∘F(g)∘F(t_x)⁻¹ from the rows of F(g) and
+    F(t_y). F is a functor iff (a) F is a homomorphism on each Aut(r),
+    read from the same rows, and (b) F(m) = F(t_y)∘F(g)∘F(t_x)⁻¹ at every
+    triple: then g(n∘m) = g(n)∘g(m) for g(m) = t_y⁻¹∘m∘t_x gives F(n∘m) =
+    F(n)∘F(m). In a groupoid that obeys the laws, g -> t_y∘g∘t_x⁻¹ is a
+    bijection Aut(r) -> hom(x, y), so the triples name every morphism of
+    dom once, and these are exactly the conditions of walking every m.
+    The walk ends by checking that the triples number ``dom.n_morphisms``:
+    in a dom that breaks the laws a hom-set can outgrow its vertex group,
+    and a morphism no triple names would go unchecked. Exact when dom and
+    cod obey the groupoid laws (``validate_functor`` makes no such
+    assumption); a table that lacks an entry reads False."""
     if _endpoint_problems(F) or not F.preserves_identities():
         return False
     dom, mor_map = F.dom, F.mor_map
-    d_comp, c_comp, c_inv = dom.compose, F.cod.compose, F.cod.inverse
-    tree = dom.spanning_tree()
+    d_after, c_after = dom.composite_table(), F.cod.composite_table()
+    d_inv, c_inv = dom.inverse, F.cod.inverse
+    components: dict[str, list[str]] = {}  # r -> the tree arrows t_x out of r
+    for r, t in dom.spanning_tree().values():
+        components.setdefault(r, []).append(t)
+    counted = 0
     try:
-        for r in dom.roots():  # (a)
+        for r, arrows in components.items():
             aut = dom.hom(r, r)
-            for g in aut:
-                Fg = mor_map[g]
+            rows = []  # (g∘-, F(g)∘-) for g in Aut(r)
+            for g in aut:  # (a)
+                g_row, Fg_row = d_after[g], c_after[mor_map[g]]
                 for f in aut:
-                    if c_comp[(Fg, mor_map[f])] != mor_map[d_comp[(g, f)]]:
+                    if Fg_row[mor_map[f]] != mor_map[g_row[f]]:
                         return False
-        legs = {}  # x -> (t_x, t_x⁻¹, F(t_x), F(t_x)⁻¹)
-        for x, (_, t) in tree.items():
-            Ft = mor_map[t]
-            legs[x] = (t, dom.inverse[t], Ft, c_inv[Ft])
-        for m, (x, y) in dom.morphisms.items():  # (b)
-            tx, _, _, Ftx_inv = legs[x]
-            _, ty_inv, Fty, _ = legs[y]
-            g = d_comp[(ty_inv, d_comp[(m, tx)])]
-            if c_comp[(Fty, c_comp[(mor_map[g], Ftx_inv)])] != mor_map[m]:
-                return False
+                rows.append((g_row, Fg_row))
+            legs = []  # (t_x⁻¹, F(t_x)⁻¹) for x in the component
+            tree_rows = []  # (t_y∘-, F(t_y)∘-) for y in the component
+            for t in arrows:
+                Ft = mor_map[t]
+                legs.append((d_inv[t], c_inv[Ft]))
+                tree_rows.append((d_after[t], c_after[Ft]))
+            for g_row, Fg_row in rows:  # (b)
+                for tx_inv, Ftx_inv in legs:
+                    h, Fh = g_row[tx_inv], Fg_row[Ftx_inv]  # g∘t_x⁻¹, F(g)∘F(t_x)⁻¹
+                    for ty_row, Fty_row in tree_rows:
+                        if mor_map[ty_row[h]] != Fty_row[Fh]:
+                            return False
+            counted += len(aut) * len(arrows) ** 2
     except KeyError:
         return False
-    return True
+    return counted == dom.n_morphisms
 
 
 def require_valid_functor(F: Functor) -> None:

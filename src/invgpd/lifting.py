@@ -513,6 +513,14 @@ def decompose_trivial_cofibration(f, tag: StructureTag) -> CellSequence:
     object, a fixed-point cell (attached along a morphism m with
     eta(m) = inv(m)) for a fixed one. Each choice is read off the hom-sets
     directly: the decomposition runs no search, so it takes no budget.
+
+    The extended comparison is validated once, after the last cell
+    (``validate_equivariant``), not after each one. A cell adds objects
+    and the morphisms at them, and keeps the earlier morphisms, their
+    composites and the involution on them, and each extended comparison
+    keeps the earlier images. So every comparison built on the way is the
+    final one restricted to a full subgroupoid with the same composites,
+    and the final check fails exactly when the check of some step would.
     """
     f = as_equivariant(f)
     if not is_trivial_cofibration(f, tag):
@@ -550,6 +558,7 @@ def decompose_trivial_cofibration(f, tag: StructureTag) -> CellSequence:
         X, _, info = attach_cell(X, kind, data, fresh=f"c{len(seq.steps)}")
         comp = extend_over_cell(comp, X, info, [(x, iso)])
         seq.steps.append((kind, data))
+    if seq.steps:
         problems = validate_equivariant(comp)
         if problems:
             raise InvariantViolated(f"extended comparison: {'; '.join(problems[:3])}")

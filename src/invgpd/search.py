@@ -10,8 +10,9 @@ enumerates functors ``F: dom -> cod`` subject to optional constraints:
 * ``equiv = (ed, ec)``         -- an equivariance equation ``F∘ed = ec∘F``.
 
 Isomorphisms and involutions are not a constraint of the search: their
-callers filter what it yields (``find_isomorphism`` below, and
-``generators.involutions_of``, which seeds each object involution).
+callers seed each object bijection (``find_isomorphism`` below) or each
+object involution (``generators.involutions_of``) and filter what it
+yields.
 
 Assignments are explored in sorted ID order (objects first, then
 morphisms) and every derived consequence (identities, inverses,
@@ -108,6 +109,7 @@ points with more than one morphism, keep the generic path.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterator
 
 from .budget import Budget, ensure_budget
@@ -424,11 +426,25 @@ def find_isomorphism(G: Groupoid, H: Groupoid, budget: Budget | int | None = Non
     objects and on morphisms, which between groupoids of the same sizes
     makes it an isomorphism; so the answer is deterministic. ``obj_seed``
     pins part of the object map (used for over-the-codomain comparisons).
+    Only bijections on objects can carry an isomorphism, so each one that
+    extends ``obj_seed`` is searched as a seed of its own, in
+    ``itertools.permutations`` order (as ``generators.involutions_of``
+    searches each object involution). That is the order in which the
+    unrestricted search meets them, and the seed lists ``obj_seed``'s keys
+    first, as that search's object map does, so the first answer and its
+    maps' insertion order are the unrestricted search's.
     """
     if G.n_objects != H.n_objects or G.n_morphisms != H.n_morphisms:
         return None
-    for F in iter_functors(G, H, obj_seed=obj_seed, budget=budget):
-        if (len(set(F.obj_map.values())) == G.n_objects
-                and len(set(F.mor_map.values())) == G.n_morphisms):
-            return F
+    budget = ensure_budget(budget)
+    obj_seed = obj_seed or {}
+    rest = [x for x in G.objects if x not in obj_seed]
+    free = [c for c in H.objects if c not in obj_seed.values()]
+    if len(rest) != len(free):
+        return None
+    for images in permutations(free):
+        seed = {**obj_seed, **dict(zip(rest, images))}
+        for F in iter_functors(G, H, obj_seed=seed, budget=budget):
+            if len(set(F.mor_map.values())) == G.n_morphisms:
+                return F
     return None

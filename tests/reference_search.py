@@ -11,7 +11,7 @@ rules against: the same functors, in the same order, and the same
 It also keeps the ``bijective`` mode that the package search no longer
 has, which restricts the search to isomorphisms. ``test_search.py``
 checks ``generators.involutions_of``, which seeds each object involution,
-and ``search.find_isomorphism``, which filters the unrestricted search,
+and ``search.find_isomorphism``, which seeds each object bijection,
 against it: the same functors, in the same order.
 """
 

@@ -14,6 +14,7 @@ import pytest
 import invgpd
 from composites import assert_computed_composites, assert_lookups_agree
 from invgpd.core import (
+    _PairComposites,
     Functor,
     Groupoid,
     binary_product,
@@ -40,7 +41,12 @@ from invgpd.errors import CodomainMismatch, MalformedDocument, MalformedFunctor
 from invgpd.generators import involutive_catalog, plain_catalog, z2_component
 from invgpd.pi import fiber_groupoid
 from invgpd.search import find_isomorphism, iter_functors
-from invgpd.universe import build_universe
+from invgpd.universe import (
+    _PointedComposites,
+    _UniverseComposites,
+    build_universe,
+    equivalence_space,
+)
 
 
 def bang(G: Groupoid) -> Functor:
@@ -533,6 +539,77 @@ def test_functoriality_check_catches_maps_that_break_only_the_tree_part(catalog_
                     assert assert_check_agrees(moved(F, {m: n}))
                     mutants += 1
     assert mutants > 1000
+
+
+@pytest.fixture(scope="module")
+def computed_table_functors():
+    """Functors whose dom and cod compose by computed tables: p and U's
+    identity at |V| = 2 and 3, the diagonal of p into its self-pullback
+    at |V| = 2, and the legs δ₁: U -> E and δ₂: E -> U x U of the
+    equivalence space at |V| = 2."""
+    small, large = build_universe(("a", "b")), build_universe(("a", "b", "c"))
+    space = equivalence_space(small)
+    return {"p2": small.p.map, "idU2": identity_functor(small.U.base),
+            "p3": large.p.map, "idU3": identity_functor(large.U.base),
+            "diag2": diagonal(small.p).map,
+            "delta1": space.delta1.map, "delta2": space.delta2.map}
+
+
+@pytest.mark.parametrize("name", ["p2", "idU2", "p3", "idU3", "diag2", "delta1", "delta2"])
+def test_functoriality_check_agrees_on_computed_tables(computed_table_functors, name):
+    """The row walk's verdict is the all-pairs walk's on the computed
+    tables of U, Ũ, a pullback and E, and on seeded mutants with one
+    non-identity image moved within its hom-set. The diagonal of p has
+    none: p is a discrete fibration, so each hom-set of Ũ x_U Ũ between
+    two diagonal objects holds one morphism."""
+    F = computed_table_functors[name]
+    assert assert_check_agrees(F) == []
+    rng = random.Random(name)
+    movable = F.dom.non_identities()
+    mutants = invalid = 0
+    for m in rng.sample(movable, 10):
+        s, t = (F.obj_map[x] for x in F.dom.morphisms[m])
+        others = [n for n in F.cod.hom(s, t) if n != F.mor_map[m]]
+        if others:
+            mutants += 1
+            invalid += bool(assert_check_agrees(moved(F, {m: rng.choice(others)})))
+    assert invalid == mutants and (mutants > 0) == (name != "diag2")
+
+
+def test_functoriality_check_reads_computed_tables_by_rows(monkeypatch):
+    """``is_functor`` and ``classify_functor`` read the composites of U, Ũ
+    and a pullback from their rows, with no lookup of one pair."""
+    large, small = build_universe(("a", "b", "c")), build_universe(("a", "b"))
+    D = diagonal(small.p).map
+
+    def one_pair(self, key):
+        raise AssertionError(f"composite {key} looked up one pair at a time")
+
+    for table in (_UniverseComposites, _PointedComposites, _PairComposites):
+        monkeypatch.setattr(table, "__getitem__", one_pair)
+    assert is_functor(large.p.map)
+    report = classify_functor(D)
+    monkeypatch.undo()
+    assert report == classify_functor(diagonal(build_universe(("a", "b")).p).map)
+
+
+def test_functoriality_check_counts_the_morphisms_it_reaches():
+    """A dom that breaks the laws can have a hom-set larger than its
+    vertex group, and then the triples (x, y, g) miss a morphism. Here
+    z2_component(("a", "b")) has each vertex group cut down to its
+    identity, and the inclusion into the whole component breaks
+    composition only at the composites through m(a,b,1) and m(b,a,1),
+    which no triple names: only the count of triples sees them."""
+    Z = z2_component(("a", "b"))
+    units = set(Z.identity.values())
+    kept = {m: (s, t) for m, (s, t) in Z.morphisms.items() if s != t or m in units}
+    compose = {(g, f): h if h in kept else Z.identity[Z.src(h)]
+               for (g, f), h in Z.compose.items() if g in kept and f in kept}
+    dom = Groupoid(Z.objects, kept, dict(Z.identity), compose,
+                   {m: Z.inverse[m] for m in kept})
+    assert len(dom.hom("a", "a")) == 1 and len(dom.hom("a", "b")) == 2
+    assert assert_check_agrees(Functor(dom, Z, {x: x for x in Z.objects},
+                                       {m: m for m in kept}))
 
 
 def per_pair_report(F: Functor) -> dict:

@@ -796,9 +796,9 @@ def test_post_into_the_point_keeps_every_other_post():
 #
 # ``reference_search.iter_functors`` keeps the mode that restricted the
 # search to isomorphisms. ``involutions_of`` searches each object involution
-# instead, and ``find_isomorphism`` filters the unrestricted search for the
-# first injective functor; both must give what the bijective search gave,
-# in its order.
+# instead, and ``find_isomorphism`` searches each object bijection and
+# keeps the first functor injective on morphisms; both must give what the
+# bijective search gave, in its order.
 
 
 def reference_involutions(G) -> list:
@@ -827,3 +827,13 @@ def test_isomorphisms_are_those_of_the_bijective_search():
                 assert (got and functor_bytes(got)) == (want and functor_bytes(want))
                 found += want is not None
     assert found
+
+
+def test_isomorphism_of_eight_discrete_objects_stays_in_budget():
+    """Only object bijections are searched: filtering the unrestricted
+    search tries 8^8 object maps for the identity of eight discrete
+    objects, and runs out of the default budget."""
+    D = discrete(tuple(f"o{i}" for i in range(8)))
+    F = find_isomorphism(D, D)
+    assert F.obj_map == {x: x for x in D.objects}
+    assert F.mor_map == {m: m for m in D.morphisms}
