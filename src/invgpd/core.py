@@ -2,9 +2,9 @@
 
 Everything is enumerated explicitly: a :class:`Groupoid` has full
 composition, identity and inverse tables (the composition tables of
-pullbacks, cell attachments and the universe bundle U and Ũ are computed,
-see below), so every predicate downstream (equivalence, isofibration,
-lifting, ...) is decided by finite search.
+pullbacks, cell attachments, the universe bundle U and Ũ and path objects
+are computed, see below), so every predicate downstream (equivalence,
+isofibration, lifting, ...) is decided by finite search.
 Values are treated as immutable after construction; all operations are
 pure functions of their inputs.
 
@@ -46,15 +46,16 @@ Conventions
   of their involutions, and a :func:`pairing` into a pullback are keys of
   ``morphisms`` and entries of ``objects``.
 * The ``compose`` of a pullback, of a cell attachment
-  (``equivariant.attach_cells``) and of the universe's U and Ũ
-  (``universe.build_universe``) is a :class:`ComputedComposites`: a
-  read-only ``Mapping`` that computes each composite from the tables it
-  was built from when it is looked up, and computes them all again on
-  each full walk (iteration, ``len``, ``items``, ``dict(table.items())``,
-  equality), which reads each row once. Its IDs and contents are those of
-  the all-pairs table, and a row holds no strings of its own: its values
-  are the stored IDs. The
-  functor search, the functor check (:func:`is_functor`) and the
+  (``equivariant.attach_cells``), of the universe's U and Ũ
+  (``universe.build_universe``) and of a path object such as the
+  equivalence space E (``homotopy.path_object``) is a
+  :class:`ComputedComposites`: a read-only ``Mapping`` that computes each
+  composite from the tables it was built from when it is looked up, and
+  computes them all again on each full walk (iteration, ``len``,
+  ``items``, ``dict(table.items())``, equality), which reads each row
+  once. Its IDs and contents are those of the all-pairs table, and a row
+  holds no strings of its own: its values are the stored IDs. The functor
+  search, the functor check (:func:`is_functor`) and the
   constructions built on such a table (a pullback's rows, a path object)
   read composites by rows (``composite_table``), and a computed table
   builds each row the first time it is read, so a reader that looks up a
@@ -80,10 +81,10 @@ class Groupoid:
     identity   -- object ID -> its identity morphism ID
     compose    -- (g, f) -> g∘f, total on composable pairs, keys in no
                   promised order: a dict, or any read-only Mapping (a
-                  ComputedComposites, as pullbacks, cell attachments and
-                  the universe's U and Ũ have, computes each composite on
-                  lookup and each row of ``composite_table`` when it is
-                  first read)
+                  ComputedComposites, as pullbacks, cell attachments,
+                  the universe's U and Ũ and path objects have, computes
+                  each composite on lookup and each row of
+                  ``composite_table`` when it is first read)
     inverse    -- morphism ID -> inverse morphism ID
     """
 

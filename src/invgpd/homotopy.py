@@ -23,7 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
-from .core import Functor, Groupoid, classify_functor, indexed_pair_id, pair_cells
+from .core import (
+    ComputedComposites,
+    Functor,
+    Groupoid,
+    classify_functor,
+    indexed_pair_id,
+    pair_cells,
+)
 from .equivariant import (
     EquivariantFunctor,
     InvolutiveGroupoid,
@@ -63,15 +70,66 @@ def pm(phi: str, sigma: str, tau: str) -> str:
     return f"pm({phi},{sigma},{tau})"
 
 
+class _PathComposites(ComputedComposites):
+    """E's compose table, read off A's: (σ₂,τ₂)∘(σ₁,τ₁) at po(φ₁) is
+    pm(φ₁, σ₂∘σ₁, τ₂∘τ₁).
+
+    ``data[m]`` is (φ, σ, τ, φ of the target) for each morphism m, and m₁
+    composes with m₂ when m₁'s target φ is m₂'s φ. Every composite is named
+    by :func:`_pm_id`: the ID ``pm_of`` holds, or a new one for a composite
+    that E lacks (f is not a functor, or not equivariant). ``row(m₂)``
+    reads A's rows of σ₂ and τ₂ (``composite_table``) for every m₁ into
+    src(m₂); the walk reads the rows in morphism order.
+    """
+
+    __slots__ = ("_A", "_data", "_pm_of", "_into")
+
+    def __init__(self, A: Groupoid, data: dict[str, tuple[str, str, str, str]],
+                 pm_of: dict[tuple[str, str, str], str]):
+        super().__init__(data)
+        self._A, self._data, self._pm_of = A, data, pm_of
+        self._into: dict[str, list[str]] | None = None
+
+    def __getitem__(self, key) -> str:
+        try:
+            g, f = key
+            phi1, s1, t1, via = self._data[f]
+            at, s2, t2, _ = self._data[g]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if via != at:
+            raise KeyError(key)
+        compose = self._A.compose
+        return _pm_id(self._pm_of, phi1, compose[(s2, s1)], compose[(t2, t1)])
+
+    def row(self, g: str) -> dict[str, str]:
+        data, into = self._data, self._into
+        if into is None:
+            # φ -> every morphism into po(φ)
+            into = self._into = {}
+            for f, d in data.items():
+                into.setdefault(d[3], []).append(f)
+        phi, s2, t2, _ = data[g]
+        after = self._A.composite_table()
+        after_s2, after_t2, pm_of = after[s2], after[t2], self._pm_of
+        row = {}
+        for f in into.get(phi, ()):
+            phi1, s1, t1, _ = data[f]
+            row[f] = _pm_id(pm_of, phi1, after_s2[s1], after_t2[t1])
+        return row
+
+
 def _path_groupoid(f: EquivariantFunctor):
     """The groupoid of the canonical path object of f, with its involution.
 
     Each ID is made once: ``po_of`` maps φ to its object ``po(φ)`` and
     ``pm_of`` maps (φ, σ, τ) to its morphism ``pm(φ, σ, τ)``, and the
-    endpoints, identities, composites, inverses and the involution are
-    read from them (:func:`_po_id`, :func:`_pm_id`). Also returns
-    ``po_of``, ``pm_of`` and, for each morphism, its data (φ, σ, τ, φ of
-    the target).
+    endpoints, identities, inverses and the involution are read from them
+    (:func:`_po_id`, :func:`_pm_id`). The composites are not stored: each
+    is computed from A's on lookup (:class:`_PathComposites`), so a caller
+    that reads none, as :func:`witness_from_iso`, pays for none. Also
+    returns ``po_of``, ``pm_of`` and, for each morphism, its data (φ, σ, τ,
+    φ of the target).
     """
     A, C = f.dom, f.cod
     GA = A.base
@@ -82,7 +140,6 @@ def _path_groupoid(f: EquivariantFunctor):
     morphisms: dict[str, tuple[str, str]] = {}
     pm_of: dict[tuple[str, str, str], str] = {}
     data: dict[str, tuple[str, str, str, str]] = {}  # (phi, sigma, tau, phi of the target)
-    by_src: dict[str, list[str]] = {}                  # phi -> morphisms out of po(phi)
     for phi, o in po_of.items():
         x, y = GA.morphisms[phi]
         for sigma in GA.out(x):
@@ -93,18 +150,13 @@ def _path_groupoid(f: EquivariantFunctor):
                 mid = pm_of[(phi, sigma, tau)] = pm(phi, sigma, tau)
                 morphisms[mid] = (o, _po_id(po_of, phi2))
                 data[mid] = (phi, sigma, tau, phi2)
-                by_src.setdefault(phi, []).append(mid)
 
     identity = {o: _pm_id(pm_of, phi, GA.ident(GA.src(phi)), GA.ident(GA.tgt(phi)))
                 for phi, o in po_of.items()}
-    compose = {}
-    for m1, (phi1, s1, t1, phi2) in data.items():
-        for m2 in by_src.get(phi2, ()):
-            _, s2, t2, _ = data[m2]
-            compose[(m2, m1)] = _pm_id(pm_of, phi1, after[s2][s1], after[t2][t1])
     inverse = {m1: _pm_id(pm_of, phi2, GA.inv(s), GA.inv(t))
                for m1, (_, s, t, phi2) in data.items()}
-    P = Groupoid(tuple(po_of.values()), morphisms, identity, compose, inverse)
+    P = Groupoid(tuple(po_of.values()), morphisms, identity,
+                 _PathComposites(GA, data, pm_of), inverse)
     eta = A.eta_mor
     inv = Functor(
         P, P,
@@ -247,8 +299,9 @@ def find_natural_iso(
 def witness_from_iso(f: EquivariantFunctor, g: EquivariantFunctor,
                      nu: dict[str, str]) -> HomotopyWitness:
     """Package a natural isomorphism as a map into the tuple path object of
-    f's codomain over the point. Only the path groupoid is built: the
-    witness never reads the legs or the product they map to."""
+    f's codomain over the point. Only the path groupoid is built, and none
+    of its composites: the witness never reads them, the legs or the
+    product the legs map to."""
     path, po_of, pm_of, _ = _path_groupoid(terminal_map(f.cod))
     GA = f.dom.base
     obj_map = {a: _po_id(po_of, nu[a]) for a in GA.objects}

@@ -109,7 +109,6 @@ points with more than one morphism, keep the generic path.
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Iterator
 
 from .budget import Budget, ensure_budget
@@ -418,6 +417,29 @@ def _dead_leaf_probe(dom: Groupoid, trail: list[str], seed_objects: list[str],
     return None
 
 
+def _object_invariants(G: Groupoid) -> dict[str, tuple[int, int]]:
+    """x -> (the number of objects x reaches by one morphism, |hom(x, x)|):
+    in a groupoid that obeys the laws, the object count of x's component
+    and the order of its vertex group. A functor bijective on objects and
+    on morphisms maps each hom-set onto its image's, so it keeps both."""
+    ends = G.morphisms
+    return {x: (len({ends[m][1] for m in G.out(x)}), len(G.hom(x, x))) for x in G.objects}
+
+
+def _bijections(rest: list[str], free: list[str], key_G: dict, key_H: dict):
+    """The bijections rest -> free that keep the invariant (``key_G[x] ==
+    key_H[image]``), as tuples of images, in ``itertools.permutations(free)``
+    order: the permutations that break it are skipped, not listed."""
+    if not rest:
+        yield ()
+        return
+    want = key_G[rest[0]]
+    for i, c in enumerate(free):
+        if key_H[c] == want:
+            for more in _bijections(rest[1:], free[:i] + free[i + 1:], key_G, key_H):
+                yield (c, *more)
+
+
 def find_isomorphism(G: Groupoid, H: Groupoid, budget: Budget | int | None = None,
                      obj_seed: dict | None = None) -> Functor | None:
     """Search for an isomorphism of groupoids G -> H.
@@ -426,23 +448,33 @@ def find_isomorphism(G: Groupoid, H: Groupoid, budget: Budget | int | None = Non
     objects and on morphisms, which between groupoids of the same sizes
     makes it an isomorphism; so the answer is deterministic. ``obj_seed``
     pins part of the object map (used for over-the-codomain comparisons).
-    Only bijections on objects can carry an isomorphism, so each one that
-    extends ``obj_seed`` is searched as a seed of its own, in
-    ``itertools.permutations`` order (as ``generators.involutions_of``
-    searches each object involution). That is the order in which the
-    unrestricted search meets them, and the seed lists ``obj_seed``'s keys
-    first, as that search's object map does, so the first answer and its
-    maps' insertion order are the unrestricted search's.
+    Only bijections on objects can carry an isomorphism, and only those
+    that keep each object's invariant (:func:`_object_invariants`: the
+    object count of its component and the order of its vertex group). So
+    G and H whose multisets of invariants differ, or an ``obj_seed`` pair
+    that breaks one, give None with no search, and each bijection that
+    extends ``obj_seed`` and keeps the invariants is searched as a seed of
+    its own, in ``itertools.permutations`` order (as
+    ``generators.involutions_of`` searches each object involution). That
+    is the order in which the unrestricted search meets them, and the seed
+    lists ``obj_seed``'s keys first, as that search's object map does, so
+    the first answer and its maps' insertion order are the unrestricted
+    search's.
     """
     if G.n_objects != H.n_objects or G.n_morphisms != H.n_morphisms:
         return None
     budget = ensure_budget(budget)
     obj_seed = obj_seed or {}
+    key_G, key_H = _object_invariants(G), _object_invariants(H)
+    if sorted(key_G.values()) != sorted(key_H.values()):
+        return None
+    if any(key_G.get(x) != key_H.get(c) for x, c in obj_seed.items()):
+        return None
     rest = [x for x in G.objects if x not in obj_seed]
     free = [c for c in H.objects if c not in obj_seed.values()]
     if len(rest) != len(free):
         return None
-    for images in permutations(free):
+    for images in _bijections(rest, free, key_G, key_H):
         seed = {**obj_seed, **dict(zip(rest, images))}
         for F in iter_functors(G, H, obj_seed=seed, budget=budget):
             if len(set(F.mor_map.values())) == G.n_morphisms:

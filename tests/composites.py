@@ -1,6 +1,6 @@
 """The lookup contract of computed compose tables (pullbacks, cell
-attachments and the universe bundle U and Ũ), checked against an
-all-pairs table."""
+attachments, the universe bundle U and Ũ and path objects), checked
+against an all-pairs table."""
 
 import pytest
 

@@ -3,15 +3,17 @@
 import random
 
 import pytest
+from composites import assert_computed_composites
 
 from invgpd.budget import ensure_budget
-from invgpd.core import Functor, classify_functor, discrete, subgroupoid
+from invgpd.core import Functor, classify_functor, codiscrete, discrete, interval, subgroupoid
 from invgpd.equivariant import (
     REGISTRY,
     EquivariantFunctor,
     diagonal,
     eq_compose,
     eq_identity,
+    swap_double,
     terminal_map,
     trivial_action,
     validate_equivariant,
@@ -23,6 +25,7 @@ from invgpd.generators import (
     equivariant_functors,
     involutive_catalog,
     random_involutive,
+    z2_component,
 )
 from invgpd.homotopy import (
     find_homotopy_inverse,
@@ -67,13 +70,48 @@ def test_path_object_compose_matches_all_pairs_definition():
     U = build_universe(("a", "b")).U
     E = path_object(terminal_map(U)).path.base
     assert (E.n_objects, E.n_morphisms) == (25, 385)
-    assert E.compose == all_pairs_compose(terminal_map(U))
+    assert_computed_composites(E, all_pairs_compose(terminal_map(U)))
     catalog = involutive_catalog(2, vertex_z2=True)
     maps = [g for X in catalog for Y in catalog for g in equivariant_functors(X, Y)]
     maps += [terminal_map(X) for X in involutive_catalog()]
+    # maps with the same domain and the same morphisms of P have the same
+    # composites: the lookup contract is checked once per such table
+    contracts = set()
     for f in maps:
         P = path_object(f).path.base
-        assert P.compose == all_pairs_compose(f)
+        want = all_pairs_compose(f)
+        table = (id(f.dom.base), tuple(P.morphisms.items()))
+        if table in contracts:
+            assert P.compose == want
+        else:
+            contracts.add(table)
+            assert_computed_composites(P, want)
+    assert len(contracts) == 27
+
+
+def test_path_object_names_the_composites_it_lacks():
+    """A map that is not equivariant, and one that is not a functor: the
+    composites that name no morphism of E get their pm(...) IDs, as the
+    all-pairs definition names them, instead of a ``KeyError``."""
+    # the identity on the left copy of the swapped interval, folding the
+    # right copy onto 0
+    SI, I = swap_double(interval()), trivial_action(interval())
+    obj_map = {"l:0": "0", "l:1": "1", "r:0": "0", "r:1": "0"}
+    mor_map = {m: (m[2:] if m.startswith("l:") else "id(0)") for m in SI.base.morphisms}
+    folding = EquivariantFunctor(SI, I, Functor(SI.base, I.base, obj_map, mor_map))
+    # iso(x,y) goes to the identity of Z/2 and iso(y,x) to its other element
+    A, C = codiscrete(("x", "y")), z2_component(("*",))
+    s = next(m for m in C.morphisms if not C.is_identity(m))
+    mor_map = {m: (s if m == "iso(y,x)" else C.ident("*")) for m in A.morphisms}
+    not_a_functor = EquivariantFunctor(trivial_action(A), trivial_action(C),
+                                       Functor(A, C, {"x": "*", "y": "*"}, mor_map))
+    lacking = {}
+    for name, f in (("folding", folding), ("not a functor", not_a_functor)):
+        E = path_object(f).path.base
+        want = all_pairs_compose(f)
+        assert_computed_composites(E, want)
+        lacking[name] = sum(h not in E.morphisms for h in want.values())
+    assert lacking == {"folding": 0, "not a functor": 3}
 
 
 def test_path_object_of_discrete_over_point():

@@ -21,18 +21,29 @@ every leaf and read every post.
 """
 
 import hashlib
+import random
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import permutations
 
 import pytest
 
 import reference_search
 from invgpd import cli, docformat, lifting
 from invgpd.budget import Budget, ensure_budget
-from invgpd.core import Functor, Groupoid, discrete, identity_functor, terminal_functor, unit
+from invgpd.core import (
+    Functor,
+    Groupoid,
+    codiscrete,
+    coproduct,
+    discrete,
+    identity_functor,
+    terminal_functor,
+    unit,
+)
 from invgpd.equivariant import EquivariantFunctor, InvolutiveGroupoid, diagonal, terminal_map
 from invgpd.errors import BudgetExceeded
-from invgpd.generators import equivariant_functors, involutions_of, plain_catalog
+from invgpd.generators import equivariant_functors, involutions_of, plain_catalog, z2_component
 from invgpd.lifting import (
     OrthogonalityReport,
     StructureTag,
@@ -42,7 +53,7 @@ from invgpd.lifting import (
     has_rlp,
     sample_trivial_fibrations,
 )
-from invgpd.search import find_isomorphism, iter_functors
+from invgpd.search import _bijections, find_isomorphism, iter_functors
 from invgpd.universe import build_universe, equivalence_space
 
 CATALOG = plain_catalog(3, vertex_z2=True)
@@ -837,3 +848,61 @@ def test_isomorphism_of_eight_discrete_objects_stays_in_budget():
     F = find_isomorphism(D, D)
     assert F.obj_map == {x: x for x in D.objects}
     assert F.mor_map == {m: m for m in D.morphisms}
+
+
+def one_object_group(name: str, n: int, mult) -> Groupoid:
+    """The group on range(n) with product ``mult`` as a one-object groupoid."""
+    g = [f"{name}{i}" for i in range(n)]
+    compose = {(g[b], g[a]): g[mult(b, a)] for a in range(n) for b in range(n)}
+    inverse = {g[a]: g[next(b for b in range(n) if mult(b, a) == 0)] for a in range(n)}
+    return Groupoid(("*",), {m: ("*", "*") for m in g}, {"*": g[0]}, compose, inverse)
+
+
+@pytest.mark.parametrize("n_discrete", [6, 7])
+def test_isomorphism_search_skips_bijections_that_break_an_invariant(n_discrete):
+    """Two codiscrete objects against two one-object Z/2 components, each
+    beside the same discrete objects: equal sizes, but one component of
+    two objects with trivial vertex groups against two of one object with
+    vertex groups of order 2. No bijection keeps the invariants, so nothing
+    is searched. Searching every bijection would take 40,320 searches and
+    1,935,360 units at 6 discrete objects, and exceed the default budget
+    at 7."""
+    rest = discrete(tuple(f"d{i}" for i in range(n_discrete)))
+    G, _, _ = coproduct(codiscrete(("p", "q")), rest)
+    Z, _, _ = coproduct(z2_component(("p",)), z2_component(("q",)))
+    H, _, _ = coproduct(Z, rest)
+    assert (G.n_objects, G.n_morphisms) == (H.n_objects, H.n_morphisms)
+    budget = Budget()
+    assert find_isomorphism(G, H, budget=budget) is None
+    assert find_isomorphism(H, G, budget=budget) is None
+    assert budget.used == 0
+    # a seed that pairs objects of different invariants searches nothing
+    pq, d0 = "l:p", "r:d0"
+    assert find_isomorphism(G, G, budget=budget, obj_seed={pq: d0}) is None
+    assert budget.used == 0
+    F = find_isomorphism(G, G, budget=budget, obj_seed={pq: "l:q"})
+    assert F.obj_map[pq] == "l:q" and budget.used > 0
+
+
+def test_matching_bijections_come_in_permutations_order():
+    """``_bijections`` lists exactly the permutations that keep every key,
+    in ``itertools.permutations`` order."""
+    rng = random.Random(3)
+    for n in range(7):
+        for _ in range(20):
+            rest, free = [f"x{i}" for i in range(n)], [f"c{i}" for i in range(n)]
+            key_G = {x: rng.randint(0, 2) for x in rest}
+            key_H = {c: rng.randint(0, 2) for c in free}
+            want = [p for p in permutations(free)
+                    if all(key_G[x] == key_H[c] for x, c in zip(rest, p))]
+            assert list(_bijections(rest, free, key_G, key_H)) == want
+
+
+def test_isomorphism_search_runs_when_the_invariants_agree():
+    """Z/4 and Z/2 × Z/2 share their invariants (one object, a vertex group
+    of order 4): the one bijection is searched, and finds no isomorphism."""
+    z4 = one_object_group("z", 4, lambda b, a: (a + b) % 4)
+    klein = one_object_group("k", 4, lambda b, a: a ^ b)
+    budget = Budget()
+    assert find_isomorphism(z4, klein, budget=budget) is None and budget.used > 0
+    assert find_isomorphism(z4, z4) is not None and find_isomorphism(klein, klein) is not None

@@ -2,8 +2,10 @@
 U and Ũ and of the path object, their involutions, pairings into a
 pullback and the legs of a path object return the very strings that the
 groupoid's ``objects`` and ``morphisms`` hold, never equal copies; a full
-walk of a computed table reads each row once and looks nothing up; maps
-that are not functors still get pair IDs instead of a ``KeyError``."""
+walk of a computed table, of every kind, reads each row once and looks
+nothing up; a homotopy witness reads no composite of its path object;
+maps that are not functors still get pair IDs instead of a
+``KeyError``."""
 
 from itertools import islice
 
@@ -24,6 +26,7 @@ from invgpd.core import (
 from invgpd.docformat import Document, dumps, loads
 from invgpd.equivariant import (
     EquivariantFunctor,
+    attach_cell,
     diagonal,
     eq_identity,
     equivariant_pullback,
@@ -32,8 +35,14 @@ from invgpd.equivariant import (
     trivial_action,
 )
 from invgpd.errors import CodomainMismatch
-from invgpd.generators import plain_catalog, z2_component
+from invgpd.generators import (
+    equivariant_functors,
+    involutive_catalog,
+    plain_catalog,
+    z2_component,
+)
 from invgpd.homotopy import find_right_homotopy, path_object, po
+from invgpd.lifting import StructureTag
 from invgpd.search import iter_functors
 from invgpd.universe import build_universe
 
@@ -150,13 +159,28 @@ def counted(monkeypatch):
 
 
 def walked_groupoids():
+    """One groupoid for each kind of computed table."""
     bundle = build_universe(("a", "b"))
     p = bundle.p.map
     P, _, _ = pullback(p, p)
-    return {"Utilde": bundle.Utilde.base, "U": bundle.U.base, "pullback": P}
+    U = bundle.U
+    Y, _, _ = attach_cell(U, "Si", U.base.objects[0], "c0")
+    return {"Utilde": bundle.Utilde.base, "U": U.base, "pullback": P,
+            "E": path_object(terminal_map(U)).path.base, "attachment": Y.base}
 
 
-@pytest.mark.parametrize("name", ["pullback", "Utilde", "U"])
+def test_every_computed_table_is_walked():
+    """Each subclass of ``ComputedComposites`` has a case in
+    ``walked_groupoids``, so the walk test below reaches every kind."""
+    kinds, new = set(), [ComputedComposites]
+    while new:
+        subs = new.pop().__subclasses__()
+        kinds.update(subs)
+        new.extend(subs)
+    assert kinds == {type(G.compose) for G in walked_groupoids().values()}
+
+
+@pytest.mark.parametrize("name", ["pullback", "Utilde", "U", "E", "attachment"])
 def test_a_full_walk_reads_each_row_once_and_looks_nothing_up(name, counted):
     G = walked_groupoids()[name]
     compose = G.compose
@@ -176,6 +200,26 @@ def test_a_full_walk_reads_each_row_once_and_looks_nothing_up(name, counted):
     counted["getitem"] = 0
     assert_rows_and_walk(G, want)
     assert counted["getitem"] == 0
+
+
+def test_homotopy_witnesses_read_no_composite(counted):
+    """``find_right_homotopy`` decides on the maps' own tables and packages
+    the answer as a map into the path object of the codomain, whose
+    composites it never reads."""
+    catalog = involutive_catalog(2, vertex_z2=True)
+    witnesses = 0
+    for X in catalog:
+        for A in catalog:
+            maps = list(equivariant_functors(A, X, limit=4))
+            for f in maps:
+                for g in maps:
+                    for tag in (StructureTag.PROJECTIVE, StructureTag.INJECTIVE):
+                        w = find_right_homotopy(f, g, tag=tag)
+                        if w is not None:
+                            assert isinstance(w.H.cod.base.compose, ComputedComposites)
+                            witnesses += 1
+    assert witnesses == 1200
+    assert counted == {"getitem": 0, "row": 0}
 
 
 def test_dumps_reads_each_row_of_a_pullback_once(counted):

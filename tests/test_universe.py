@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
@@ -290,6 +291,27 @@ def test_equivalence_space_fibers():
     # the swap equivalence is a fixed point of E
     swap = [e for e in fib if decode(b, e)[2] != b.U.base.ident(A)]
     assert len(swap) == 1 and E.eta_obj(swap[0]) == swap[0]
+
+
+def equivalence_space_sizes(n_V: int) -> tuple[int, int, int]:
+    """|E₀|, |E₁| and the number of composable pairs of E over a base of
+    n_V elements. With n_k = C(n_V,k)²·k! objects of U of fiber size k, E
+    has |U₁| = Σ n_k²·k! objects, each with n_k·k! morphisms out of either
+    end, so Σ n_k²·k!·(n_k·k!)² morphisms and Σ n_k²·k!·(n_k·k!)⁴ pairs."""
+    n = {k: comb(n_V, k) ** 2 * factorial(k) for k in range(n_V + 1)}
+    return tuple(sum(n[k] ** 2 * factorial(k) * (n[k] * factorial(k)) ** e for k in n)
+                 for e in (0, 2, 4))
+
+
+@pytest.mark.parametrize("V, sizes", [((), (1, 1, 1)), (("v",), (2, 2, 2)),
+                                      (("a", "b"), (25, 385, 6145))], ids=len)
+def test_equivalence_space_counts(V, sizes):
+    """E's sizes against the counting formula. At |V| = 3 it gives 946,
+    1,126,306 and 1,451,719,666; E is not built at that size here."""
+    assert equivalence_space_sizes(len(V)) == sizes
+    E = equivalence_space(build_universe(V)).path.base
+    assert (E.n_objects, E.n_morphisms, len(E.compose)) == sizes
+    assert equivalence_space_sizes(3) == (946, 1_126_306, 1_451_719_666)
 
 
 def test_projective_witness_structure():
